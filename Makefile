@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint bench bench-compare golden fuzz-smoke oracle race-canary cover server-smoke chaos population-smoke incremental-smoke query-smoke
+.PHONY: all build test race vet fmt-check lint bench bench-compare golden fuzz-smoke oracle race-canary cover server-smoke chaos population-smoke query-smoke
 
 all: build test vet fmt-check
 
@@ -47,9 +47,9 @@ bench:
 # (BatchSequential, InsensitivePerProgram) so the base side is never
 # empty even when the base ref lacks the Solve*/PairSetReferents ones.
 BENCH_BASE ?= HEAD
-BENCH_PATTERN ?= SolveCI|SolveCS|PairSetReferents|BatchSequential|InsensitivePerProgram|IncrementalReanalyze
+BENCH_PATTERN ?= SolveCI|SolveCS|PairSetReferents|BatchSequential|InsensitivePerProgram
 BENCH_COUNT ?= 3
-BENCH_PKGS ?= . ./internal/core ./internal/summary
+BENCH_PKGS ?= . ./internal/core
 
 bench-compare:
 	@set -e; \
@@ -140,13 +140,6 @@ population-smoke:
 	$(GO) build -o /tmp/corpusgen ./cmd/corpusgen; \
 	$(GO) build -o /tmp/experiments ./cmd/experiments; \
 	/tmp/corpusgen -n $(POP_N) -seed $(POP_SEED) | /tmp/experiments -population
-
-# The edit-one-procedure loop over the whole corpus under the race
-# detector: every unit solves cold into a summary cache, gains one
-# appended procedure, re-solves warm, and the warm answer must equal
-# the exhaustive solve with every pre-edit procedure reused from cache.
-incremental-smoke:
-	$(GO) test -race -count=1 -run 'TestIncrementalSmokeEditLoop|TestBatchModularReusesAndAgrees' ./internal/summary/ ./internal/experiments/
 
 # Demand-query population smoke: the metamorphic battery plus the
 # demand-vs-exhaustive differential oracle over the whole corpus and a

@@ -27,7 +27,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/backend/andersen"
 	"aliaslab/internal/backend/steensgaard"
-	"aliaslab/internal/baseline"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -155,8 +154,7 @@ type Result struct {
 	MeetOps     int
 
 	// Engine carries the solver engine's work counters for the analysis
-	// that produced the final sets (zero for the baseline, which does
-	// not run on the engine).
+	// that produced the final sets.
 	Engine EngineStats
 }
 
@@ -423,12 +421,17 @@ func resultFromGoverned(p *Program, gr *core.GovernedResult, requested string) *
 }
 
 // AnalyzeBaseline runs the Weihl-style program-wide, flow-insensitive
-// baseline the pre-1990 literature used.
+// baseline the pre-1990 literature used: one store for the whole
+// program, no kills. Its per-output sets are exactly Andersen's, so
+// the Andersen solver computes them, and the counters are Andersen's.
+// The result keeps the baseline's shape otherwise: it carries no call
+// graph, so ModRef and CallGraph report an error.
 func (p *Program) AnalyzeBaseline() (*Result, error) {
-	b := baseline.Analyze(p.unit.Graph)
+	b := andersen.Analyze(p.unit.Graph)
 	return &Result{
-		prog: p, sets: b.Sets(), label: "program-wide baseline",
+		prog: p, sets: b.Sets, label: "program-wide baseline",
 		TransferFns: b.Metrics.FlowIns, MeetOps: b.Metrics.FlowOuts,
+		Engine: engineStats(b.Engine),
 	}, nil
 }
 
@@ -492,11 +495,10 @@ func (r *Result) IndirectOps() []IndirectOp {
 
 // ModRef reports, per function, the locations it (transitively) may
 // modify and reference, each list sorted by location name. Available
-// on results that ran the context-insensitive pre-pass (Analyze,
-// AnalyzeContextSensitive, and AnalyzeIncremental). The name sort
-// makes the lists a pure function of the analysis answer — in
-// particular, identical between the exhaustive and the modular solve,
-// whose internal path-interning orders differ.
+// on results that ran the context-insensitive pre-pass (Analyze and
+// AnalyzeContextSensitive) and on the constraint backends. The name
+// sort makes the lists a pure function of the analysis answer,
+// independent of the solver's path-interning order.
 func (r *Result) ModRef() (mod, ref map[string][]string, err error) {
 	if r.ci == nil {
 		return nil, nil, fmt.Errorf("aliaslab: ModRef requires a context-insensitive result")

@@ -51,7 +51,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/backend/andersen"
 	"aliaslab/internal/backend/steensgaard"
-	"aliaslab/internal/baseline"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -64,7 +63,6 @@ import (
 	"aliaslab/internal/sched"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
-	"aliaslab/internal/summary"
 	"aliaslab/internal/vdg"
 )
 
@@ -85,12 +83,6 @@ type config struct {
 	budget   limits.Budget
 	strategy solver.Strategy
 	stats    bool
-
-	// modular solves the ci analysis bottom-up from per-procedure
-	// summaries; summaries is the cache shared across a multi-file
-	// batch (nil runs the pure per-procedure-parallel solve).
-	modular   bool
-	summaries *summary.Cache
 
 	// span is the unit's trace span (nil when untraced); analyzeUnit
 	// records its solve/checkers/report phases as children.
@@ -117,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxPairs := fs.Int("max-pairs", 0, "cap on materialized points-to pairs per attempt (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole analysis, e.g. 30s (0 = none)")
 	worklist := fs.String("worklist", "", "solver worklist strategy: fifo (default), lifo, or priority")
-	modular := fs.Bool("modular", false, "solve the ci analysis bottom-up from per-procedure summaries (identical answer; procedures reused across a multi-file batch)")
 	statsFlag := fs.Bool("stats", false, "print solver engine counters to stderr after each analysis")
 	vet := fs.Bool("vet", false, "run the pointer-bug checkers instead of printing analysis results")
 	checkersFlag := fs.String("checkers", "", "comma-separated checker IDs for -vet (default: all; see -vet -checkers help)")
@@ -169,33 +160,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Demand queries solve the ci analysis on a slice; mixing them with
-	// another backend, the checkers, or the modular mode would promise a
-	// result the query engine does not compute.
+	// another backend or the checkers would promise a result the query
+	// engine does not compute.
 	if *queryFlag != "" {
 		if *analysis != "ci" {
 			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", *analysis)
 			return 2
 		}
-		if *vet || *modular {
-			fmt.Fprintln(stderr, "aliaslab: -query does not combine with -vet or -modular")
+		if *vet {
+			fmt.Fprintln(stderr, "aliaslab: -query does not combine with -vet")
 			return 2
 		}
 		if _, err := query.ParseAll(*queryFlag); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 2
-		}
-	}
-
-	// Modular solving is a ci-only refinement, and the CLI's vet path
-	// keeps the plain exhaustive solve (the daemon's vet accepts the
-	// "modular" request field for callers that want both).
-	if *modular {
-		if *analysis != "ci" {
-			fmt.Fprintf(stderr, "aliaslab: -modular solves the ci analysis, not %s\n", *analysis)
-			return 2
-		}
-		if *vet {
-			fmt.Fprintln(stderr, "aliaslab: -modular does not combine with -vet")
 			return 2
 		}
 	}
@@ -253,13 +230,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget:   budget,
 		strategy: strategy,
 		stats:    *statsFlag,
-		modular:  *modular,
-	}
-	if *modular {
-		// One cache for the whole invocation: in multi-file mode the
-		// units share it, so a procedure solved for one file is free for
-		// every identical body later in the batch.
-		cfg.summaries = summary.NewCache(0, nil)
 	}
 
 	code := func() int {
@@ -401,31 +371,6 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	unsound := false
 	switch cfg.analysis {
 	case "ci", "cs":
-		if cfg.modular {
-			// Bottom-up solve from per-procedure summaries. The label is
-			// the exhaustive one on purpose: the pair sets are identical
-			// (oracle-enforced), so the rendering must not differ either.
-			sp := cfg.span.Child("solve-ci-modular")
-			mo := core.ModularOptions{Budget: cfg.budget, Strategy: cfg.strategy}
-			if cfg.summaries != nil {
-				mo.Cache = cfg.summaries
-			}
-			res, mst := core.AnalyzeModular(u.Graph, mo)
-			core.AttachEngine(sp, res.Engine)
-			sp.End()
-			ci, sets = res, res.Sets
-			label = "context-insensitive"
-			if cfg.stats {
-				printEngineStats(stderr, "ci", res.Engine)
-				fmt.Fprintf(stderr, "aliaslab: modular: %d procedures, %d reused, %d solved, %d rounds, %d restarts\n",
-					mst.Procedures, mst.Reused(), mst.Misses+mst.Forced, mst.Rounds, mst.Restarts)
-			}
-			if res.Stopped != nil {
-				unsound = true
-				fmt.Fprintf(stderr, "aliaslab: warning: modular solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", res.Stopped)
-			}
-			break
-		}
 		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
 			Budget:    cfg.budget,
 			Sensitive: cfg.analysis == "cs",
@@ -478,7 +423,10 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		ci = core.AnalyzeInsensitiveEngine(u.Graph, limits.Budget{}, cfg.strategy)
 		core.AttachEngine(sp, ci.Engine)
 		sp = cfg.span.Child("solve-baseline")
-		sets = baseline.Analyze(u.Graph).Sets()
+		// The Weihl baseline (one program-wide store, no kills) computes
+		// exactly Andersen's per-output sets (DESIGN §12), so Andersen
+		// serves it under the historical label.
+		sets = andersen.Analyze(u.Graph).Sets
 		sp.End()
 		label = "program-wide (Weihl baseline)"
 		if cfg.stats {
@@ -506,9 +454,9 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case "modref":
-		printModRef(stdout, u, ci, cfg.modular)
+		printModRef(stdout, u, ci)
 	case "callgraph":
-		printCallGraph(stdout, u, ci, cfg.modular)
+		printCallGraph(stdout, u, ci)
 	case "dot":
 		fg := u.Graph.FuncOf[u.Prog.FuncMap[cfg.fn]]
 		if fg == nil {
@@ -801,13 +749,9 @@ func printJSON(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairSet, 
 	return enc.Encode(out)
 }
 
-// printModRef renders the transitive mod/ref sets per function. The
-// lexical flag (set under -modular) orders each list by location name
-// instead of the solver's path-intern order: the modular solve interns
-// paths in a different order than the exhaustive one, so only the
-// name-sorted rendering is deterministic there. The default rendering
-// is pinned by golden files and must keep its historical order.
-func printModRef(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
+// printModRef renders the transitive mod/ref sets per function, each
+// list in the solver's path-intern order (pinned by golden files).
+func printModRef(w io.Writer, u *driver.Unit, ci *core.Result) {
 	info := modref.Compute(ci)
 	for _, fg := range u.Graph.Funcs {
 		if fg.Fn.Body == nil {
@@ -821,26 +765,18 @@ func printModRef(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
 		for _, p := range info.Ref[fg].Sorted() {
 			refs = append(refs, p.String())
 		}
-		if lexical {
-			sort.Strings(mods)
-			sort.Strings(refs)
-		}
 		fmt.Fprintf(w, "  mod: %v\n", mods)
 		fmt.Fprintf(w, "  ref: %v\n", refs)
 	}
 }
 
 // printCallGraph renders discovered call edges and the §5.1.2 stats.
-// lexical sorts each call's callee names (see printModRef).
-func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result, lexical bool) {
+func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result) {
 	for _, fg := range u.Graph.Funcs {
 		for _, call := range fg.Calls {
 			var names []string
 			for _, callee := range ci.Callees[call] {
 				names = append(names, callee.Fn.Name)
-			}
-			if lexical {
-				sort.Strings(names)
 			}
 			fmt.Fprintf(w, "  %s at %s -> %v\n", fg.Fn.Name, call.Pos, names)
 		}

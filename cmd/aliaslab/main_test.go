@@ -183,6 +183,18 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
+// TestModularFlagRemoved: the per-procedure summary mode is gone, so
+// -modular is an unknown flag (a usage error), not a silent no-op.
+func TestModularFlagRemoved(t *testing.T) {
+	_, errOut, code := runCLI(t, "-corpus", "part", "-modular")
+	if code != 2 {
+		t.Errorf("-modular: exit %d, want 2", code)
+	}
+	if !strings.Contains(errOut, "-modular") {
+		t.Errorf("stderr does not name the flag: %s", errOut)
+	}
+}
+
 // TestBackendGolden pins the text and JSON output of every backend on
 // one corpus program: the four-way precision frontier is directly
 // visible as the goldens' referent sets widen from cs to steensgaard.

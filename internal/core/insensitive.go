@@ -97,12 +97,16 @@ func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.B
 	return cfg
 }
 
-// insensitive is the analysis state.
+// insensitive is the analysis state of one context-insensitive solve.
+// slice, when non-nil, restricts the solve to a set of outputs (see
+// AnalyzeDemand): pairs land only on slice members, so seeding and
+// propagation never touch the rest of the graph.
 type insensitive struct {
-	g   *vdg.Graph
-	res *Result
-	eng *solver.Engine[workItem]
-	st  *solver.Stats
+	g     *vdg.Graph
+	slice map[*vdg.Output]bool
+	res   *Result
+	eng   *solver.Engine[workItem]
+	st    *solver.Stats
 }
 
 // AnalyzeInsensitive runs the context-insensitive points-to analysis of
@@ -125,8 +129,15 @@ func AnalyzeInsensitiveBudgeted(g *vdg.Graph, budget limits.Budget) *Result {
 // worklist strategy. Every strategy converges to the same fixpoint;
 // FIFO is the reference discipline for golden outputs.
 func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solver.Strategy) *Result {
+	return solveInsensitive(g, nil, budget, strategy)
+}
+
+// solveInsensitive runs the fixpoint, over the whole graph when slice
+// is nil and over the slice's outputs otherwise.
+func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Budget, strategy solver.Strategy) *Result {
 	a := &insensitive{
-		g: g,
+		g:     g,
+		slice: slice,
 		res: &Result{
 			Graph:   g,
 			Sets:    make(map[*vdg.Output]*PairSet),
@@ -138,7 +149,8 @@ func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solve
 	a.st = a.eng.Stats()
 	empty := g.Universe.Empty()
 
-	// Seed: every base-location constant points to its location.
+	// Seed: every base-location constant points to its location (within
+	// a slice, flowOut drops the constants outside it).
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {
 			if n.Kind == vdg.KAddr || n.Kind == vdg.KAlloc {
@@ -147,40 +159,20 @@ func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solve
 		}
 	}
 
-	out := a.eng.Run(func(it workItem) { ciFlowIn(a, it.in, it.pair) })
+	out := a.eng.Run(func(it workItem) { a.flowIn(it.in, it.pair) })
 	a.res.Stopped = out.Stopped
 	a.res.Engine = *a.st
 	a.res.Metrics = metricsFrom(a.st)
 	return a.res
 }
 
-// ciHost implementation: the whole-program solver is the direct host —
-// every emission is a flowOut into the one global set map, and call
-// edges repropagate immediately.
-
-func (a *insensitive) universe() *paths.Universe { return a.g.Universe }
-
-func (a *insensitive) emit(out *vdg.Output, pair Pair) { a.flowOut(out, pair) }
-
-func (a *insensitive) calleesOf(n *vdg.Node) []*vdg.FuncGraph { return a.res.Callees[n] }
-
-func (a *insensitive) callersOf(fg *vdg.FuncGraph) []*vdg.Node { return a.res.Callers[fg] }
-
-// linkEdge records call → callee and repropagates both directions.
-func (a *insensitive) linkEdge(n *vdg.Node, callee *vdg.FuncGraph) {
-	for _, c := range a.res.Callees[n] {
-		if c == callee {
-			return
-		}
-	}
-	a.res.Callees[n] = append(a.res.Callees[n], callee)
-	a.res.Callers[callee] = append(a.res.Callers[callee], n)
-	ciApplyCallEdge(a, n, callee)
-}
-
 // flowOut adds pair to the set on out; new pairs are queued at every
-// consumer.
+// consumer. Outside a slice the pair is dropped before the meet, so
+// Metrics counts only the work a sliced solve actually performed.
 func (a *insensitive) flowOut(out *vdg.Output, pair Pair) {
+	if a.slice != nil && !a.slice[out] {
+		return
+	}
 	a.st.Meets++
 	s, ok := a.res.Sets[out]
 	if !ok {
@@ -205,5 +197,4 @@ func (a *insensitive) pairsAt(src *vdg.Output) []Pair {
 }
 
 // The transfer functions themselves (flow-in per node kind, call-edge
-// repropagation) live in transfer.go, shared with the per-procedure
-// region solver behind AnalyzeModular via the ciHost interface above.
+// repropagation) live in transfer.go.

@@ -5,55 +5,21 @@ import (
 	"aliaslab/internal/vdg"
 )
 
-// ciHost is the slice of analysis state the context-insensitive
-// transfer functions need. Two hosts implement it: the whole-program
-// solver (insensitive), where every emission lands directly in the one
-// global set map, and the per-procedure region solver behind
-// AnalyzeModular, where emissions crossing a procedure boundary are
-// buffered to the round barrier and call-graph edges are registered
-// there. The transfer semantics below are shared verbatim — that is
-// what makes "modular == exhaustive" a structural property rather than
-// a re-implementation to keep in sync.
-//
-// The methods are deliberately minimal:
-//
-//   - pairsAt reads the current set on an output. Every read the
-//     transfer functions perform is through an input of the node being
-//     processed, and VDG edges are intra-procedural — so a region host
-//     only ever reads its own state here.
-//   - emit adds a pair to an output's set (a meet), queueing consumers
-//     on growth. The target may be in another procedure (callee
-//     formals, caller call outputs); routing is the host's business.
-//   - linkEdge records a discovered call edge. The whole-program host
-//     applies it immediately; the region host defers it to the barrier
-//     because applying it reads the callee's state.
-//
-// The generic instantiation (rather than an interface value) lets the
-// compiler devirtualize the hot path per host.
-type ciHost interface {
-	universe() *paths.Universe
-	pairsAt(src *vdg.Output) []Pair
-	emit(out *vdg.Output, pair Pair)
-	calleesOf(n *vdg.Node) []*vdg.FuncGraph
-	callersOf(fg *vdg.FuncGraph) []*vdg.Node
-	linkEdge(n *vdg.Node, callee *vdg.FuncGraph)
-}
-
-// ciFlowIn implements the per-node transfer functions of [Ruf95,
+// flowIn implements the per-node transfer functions of [Ruf95,
 // Figure 1]: one (input, pair) arrival against one node.
-func ciFlowIn[H ciHost](h H, in *vdg.Input, pair Pair) {
+func (a *insensitive) flowIn(in *vdg.Input, pair Pair) {
 	n := in.Node
 	switch n.Kind {
 	case vdg.KLookup:
-		ciLookupFlow(h, n, in, pair)
+		a.lookupFlow(n, in, pair)
 	case vdg.KUpdate:
-		ciUpdateFlow(h, n, in, pair)
+		a.updateFlow(n, in, pair)
 	case vdg.KCall:
-		ciCallFlow(h, n, in, pair)
+		a.callFlow(n, in, pair)
 	case vdg.KReturn:
-		ciReturnFlow(h, n, in, pair)
+		a.returnFlow(n, in, pair)
 	case vdg.KGamma:
-		h.emit(n.Outputs[0], pair)
+		a.flowOut(n.Outputs[0], pair)
 	case vdg.KPrimop:
 		if n.Transparent {
 			if n.Op == vdg.OpChecked && IsMarkerRef(pair.Ref) {
@@ -61,49 +27,49 @@ func ciFlowIn[H ciHost](h H, in *vdg.Input, pair Pair) {
 				// the marker referents do not pass the check.
 				return
 			}
-			h.emit(n.Outputs[0], pair)
+			a.flowOut(n.Outputs[0], pair)
 		}
 	case vdg.KAlloc:
 		// realloc: the old block's pairs flow through.
-		h.emit(n.Outputs[0], pair)
+		a.flowOut(n.Outputs[0], pair)
 	case vdg.KFree:
 		// Deallocation is identity on the store (the kill is interpreted
 		// by the checkers, not the points-to domain — removing pairs
 		// would be unsound under may-aliasing).
 		if in.Index == 1 {
-			h.emit(n.Outputs[0], pair)
+			a.flowOut(n.Outputs[0], pair)
 		}
 	case vdg.KFieldAddr:
 		if pair.Path.IsEmptyOffset() {
-			ref := ciExtendField(h, n, pair.Ref)
-			h.emit(n.Outputs[0], Pair{Path: pair.Path, Ref: ref})
+			ref := a.extendField(n, pair.Ref)
+			a.flowOut(n.Outputs[0], Pair{Path: pair.Path, Ref: ref})
 		}
 	case vdg.KIndexAddr:
 		if pair.Path.IsEmptyOffset() {
-			h.emit(n.Outputs[0], Pair{Path: pair.Path, Ref: h.universe().Index(pair.Ref)})
+			a.flowOut(n.Outputs[0], Pair{Path: pair.Path, Ref: a.g.Universe.Index(pair.Ref)})
 		}
 	case vdg.KExtract:
 		want := paths.Op{Field: n.Field, Union: n.Transparent}
 		if op, ok := pair.Path.FirstOp(); ok && op.Overlaps(want) {
-			tail := h.universe().TailAfterFirst(pair.Path)
-			h.emit(n.Outputs[0], Pair{Path: tail, Ref: pair.Ref})
+			tail := a.g.Universe.TailAfterFirst(pair.Path)
+			a.flowOut(n.Outputs[0], Pair{Path: tail, Ref: pair.Ref})
 		}
 	}
 }
 
-// ciExtendField applies a member operator; union members use the
+// extendField applies a member operator; union members use the
 // overlapping operator (the builder marks union accesses on the node).
-func ciExtendField[H ciHost](h H, n *vdg.Node, p *paths.Path) *paths.Path {
+func (a *insensitive) extendField(n *vdg.Node, p *paths.Path) *paths.Path {
 	if n.Transparent { // union member
-		return h.universe().UnionField(p, n.Field)
+		return a.g.Universe.UnionField(p, n.Field)
 	}
-	return h.universe().Field(p, n.Field)
+	return a.g.Universe.Field(p, n.Field)
 }
 
-// ciLookupFlow: a new location dereferences every store pair it may
+// lookupFlow: a new location dereferences every store pair it may
 // observe; a new store pair is observed by every location.
-func ciLookupFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
-	u := h.universe()
+func (a *insensitive) lookupFlow(n *vdg.Node, in *vdg.Input, pair Pair) {
+	u := a.g.Universe
 	out := n.Outputs[0]
 	switch in.Index {
 	case 0: // location input
@@ -111,29 +77,29 @@ func ciLookupFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 			return
 		}
 		rl := pair.Ref
-		for _, ps := range h.pairsAt(n.StoreIn()) {
+		for _, ps := range a.pairsAt(n.StoreIn()) {
 			if paths.Dom(rl, ps.Path) {
-				h.emit(out, Pair{Path: u.Subtract(ps.Path, rl), Ref: ps.Ref})
+				a.flowOut(out, Pair{Path: u.Subtract(ps.Path, rl), Ref: ps.Ref})
 			}
 		}
 	case 1: // store input
-		for _, pl := range h.pairsAt(n.Loc()) {
+		for _, pl := range a.pairsAt(n.Loc()) {
 			if !pl.Path.IsEmptyOffset() {
 				continue
 			}
 			if paths.Dom(pl.Ref, pair.Path) {
-				h.emit(out, Pair{Path: u.Subtract(pair.Path, pl.Ref), Ref: pair.Ref})
+				a.flowOut(out, Pair{Path: u.Subtract(pair.Path, pl.Ref), Ref: pair.Ref})
 			}
 		}
 	}
 }
 
-// ciUpdateFlow implements strong updates: a store pair passes through
+// updateFlow implements strong updates: a store pair passes through
 // only via location referents that do not definitely overwrite it, and
 // store pairs are blocked entirely until the first location arrives
 // (the dual-worklist behaviour of [CWZ90]).
-func ciUpdateFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
-	u := h.universe()
+func (a *insensitive) updateFlow(n *vdg.Node, in *vdg.Input, pair Pair) {
+	u := a.g.Universe
 	out := n.Outputs[0]
 	switch in.Index {
 	case 0: // location input
@@ -141,37 +107,36 @@ func ciUpdateFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 			return
 		}
 		rl := pair.Ref
-		for _, pv := range h.pairsAt(n.Value()) {
-			h.emit(out, Pair{Path: u.Append(rl, pv.Path), Ref: pv.Ref})
+		for _, pv := range a.pairsAt(n.Value()) {
+			a.flowOut(out, Pair{Path: u.Append(rl, pv.Path), Ref: pv.Ref})
 		}
-		for _, ps := range h.pairsAt(n.StoreIn()) {
+		for _, ps := range a.pairsAt(n.StoreIn()) {
 			if !paths.StrongDom(rl, ps.Path) {
-				h.emit(out, ps)
+				a.flowOut(out, ps)
 			}
 		}
 	case 1: // store input
-		for _, pl := range h.pairsAt(n.Loc()) {
+		for _, pl := range a.pairsAt(n.Loc()) {
 			if !pl.Path.IsEmptyOffset() {
 				continue
 			}
 			if !paths.StrongDom(pl.Ref, pair.Path) {
-				h.emit(out, pair)
+				a.flowOut(out, pair)
 			}
 		}
 	case 2: // value input
-		for _, pl := range h.pairsAt(n.Loc()) {
+		for _, pl := range a.pairsAt(n.Loc()) {
 			if !pl.Path.IsEmptyOffset() {
 				continue
 			}
-			h.emit(out, Pair{Path: u.Append(pl.Ref, pair.Path), Ref: pair.Ref})
+			a.flowOut(out, Pair{Path: u.Append(pl.Ref, pair.Path), Ref: pair.Ref})
 		}
 	}
 }
 
-// ciCallFlow: actuals propagate to the formals of every callee; a new
-// function value registers a call edge (the host decides when the
-// edge's repropagation runs).
-func ciCallFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
+// callFlow: actuals propagate to the formals of every callee; a new
+// function value registers a call edge.
+func (a *insensitive) callFlow(n *vdg.Node, in *vdg.Input, pair Pair) {
 	switch in.Index {
 	case 0: // function input
 		if !pair.Path.IsEmptyOffset() {
@@ -185,69 +150,74 @@ func ciCallFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
 		if callee == nil {
 			return
 		}
-		h.linkEdge(n, callee)
+		a.linkEdge(n, callee)
 	case 1: // store input
-		for _, callee := range h.calleesOf(n) {
-			h.emit(callee.StoreParam, pair)
+		for _, callee := range a.res.Callees[n] {
+			a.flowOut(callee.StoreParam, pair)
 		}
 	default: // actuals
 		argIdx := in.Index - 2
-		for _, callee := range h.calleesOf(n) {
+		for _, callee := range a.res.Callees[n] {
 			if argIdx < len(callee.ParamOuts) {
-				h.emit(callee.ParamOuts[argIdx], pair)
+				a.flowOut(callee.ParamOuts[argIdx], pair)
 			}
 		}
 	}
 }
 
-// ciApplyCallEdge repropagates both directions of a freshly registered
-// call → callee edge: existing actuals and store flow forward to the
-// callee's formals, and the callee's existing returns flow back to this
-// call site. The host must have recorded the edge in its callee/caller
-// maps before calling this (so the emissions do not re-trigger it), and
-// must guarantee both endpoints' sets are readable — the whole-program
-// host always can; the region host calls this only at the round
-// barrier.
-func ciApplyCallEdge[H ciHost](h H, n *vdg.Node, callee *vdg.FuncGraph) {
-	for _, pair := range h.pairsAt(n.StoreIn()) {
-		h.emit(callee.StoreParam, pair)
+// linkEdge records a call → callee edge and, when it is new,
+// repropagates both of its directions: existing actuals and store flow
+// forward to the callee's formals, and the callee's existing returns
+// flow back to this call site. The edge is recorded first, so the
+// emissions below see it and do not re-trigger it.
+func (a *insensitive) linkEdge(n *vdg.Node, callee *vdg.FuncGraph) {
+	for _, c := range a.res.Callees[n] {
+		if c == callee {
+			return
+		}
+	}
+	a.res.Callees[n] = append(a.res.Callees[n], callee)
+	a.res.Callers[callee] = append(a.res.Callers[callee], n)
+
+	for _, pair := range a.pairsAt(n.StoreIn()) {
+		a.flowOut(callee.StoreParam, pair)
 	}
 	for i, argIn := range vdg.CallArgs(n) {
 		if i >= len(callee.ParamOuts) {
 			break
 		}
-		for _, pair := range h.pairsAt(argIn.Src) {
-			h.emit(callee.ParamOuts[i], pair)
+		for _, pair := range a.pairsAt(argIn.Src) {
+			a.flowOut(callee.ParamOuts[i], pair)
 		}
 	}
 
 	if rs := callee.ReturnStore(); rs != nil {
-		for _, pair := range h.pairsAt(rs) {
-			h.emit(vdg.CallStoreOut(n), pair)
+		for _, pair := range a.pairsAt(rs) {
+			a.flowOut(vdg.CallStoreOut(n), pair)
 		}
 	}
 	if rv := callee.ReturnValue(); rv != nil {
 		if res := vdg.CallResultOut(n); res != nil {
-			for _, pair := range h.pairsAt(rv) {
-				h.emit(res, pair)
+			for _, pair := range a.pairsAt(rv) {
+				a.flowOut(res, pair)
 			}
 		}
 	}
 }
 
-// ciReturnFlow: values and stores reaching a function's return sink
+// returnFlow: values and stores reaching a function's return sink
 // flow to the corresponding outputs at every call site.
-func ciReturnFlow[H ciHost](h H, n *vdg.Node, in *vdg.Input, pair Pair) {
+func (a *insensitive) returnFlow(n *vdg.Node, in *vdg.Input, pair Pair) {
 	fg := n.Fn
 	switch in.Index {
 	case 0: // store
-		for _, call := range h.callersOf(fg) {
-			h.emit(vdg.CallStoreOut(call), pair)
+		for _, call := range a.res.Callers[fg] {
+			a.flowOut(vdg.CallStoreOut(call), pair)
 		}
 	case 1: // value
-		for _, call := range h.callersOf(fg) {
+		for _, call := range a.res.Callers[fg] {
 			if res := vdg.CallResultOut(call); res != nil {
-				h.emit(res, pair)
+				a.flowOut(res, pair)
 			}
 		}
 	}

@@ -17,12 +17,10 @@ import (
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/obs"
-	"aliaslab/internal/oracle"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
-	"aliaslab/internal/summary"
 	"aliaslab/internal/vdg"
 )
 
@@ -51,17 +49,6 @@ type ProgramResult struct {
 	BE     *core.Result
 	BEKind backend.Kind
 	BETime time.Duration
-
-	// ModularCold / ModularWarm record the bottom-up summary solve when
-	// BatchOptions.Modular is set: a cold solve into a fresh per-unit
-	// cache, then a warm rerun against it (the editor round trip with no
-	// edit — every procedure should reuse). Both runs are
-	// oracle-checked against the exhaustive CI reference in-line; a
-	// divergence fails the unit.
-	ModularCold     *core.ModularStats
-	ModularWarm     *core.ModularStats
-	ModularColdTime time.Duration
-	ModularWarmTime time.Duration
 
 	// Queries records the demand-query sweep when BatchOptions.Queries
 	// is set: per-query slice sizes, solve steps, and cold/warm times,
@@ -127,14 +114,6 @@ type BatchOptions struct {
 	// context-insensitive analysis always runs, it is the reference the
 	// figures render.
 	Backend backend.Kind
-
-	// Modular additionally runs the bottom-up summary solve twice per
-	// unit — cold into a fresh per-unit cache, then warm against it —
-	// recording the reuse counters in ProgramResult.ModularCold/Warm and
-	// tripping the unit's Err if either solve's pair sets diverge from
-	// the exhaustive CI reference. Each unit gets its own cache so the
-	// counters are independent of batch order and Jobs width.
-	Modular bool
 
 	// Queries additionally sweeps each unit's variables through the
 	// demand-driven query engine — pointsto per variable, cold (fresh
@@ -220,12 +199,6 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 			return fmt.Errorf("%s: context-insensitive analysis stopped early: %w", name, r.CI.Stopped)
 		}
 
-		if bo.Modular {
-			if err := runModular(r, u, bo, sp); err != nil {
-				return err
-			}
-		}
-
 		if bo.Queries {
 			if err := runQueries(r, u, bo, sp); err != nil {
 				return err
@@ -272,47 +245,6 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 	recordUnit(bo.Metrics, r)
 	sp.End()
 	return r, sp
-}
-
-// runModular runs the cold and warm bottom-up summary solves for one
-// unit and oracle-checks both against the already-computed exhaustive
-// reference in r.CISets. Both solves share the same graph, so the warm
-// run measures pure summary reuse: every procedure's body hash and
-// caller-visible inputs are unchanged.
-func runModular(r *ProgramResult, u *driver.Unit, bo BatchOptions, sp *obs.Span) error {
-	cache := summary.NewCache(0, bo.Metrics)
-	solve := func(phase string) (*core.ModularStats, time.Duration, error) {
-		ssp := sp.Child("solve-ci-modular", obs.Str("phase", phase))
-		t0 := time.Now()
-		res, st := core.AnalyzeModular(u.Graph, core.ModularOptions{
-			Budget:   bo.Budget,
-			Strategy: bo.Strategy,
-			Cache:    cache,
-			Metrics:  bo.Metrics,
-		})
-		d := time.Since(t0)
-		core.AttachEngine(ssp, res.Engine)
-		ssp.End()
-		if res.Stopped != nil {
-			r.Stopped = res.Stopped
-			return &st, d, fmt.Errorf("%s: %s modular analysis stopped early: %w", r.Name, phase, res.Stopped)
-		}
-		if vs := oracle.EqualPerOutput(r.Name, "modular-equivalence ("+phase+")", u.Graph, res.Sets, r.CISets); len(vs) > 0 {
-			return &st, d, fmt.Errorf("%s: %s modular solve diverged from the exhaustive reference: %s", r.Name, phase, vs[0].Detail)
-		}
-		return &st, d, nil
-	}
-	var err error
-	if r.ModularCold, r.ModularColdTime, err = solve("cold"); err != nil {
-		return err
-	}
-	if r.ModularWarm, r.ModularWarmTime, err = solve("warm"); err != nil {
-		return err
-	}
-	if r.ModularWarm.Reused() == 0 && r.ModularWarm.Procedures > 1 {
-		return fmt.Errorf("%s: warm modular solve reused no summaries (%d procedures)", r.Name, r.ModularWarm.Procedures)
-	}
-	return nil
 }
 
 // RunBatch analyzes the named corpus programs on a bounded worker pool
@@ -559,33 +491,6 @@ func Costs(w io.Writer, rs []*ProgramResult) {
 		})
 	}
 	report.Table(w, "Analysis cost: context-insensitive vs context-sensitive (paper §3.2/§4.2)", headers, rows)
-}
-
-// Incremental renders the bottom-up summary solver's reuse table for a
-// batch run with BatchOptions.Modular: per unit, the procedure count,
-// what the warm rerun reused versus re-solved, and the cold/warm wall
-// times with their ratio. The times are diagnostic (they vary run to
-// run); the counters are deterministic and mirrored in the opt-in JSON
-// block.
-func Incremental(w io.Writer, rs []*ProgramResult) {
-	headers := []string{"name", "procs", "reused", "solved", "rounds", "cold time", "warm time", "speedup"}
-	var rows [][]string
-	for _, r := range ok(rs) {
-		if r.ModularCold == nil || r.ModularWarm == nil {
-			continue
-		}
-		rows = append(rows, []string{
-			r.Name,
-			report.Itoa(r.ModularCold.Procedures),
-			report.Itoa(r.ModularWarm.Reused()),
-			report.Itoa(r.ModularWarm.Misses + r.ModularWarm.Forced),
-			report.Itoa(r.ModularWarm.Rounds),
-			r.ModularColdTime.Round(time.Microsecond).String(),
-			r.ModularWarmTime.Round(time.Microsecond).String(),
-			report.F2(float64(r.ModularColdTime) / float64(maxDuration(r.ModularWarmTime, time.Microsecond))),
-		})
-	}
-	report.Table(w, "Incremental re-analysis: warm summary reuse per unit", headers, rows)
 }
 
 // EngineStats renders the solver engine counters of a batch, one row

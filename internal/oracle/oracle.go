@@ -23,10 +23,6 @@
 //   - governed-full (implementation contract): AnalyzeGoverned under an
 //     unlimited budget reports TierFull and returns exactly the
 //     requested analysis' solution.
-//   - modular-equivalence (implementation contract): the per-procedure
-//     summary solver (core.AnalyzeModular) computes exactly the CI
-//     fixpoint, both on an empty cache and when replaying the records
-//     of a previous run — and the replay actually reuses summaries.
 //   - indirect-agreement (the paper's empirical headline): CI and CS
 //     compute identical referent sets at the location input of every
 //     indirect memory operation. This is NOT a theorem — it is the
@@ -45,7 +41,6 @@ import (
 	"aliaslab/internal/limits"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
-	"aliaslab/internal/summary"
 	"aliaslab/internal/vdg"
 )
 
@@ -143,25 +138,6 @@ func Check(name string, u *driver.Unit, opts Options) []Violation {
 		wSets := w.Strip()
 		vs = append(vs, SubsetPerOutput(name, fmt.Sprintf("exact-subset-widened(k=%d)", k), u.Graph, csSets, wSets)...)
 		vs = append(vs, SubsetPerOutput(name, fmt.Sprintf("widened(k=%d)-subset-ci", k), u.Graph, wSets, ci.Sets)...)
-	}
-
-	// modular-equivalence: the per-procedure summary solver computes
-	// exactly the CI fixpoint — cold (empty cache) and warm (replaying
-	// the cold run's records through install-and-validate) — and the
-	// warm rerun actually answers procedures from the cache. This is
-	// the correctness contract of incremental re-analysis: summaries
-	// may only change how the fixpoint is reached, never what it is.
-	mcache := summary.NewCache(0, nil)
-	mcold, _ := core.AnalyzeModular(u.Graph, core.ModularOptions{Cache: mcache})
-	if mcold.Stopped != nil {
-		add("modular-equivalence", "unbudgeted modular solve stopped early: %v", mcold.Stopped)
-	} else {
-		vs = append(vs, EqualPerOutput(name, "modular-cold-equals-ci", u.Graph, mcold.Sets, ci.Sets)...)
-		mwarm, mst := core.AnalyzeModular(u.Graph, core.ModularOptions{Cache: mcache})
-		vs = append(vs, EqualPerOutput(name, "modular-warm-equals-ci", u.Graph, mwarm.Sets, ci.Sets)...)
-		if len(u.Graph.Funcs) > 0 && mst.Reused() == 0 {
-			add("modular-warm-reuse", "warm rerun reused no summaries (outcomes %v)", mst.Outcomes)
-		}
 	}
 
 	// governed-full: the degradation pipeline under no pressure returns

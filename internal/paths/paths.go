@@ -14,7 +14,6 @@ package paths
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // BaseKind classifies base locations for the Figure 7 breakdowns.
@@ -248,13 +247,6 @@ type Universe struct {
 
 	nullRoot   *Path
 	uninitRoot *Path
-
-	// mu, when non-nil, serializes interning (NewBase, Root, Extend and
-	// the operations built on them) so that per-procedure analysis
-	// regions may extend a shared universe from parallel workers. Nil —
-	// the default — keeps the single-threaded hot path lock-free; see
-	// Concurrent.
-	mu *sync.Mutex
 }
 
 // NewUniverse returns an empty universe containing only the ε path.
@@ -265,29 +257,6 @@ func NewUniverse() *Universe {
 	return u
 }
 
-// Concurrent arms the universe's interning lock, making NewBase, Root,
-// Extend, and every operation built on them safe to call from multiple
-// goroutines. The single-threaded analyses never pay for it: the
-// uncontended default is a nil-check per interning call.
-func (u *Universe) Concurrent() {
-	if u.mu == nil {
-		u.mu = &sync.Mutex{}
-	}
-}
-
-// lock acquires the interning lock when armed; unlock is its inverse.
-func (u *Universe) lock() {
-	if u.mu != nil {
-		u.mu.Lock()
-	}
-}
-
-func (u *Universe) unlock() {
-	if u.mu != nil {
-		u.mu.Unlock()
-	}
-}
-
 // Empty returns the ε offset path.
 func (u *Universe) Empty() *Path { return u.empty }
 
@@ -296,12 +265,6 @@ func (u *Universe) Bases() []*Base { return u.bases }
 
 // NewBase creates a base location.
 func (u *Universe) NewBase(kind BaseKind, name string, local, summary bool) *Base {
-	u.lock()
-	defer u.unlock()
-	return u.newBase(kind, name, local, summary)
-}
-
-func (u *Universe) newBase(kind BaseKind, name string, local, summary bool) *Base {
 	b := &Base{Kind: kind, Name: name, Local: local, Summary: summary, ID: len(u.bases)}
 	u.bases = append(u.bases, b)
 	return b
@@ -311,10 +274,8 @@ func (u *Universe) newBase(kind BaseKind, name string, local, summary bool) *Bas
 // null pointer constant. The base is a summary location so that writes
 // through a maybe-null pointer never strongly update anything.
 func (u *Universe) NullRoot() *Path {
-	u.lock()
-	defer u.unlock()
 	if u.nullRoot == nil {
-		u.nullRoot = u.root(u.newBase(NullBase, "<null>", false, true))
+		u.nullRoot = u.Root(u.NewBase(NullBase, "<null>", false, true))
 	}
 	return u.nullRoot
 }
@@ -322,22 +283,14 @@ func (u *Universe) NullRoot() *Path {
 // UninitRoot returns (creating on first use) the marker location of
 // uninitialized pointer values.
 func (u *Universe) UninitRoot() *Path {
-	u.lock()
-	defer u.unlock()
 	if u.uninitRoot == nil {
-		u.uninitRoot = u.root(u.newBase(UninitBase, "<uninit>", false, true))
+		u.uninitRoot = u.Root(u.NewBase(UninitBase, "<uninit>", false, true))
 	}
 	return u.uninitRoot
 }
 
 // Root returns the interned path consisting of just base.
 func (u *Universe) Root(base *Base) *Path {
-	u.lock()
-	defer u.unlock()
-	return u.root(base)
-}
-
-func (u *Universe) root(base *Base) *Path {
 	if p, ok := u.roots[base]; ok {
 		return p
 	}
@@ -349,8 +302,6 @@ func (u *Universe) root(base *Base) *Path {
 
 // Extend returns the interned path p followed by op.
 func (u *Universe) Extend(p *Path, op Op) *Path {
-	u.lock()
-	defer u.unlock()
 	if p.ext == nil {
 		p.ext = make(map[Op]*Path)
 	}
@@ -378,13 +329,6 @@ func (u *Universe) UnionField(p *Path, name string) *Path {
 func (u *Universe) Index(p *Path) *Path {
 	return u.Extend(p, Op{Array: true})
 }
-
-// Ops returns p's operator sequence from root to leaf (empty for roots
-// and for ε). The slice is freshly allocated; callers may keep it.
-// Used by the summary layer's portable path encoding and the VDG body
-// hash — it reads only immutable path structure, so it is safe without
-// the interning lock.
-func (p *Path) Ops() []Op { return p.ops() }
 
 // ops returns the operator sequence of p from root to leaf.
 func (p *Path) ops() []Op {

@@ -1,11 +1,10 @@
 // Package query answers MayAlias/PointsTo questions about one unit
 // without running the whole-program fixpoint. A query resolves its
 // expressions to VDG outputs (anchors), computes the backward-closed
-// slice of outputs that can influence them, and runs the shared ciHost
-// transfer layer (core.AnalyzeDemand) seeded with only that slice. A
-// per-engine memo keeps every solved slice, so overlapping queries pay
-// for new outputs only; the server's whole-unit LRU sits above this the
-// same way it sits above the summary cache.
+// slice of outputs that can influence them, and runs the CI solver
+// (core.AnalyzeDemand) seeded with only that slice. A per-engine memo
+// keeps every solved slice, so overlapping queries pay for new outputs
+// only; the server's whole-unit LRU sits above this.
 package query
 
 import (
@@ -49,9 +48,9 @@ type traceInfo struct {
 
 // BuildCallGraph computes the syntactic call graph of g.
 //
-// Soundness argument, matched against ciCallFlow: a call edge n→f is
-// registered only when a pair (ε, fn-base) with a depth-0 root path
-// reaches n's function input. Such pairs are born exclusively at the
+// Soundness argument, matched against the CI solver's callFlow: a
+// call edge n→f is registered only when a pair (ε, fn-base) with a
+// depth-0 root path reaches n's function input. Such pairs are born exclusively at the
 // KAddr nodes of function references and are forwarded unchanged only
 // by KGamma, transparent KPrimop, and KAlloc (realloc passthrough) —
 // KFieldAddr/KIndexAddr rewrite the referent to an extended path (no

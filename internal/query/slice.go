@@ -15,19 +15,19 @@ type Slice struct {
 }
 
 // SliceFor closes the anchor outputs backward. The closure rules mirror
-// what the ciHost transfer layer reads and emits:
+// what the CI transfer functions (core/transfer.go) read and emit:
 //
 //   - Every input source of a member's node joins: transfers read
 //     sibling inputs (lookup/update read their location, store, and
 //     value inputs) and forward arriving pairs, so anything feeding the
 //     node can influence its outputs.
 //   - A call's outputs pull in the potential callees' return store and
-//     return value (ciReturnFlow/ciApplyCallEdge emit those to the call
+//     return value (returnFlow/linkEdge emit those to the call
 //     site), plus — via the plain input rule — the call's function
 //     input chain, so the demand solve rediscovers the call edges.
 //   - A formal (KParam output or the store formal) pulls in, at every
 //     potential caller, the matching actual (or store) source and the
-//     caller's function input source (ciCallFlow forwards actuals to
+//     caller's function input source (callFlow forwards actuals to
 //     formals only after the edge is discovered).
 func SliceFor(g *vdg.Graph, cg *CallGraph, anchors []*vdg.Output) *Slice {
 	s := &Slice{

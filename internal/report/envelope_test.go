@@ -109,17 +109,17 @@ func TestEnvelopeFullShape(t *testing.T) {
 	}
 }
 
-// Mode is orthogonal to degradation: a modular-mode envelope marshals
+// Mode is orthogonal to degradation: a query-mode envelope marshals
 // without tier/sound/notes noise, and a plain degraded envelope — the
 // historical shape — must not grow a mode field.
 func TestEnvelopeModeField(t *testing.T) {
-	b, err := json.Marshal(ModularEnvelope())
+	b, err := json.Marshal(Envelope{}.WithMode("query"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"degraded":false,"reason":"","mode":"modular"}`
+	want := `{"degraded":false,"reason":"","mode":"query"}`
 	if string(b) != want {
-		t.Fatalf("modular envelope: %s, want %s", b, want)
+		t.Fatalf("query envelope: %s, want %s", b, want)
 	}
 
 	b, err = json.Marshal(DegradedEnvelope("steps", "partial-ci"))
@@ -130,11 +130,11 @@ func TestEnvelopeModeField(t *testing.T) {
 		t.Fatalf("exhaustive degraded envelope leaked a mode field: %s", b)
 	}
 
-	b, err = json.Marshal(DegradedEnvelope("steps", "").WithMode("modular"))
+	b, err = json.Marshal(DegradedEnvelope("steps", "").WithMode("query"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"mode":"modular"`) || !strings.Contains(string(b), `"degraded":true`) {
-		t.Fatalf("degraded modular envelope lost a field: %s", b)
+	if !strings.Contains(string(b), `"mode":"query"`) || !strings.Contains(string(b), `"degraded":true`) {
+		t.Fatalf("degraded query envelope lost a field: %s", b)
 	}
 }

@@ -160,6 +160,10 @@ func TestBadRequests(t *testing.T) {
 		"bad worklist":    {body: map[string]string{"corpus": "part", "worklist": "random"}, status: 400},
 		"checkers on analyze": {body: map[string]any{"corpus": "part", "checkers": []string{"uaf"}},
 			status: 400, substr: "vet only"},
+		// The per-procedure summary mode is gone; its request field is
+		// now unknown rather than silently ignored.
+		"removed modular field": {body: map[string]any{"corpus": "part", "modular": true},
+			status: 400, substr: `unknown field "modular"`},
 		"bad header": {body: map[string]string{"corpus": "part"},
 			hdr: map[string]string{"X-Aliaslab-Max-Steps": "lots"}, status: 400, substr: "non-negative"},
 		"oversized": {body: map[string]string{"source": strings.Repeat("/* pad */\n", 1000) + cleanSrc}, status: 413},

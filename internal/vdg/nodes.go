@@ -215,10 +215,6 @@ type FuncGraph struct {
 
 	// Calls lists the KCall nodes in this function, for iteration.
 	Calls []*Node
-
-	// bodyHash memoizes BodyHash; FuncGraphs are immutable once built.
-	bodyHash [32]byte
-	hashed   bool
 }
 
 // ReturnStore returns the store input of the return sink, or nil.
