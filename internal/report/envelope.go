@@ -38,9 +38,9 @@ type Envelope struct {
 
 	// Mode names how the points-to fixpoint was computed: "query" when
 	// a demand slice answered the request, empty for the default
-	// exhaustive solve. Unlike the
-	// other fields this is not a degradation signal; it rides in the
-	// envelope so consumers find tier and mode in one place.
+	// exhaustive solve. Unlike the other fields this is not a
+	// degradation signal; it rides in the envelope so consumers find
+	// tier and mode in one place.
 	Mode string `json:"mode,omitempty"`
 }
 
