@@ -46,8 +46,10 @@ bench:
 # The pattern includes benchmarks that predate the solver engine
 # (BatchSequential, InsensitivePerProgram) so the base side is never
 # empty even when the base ref lacks the Solve*/PairSetReferents ones.
+# It covers every solver that stores pairs in core.PairSet: CI (corpus
+# and the store-heavy generated units), CS, Andersen and Steensgaard.
 BENCH_BASE ?= HEAD
-BENCH_PATTERN ?= SolveCI|SolveCS|PairSetReferents|BatchSequential|InsensitivePerProgram
+BENCH_PATTERN ?= SolveCI|SolveCIStoreHeavy|SolveCS|SolveAndersen|SolveSteensgaard|PairSetReferents|BatchSequential|InsensitivePerProgram
 BENCH_COUNT ?= 3
 BENCH_PKGS ?= . ./internal/core
 

@@ -11,6 +11,7 @@ package aliaslab_test
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
+	"aliaslab/internal/corpusgen"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/experiments"
 	"aliaslab/internal/limits"
@@ -225,6 +227,38 @@ func BenchmarkSolveCI(b *testing.B) {
 			b.ReportMetric(float64(pairs), "pair-inserts")
 		})
 	}
+}
+
+// BenchmarkSolveCIStoreHeavy times the CI solve on the units where the
+// paper's Figure 1 copies the most store pairs along store chains: the
+// 5 units with the most CI pair inserts among the first 200 of the
+// seed-42 corpusgen sweep. Units are chosen by that count, so the
+// benchmark follows the population rather than fixed names.
+func BenchmarkSolveCIStoreHeavy(b *testing.B) {
+	const population, keep = 200, 5
+	type unit struct {
+		g       *vdg.Graph
+		inserts int
+	}
+	var units []unit
+	for _, p := range corpusgen.Sweep(42, population) {
+		u, err := p.Load(vdg.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = append(units, unit{u.Graph, core.AnalyzeInsensitive(u.Graph).Engine.PairInserts})
+	}
+	sort.SliceStable(units, func(i, j int) bool { return units[i].inserts > units[j].inserts })
+	units = append([]unit(nil), units[:keep]...) // let the other graphs go
+	b.ResetTimer()
+	var pairs int
+	for i := 0; i < b.N; i++ {
+		pairs = 0
+		for _, u := range units {
+			pairs += core.AnalyzeInsensitive(u.g).Engine.PairInserts
+		}
+	}
+	b.ReportMetric(float64(pairs), "pair-inserts")
 }
 
 func BenchmarkSolveCS(b *testing.B) {

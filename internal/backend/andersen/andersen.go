@@ -81,22 +81,22 @@ type analysis struct {
 // through the shared complex constraints.
 func (a *analysis) transfer(ar backend.Arrival) {
 	r := a.sys.Find(ar.Cell)
-	p := ar.Pair
+	k := ar.Key
 	for _, d := range a.succ[r] {
 		if a.sys.Find(d) == r {
 			continue // collapsed into the cycle; now a self-edge
 		}
-		a.sys.AddPair(d, p)
+		a.sys.AddKey(d, k)
 	}
-	if len(a.succChecked[r]) > 0 && !core.IsMarkerRef(p.Ref) {
+	if len(a.succChecked[r]) > 0 && !a.sys.IsMarkerKey(k) {
 		for _, d := range a.succChecked[r] {
 			if a.sys.Find(d) == r {
 				continue
 			}
-			a.sys.AddPair(d, p)
+			a.sys.AddKey(d, k)
 		}
 	}
-	a.sys.Complex(r, p)
+	a.sys.Complex(r, k)
 }
 
 // addEdge inserts the copy edge src→dst. flush re-propagates the
@@ -131,11 +131,11 @@ func (a *analysis) addEdge(src, dst backend.CellID, checked, flush bool) {
 	if !flush {
 		return
 	}
-	for _, p := range a.sys.Set(s).List() {
-		if checked && core.IsMarkerRef(p.Ref) {
+	for _, k := range a.sys.Set(s).Keys() {
+		if checked && a.sys.IsMarkerKey(k) {
 			continue
 		}
-		a.sys.AddPair(d, p)
+		a.sys.AddKey(d, k)
 	}
 	a.edgesSince++
 	if a.edgesSince >= sccEvery {

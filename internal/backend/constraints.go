@@ -297,19 +297,3 @@ func (c *Constraints) Strings() []string {
 
 // String joins Strings with newlines.
 func (c *Constraints) String() string { return strings.Join(c.Strings(), "\n") }
-
-// EpsilonReferents filters the ε-offset referents out of a pair list.
-// Solvers use this instead of PairSet.Referents because the memoized
-// referent slice of a merged (SCC-collapsed or unified) set would be
-// stale; the pair list itself is always current.
-func EpsilonReferents(pairs []core.Pair) []*paths.Path {
-	var refs []*paths.Path
-	seen := make(map[*paths.Path]bool)
-	for _, p := range pairs {
-		if p.Path.IsEmptyOffset() && !seen[p.Ref] {
-			seen[p.Ref] = true
-			refs = append(refs, p.Ref)
-		}
-	}
-	return refs
-}

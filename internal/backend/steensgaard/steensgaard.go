@@ -52,7 +52,7 @@ func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 
 	s.sys.Seed()
 	out := s.sys.Eng.Run(func(ar backend.Arrival) {
-		s.sys.Complex(s.sys.Find(ar.Cell), ar.Pair)
+		s.sys.Complex(s.sys.Find(ar.Cell), ar.Key)
 	})
 	return s.sys.Result(out)
 }

@@ -8,12 +8,12 @@ import (
 	"aliaslab/internal/vdg"
 )
 
-// Arrival is one (cell, pair) worklist item: Pair was just added to the
-// set of Cell's representative and must now be pushed through every
-// constraint attached to that cell.
+// Arrival is one (cell, pair) worklist item: the packed pair Key was
+// just added to the set of Cell's representative and must now be
+// pushed through every constraint attached to that cell.
 type Arrival struct {
 	Cell CellID
-	Pair core.Pair
+	Key  core.Key
 }
 
 // System is the solving state both flow-insensitive backends share: the
@@ -75,7 +75,7 @@ func NewSystem(cons *Constraints, budget limits.Budget, strategy solver.Strategy
 		Callers:       make(map[*vdg.FuncGraph][]*vdg.Node),
 	}
 	for i := range s.Sets {
-		s.Sets[i] = &core.PairSet{}
+		s.Sets[i] = core.NewPairSet(cons.Graph.Universe)
 	}
 	for i, x := range cons.Xforms {
 		s.XformsFrom[x.Src] = append(s.XformsFrom[x.Src], int32(i))
@@ -108,24 +108,31 @@ func (s *System) Find(c CellID) CellID { return s.UF.Find(c) }
 // Set returns the pair set of c's representative.
 func (s *System) Set(c CellID) *core.PairSet { return s.Sets[s.UF.Find(c)] }
 
-// AddPair adds p to c's representative set, queuing an arrival when it
-// is new. This is the flow-out of the constraint solvers.
-func (s *System) AddPair(c CellID, p core.Pair) {
+// AddKey adds the packed pair k to c's representative set, queuing an
+// arrival when it is new. This is the flow-out of the constraint
+// solvers.
+func (s *System) AddKey(c CellID, k core.Key) {
 	r := s.UF.Find(c)
 	s.St.Meets++
-	if !s.Sets[r].Add(p) {
+	if !s.Sets[r].AddKey(k) {
 		return
 	}
 	s.St.PairInserts++
-	s.Eng.Push(Arrival{Cell: r, Pair: p})
+	s.Eng.Push(Arrival{Cell: r, Key: k})
 }
 
 // Seed installs the unconditional lower bounds (address-of and
 // allocation constants).
 func (s *System) Seed() {
 	for _, sd := range s.Cons.Seeds {
-		s.AddPair(sd.Cell, sd.Pair)
+		s.AddKey(sd.Cell, core.KeyOf(sd.Pair))
 	}
+}
+
+// IsMarkerKey reports whether the referent of k is a diagnostics
+// marker location (see core.IsMarkerRef).
+func (s *System) IsMarkerKey(k core.Key) bool {
+	return core.IsMarkerRef(s.Cons.Graph.Universe.ByID(k.RefID()))
 }
 
 // Merge unifies the classes of a and b: attachments and pairs of the
@@ -153,49 +160,53 @@ func (s *System) Merge(a, b CellID) (CellID, bool) {
 	}
 	old := s.Sets[absorbed]
 	s.Sets[absorbed] = nil
-	for _, p := range old.List() {
+	for _, k := range old.Keys() {
 		s.St.Meets++
-		if s.Sets[kept].Add(p) {
+		if s.Sets[kept].AddKey(k) {
 			s.St.PairInserts++
 		}
 	}
-	for _, p := range s.Sets[kept].List() {
-		s.Eng.Push(Arrival{Cell: kept, Pair: p})
+	for _, k := range s.Sets[kept].Keys() {
+		s.Eng.Push(Arrival{Cell: kept, Key: k})
 	}
 	return kept, true
 }
 
-// Complex pushes one arrival (pair p, now in the set of representative
-// r) through every non-copy constraint attached to r. The formulas are
-// the CI transfer functions of internal/core minus kills and flow: the
-// same Dom/Subtract dereference, the same Append write, the same
-// ε-offset and depth-0 guards on dynamic call discovery.
-func (s *System) Complex(r CellID, p core.Pair) {
+// Complex pushes one arrival (packed pair k, now in the set of
+// representative r) through every non-copy constraint attached to r.
+// The formulas are the CI transfer functions of internal/core minus
+// kills and flow: the same Dom/Subtract dereference, the same Append
+// write, the same ε-offset and depth-0 guards on dynamic call
+// discovery.
+func (s *System) Complex(r CellID, k core.Key) {
 	u := s.Cons.Graph.Universe
-	for _, xi := range s.XformsFrom[r] {
-		x := s.Cons.Xforms[xi]
-		if q, ok := x.Apply(u, p); ok {
-			s.AddPair(x.Dst, q)
+	if xs := s.XformsFrom[r]; len(xs) > 0 {
+		p := core.Decode(u, k)
+		for _, xi := range xs {
+			x := s.Cons.Xforms[xi]
+			if q, ok := x.Apply(u, p); ok {
+				s.AddKey(x.Dst, core.KeyOf(q))
+			}
 		}
 	}
 	storeRep := s.UF.Find(StoreCell)
-	if p.Path.IsEmptyOffset() {
-		rl := p.Ref
+	if k.EmptyPath() {
+		rl := u.ByID(k.RefID())
 		// A new location referent dereferences every store pair it may
 		// observe (lookup) …
 		for _, li := range s.LoadsFrom[r] {
 			l := s.Cons.Loads[li]
-			for _, ps := range s.Sets[storeRep].List() {
-				if paths.Dom(rl, ps.Path) {
-					s.AddPair(l.Dst, core.Pair{Path: u.Subtract(ps.Path, rl), Ref: ps.Ref})
+			for _, ks := range s.Sets[storeRep].Keys() {
+				if ps := u.ByID(ks.PathID()); paths.Dom(rl, ps) {
+					s.AddKey(l.Dst, core.PackKey(u.Subtract(ps, rl).ID(), ks.RefID()))
 				}
 			}
 		}
 		// … and writes every value pair at its new target (update).
 		for _, si := range s.StoresLocFrom[r] {
 			st := s.Cons.Stores[si]
-			for _, pv := range s.Sets[s.UF.Find(st.Val)].List() {
-				s.AddPair(StoreCell, core.Pair{Path: u.Append(rl, pv.Path), Ref: pv.Ref})
+			for _, kv := range s.Sets[s.UF.Find(st.Val)].Keys() {
+				s.AddKey(StoreCell, core.PackKey(u.Append(rl, u.ByID(kv.PathID())).ID(), kv.RefID()))
 			}
 		}
 		// A new function referent resolves an indirect call.
@@ -211,27 +222,31 @@ func (s *System) Complex(r CellID, p core.Pair) {
 	}
 	// A new value pair is written through every known target of its
 	// update's location.
-	for _, si := range s.StoresValFrom[r] {
-		st := s.Cons.Stores[si]
-		for _, pl := range s.Sets[s.UF.Find(st.Loc)].List() {
-			if !pl.Path.IsEmptyOffset() {
-				continue
+	if vs := s.StoresValFrom[r]; len(vs) > 0 {
+		pv := u.ByID(k.PathID())
+		for _, si := range vs {
+			st := s.Cons.Stores[si]
+			for _, kl := range s.Sets[s.UF.Find(st.Loc)].Keys() {
+				if !kl.EmptyPath() {
+					continue
+				}
+				s.AddKey(StoreCell, core.PackKey(u.Append(u.ByID(kl.RefID()), pv).ID(), k.RefID()))
 			}
-			s.AddPair(StoreCell, core.Pair{Path: u.Append(pl.Ref, p.Path), Ref: p.Ref})
 		}
 	}
 	// A new store pair is observed by every lookup whose location may
 	// reach it. Loads attach conceptually to the single store cell, so
 	// this scans them all — the price of the collapsed store.
 	if r == storeRep {
+		ps := u.ByID(k.PathID())
 		for _, l := range s.Cons.Loads {
 			dst := l.Dst
-			for _, pl := range s.Sets[s.UF.Find(l.Loc)].List() {
-				if !pl.Path.IsEmptyOffset() {
+			for _, kl := range s.Sets[s.UF.Find(l.Loc)].Keys() {
+				if !kl.EmptyPath() {
 					continue
 				}
-				if paths.Dom(pl.Ref, p.Path) {
-					s.AddPair(dst, core.Pair{Path: u.Subtract(p.Path, pl.Ref), Ref: p.Ref})
+				if rl := u.ByID(kl.RefID()); paths.Dom(rl, ps) {
+					s.AddKey(dst, core.PackKey(u.Subtract(ps, rl).ID(), k.RefID()))
 				}
 			}
 		}

@@ -1,140 +1,215 @@
 // Dense pair domain. Paths are interned with dense creation-order IDs,
-// so a points-to pair packs into a single uint64 key and pair sets can
-// trade the generic map[Pair]struct{} for a sparse-set hybrid: small
-// sets (the overwhelming majority of outputs) stay a linear scan over a
-// packed-key slice with zero map allocations, large sets promote to a
-// uint64-keyed membership map. Assumption-set interning likewise keys
-// on an FNV-1a hash of the ID triples instead of building a string per
-// lookup; hash collisions are resolved by element comparison, so
-// interning stays exact.
+// so a points-to pair packs into one uint64 Key, and every solver
+// stores and queues pairs as keys; *paths.Path values appear only when
+// a transfer function needs a path's structure or a reader decodes a
+// finished set through the universe's ID table. A PairSet is its keys
+// in insertion order plus, once it outgrows a linear scan, a
+// pointer-free open-addressed index over them. Assumption-set
+// interning likewise keys on an FNV-1a hash of the ID triples instead
+// of building a string per lookup; hash collisions are resolved by
+// element comparison, so interning stays exact.
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"aliaslab/internal/paths"
 )
 
-// pairKey packs the interned path IDs of a pair into one comparable
-// word: path ID in the high 32 bits, referent ID in the low. Packed
-// keys order exactly like Pair.less, and path universes stay far below
-// 2^32 paths (the pair budget trips first by orders of magnitude).
-func pairKey(p Pair) uint64 {
-	return uint64(uint32(p.Path.ID()))<<32 | uint64(uint32(p.Ref.ID()))
+// Key is a points-to pair packed into one word: path ID in the high 32
+// bits, referent ID in the low. Keys order exactly like Pair.less, and
+// path universes stay far below 2^32 paths (the pair budget trips
+// first by orders of magnitude).
+type Key uint64
+
+// KeyOf packs p.
+func KeyOf(p Pair) Key { return PackKey(p.Path.ID(), p.Ref.ID()) }
+
+// PackKey packs the pair (path, referent) given by interned path IDs.
+func PackKey(pathID, refID int) Key {
+	return Key(uint32(pathID))<<32 | Key(uint32(refID))
+}
+
+// PathID returns the ID of the pair's path.
+func (k Key) PathID() int { return int(k >> 32) }
+
+// RefID returns the ID of the pair's referent.
+func (k Key) RefID() int { return int(uint32(k)) }
+
+// EmptyPath reports whether the pair's path is ε, i.e. whether the
+// pair is a pointer value's referent rather than a store or offset
+// pair.
+func (k Key) EmptyPath() bool { return k>>32 == paths.EmptyID }
+
+// Decode unpacks k through the universe that interned its paths.
+func Decode(u *paths.Universe, k Key) Pair {
+	return Pair{Path: u.ByID(k.PathID()), Ref: u.ByID(k.RefID())}
 }
 
 // pairSetSmall is the membership-scan threshold: sets at or below this
-// size dedupe by scanning the packed-key slice, larger ones carry a
-// map. Most outputs hold a handful of pairs; the scan beats a map
-// lookup there and never allocates.
+// size dedupe by scanning the key slice, larger ones carry an index.
+// Most outputs hold a handful of pairs; the scan beats hashing there
+// and never allocates.
 const pairSetSmall = 16
 
 // PairSet is an insertion-ordered set of pairs over the dense pair
-// domain. Iterating the List gives a deterministic order when the
+// domain. Iterating it gives a deterministic order when the
 // construction sequence is deterministic, which every worklist strategy
-// of the solver engine guarantees.
+// of the solver engine guarantees. Reads never modify the set, so a
+// finished set may be read from many goroutines at once.
 type PairSet struct {
-	keys []uint64 // packed pair keys, insertion order (parallel to list)
-	list []Pair
-	m    map[uint64]struct{} // non-nil once the set outgrows the scan
+	u    *paths.Universe
+	keys []Key // insertion order
 
-	// refs memoizes Referents incrementally: the distinct referents of
-	// ε-path pairs, in first-appearance order. Pairs are never removed,
-	// so maintaining it on Add is exact.
-	refs    []*paths.Path
-	refSeen map[uint64]struct{} // non-nil once refs outgrows the scan
+	// index is an open-addressed, linearly probed table of positions
+	// in keys, plus one (0 marks a free slot), nil until the set
+	// outgrows the scan. Its length is a power of two at least twice
+	// len(keys).
+	index []uint32
+}
+
+// NewPairSet returns an empty set whose pairs are interned in u. The
+// zero PairSet is a valid empty set to read, but it cannot decode
+// pairs added to it.
+func NewPairSet(u *paths.Universe) *PairSet { return &PairSet{u: u} }
+
+// slot is the home slot of k in an index of 1<<(64-shift) slots
+// (Fibonacci hashing: the top bits of the product depend on every bit
+// of k).
+func slot(k Key, shift int) int {
+	return int(uint64(k) * 0x9E3779B97F4A7C15 >> shift)
+}
+
+// shift returns the slot shift of the current index.
+func (s *PairSet) shift() int {
+	return 64 - bits.TrailingZeros(uint(len(s.index)))
 }
 
 // Add inserts p, reporting whether it was new.
-func (s *PairSet) Add(p Pair) bool {
-	k := pairKey(p)
-	if s.m != nil {
-		if _, ok := s.m[k]; ok {
-			return false
-		}
-		s.m[k] = struct{}{}
-	} else {
+func (s *PairSet) Add(p Pair) bool { return s.AddKey(KeyOf(p)) }
+
+// AddKey inserts the packed pair k, reporting whether it was new.
+func (s *PairSet) AddKey(k Key) bool {
+	if s.index == nil {
 		for _, kk := range s.keys {
 			if kk == k {
 				return false
 			}
 		}
-		if len(s.keys) >= pairSetSmall {
-			s.m = make(map[uint64]struct{}, 2*len(s.keys))
-			for _, kk := range s.keys {
-				s.m[kk] = struct{}{}
-			}
-			s.m[k] = struct{}{}
+		if s.keys == nil {
+			s.keys = make([]Key, 0, 4)
 		}
+		s.keys = append(s.keys, k)
+		if len(s.keys) > pairSetSmall {
+			s.rehash(4 * len(s.keys))
+		}
+		return true
 	}
-	s.keys = append(s.keys, k)
-	s.list = append(s.list, p)
-	if p.Path.IsEmptyOffset() {
-		s.addReferent(p.Ref)
+	mask := len(s.index) - 1
+	i := slot(k, s.shift())
+	for {
+		pos := s.index[i]
+		if pos == 0 {
+			s.keys = append(s.keys, k)
+			s.index[i] = uint32(len(s.keys))
+			if 2*len(s.keys) > len(s.index) {
+				s.rehash(2 * len(s.index))
+			}
+			return true
+		}
+		if s.keys[pos-1] == k {
+			return false
+		}
+		i = (i + 1) & mask
 	}
-	return true
 }
 
-// addReferent records the referent of a new ε-path pair, deduplicated
-// with the same small-scan/map hybrid as the pair keys.
-func (s *PairSet) addReferent(ref *paths.Path) {
-	k := uint64(uint32(ref.ID()))
-	if s.refSeen != nil {
-		if _, ok := s.refSeen[k]; ok {
-			return
+// rehash rebuilds the index with at least n slots from the key slice.
+func (s *PairSet) rehash(n int) {
+	s.index = make([]uint32, 1<<bits.Len(uint(n-1)))
+	mask := len(s.index) - 1
+	shift := s.shift()
+	for p, k := range s.keys {
+		i := slot(k, shift)
+		for s.index[i] != 0 {
+			i = (i + 1) & mask
 		}
-		s.refSeen[k] = struct{}{}
-	} else {
-		for _, r := range s.refs {
-			if r == ref {
-				return
-			}
-		}
-		if len(s.refs) >= pairSetSmall {
-			s.refSeen = make(map[uint64]struct{}, 2*len(s.refs))
-			for _, r := range s.refs {
-				s.refSeen[uint64(uint32(r.ID()))] = struct{}{}
-			}
-			s.refSeen[k] = struct{}{}
-		}
+		s.index[i] = uint32(p + 1)
 	}
-	s.refs = append(s.refs, ref)
 }
 
 // Has reports membership.
-func (s *PairSet) Has(p Pair) bool {
-	k := pairKey(p)
-	if s.m != nil {
-		_, ok := s.m[k]
-		return ok
+func (s *PairSet) Has(p Pair) bool { return s.HasKey(KeyOf(p)) }
+
+// HasKey reports membership of the packed pair k.
+func (s *PairSet) HasKey(k Key) bool {
+	if s.index == nil {
+		for _, kk := range s.keys {
+			if kk == k {
+				return true
+			}
+		}
+		return false
 	}
-	for _, kk := range s.keys {
-		if kk == k {
+	mask := len(s.index) - 1
+	for i := slot(k, s.shift()); ; i = (i + 1) & mask {
+		pos := s.index[i]
+		if pos == 0 {
+			return false
+		}
+		if s.keys[pos-1] == k {
 			return true
 		}
 	}
-	return false
 }
 
 // Len returns the number of pairs.
-func (s *PairSet) Len() int { return len(s.list) }
+func (s *PairSet) Len() int { return len(s.keys) }
 
-// List returns the pairs in insertion order. The caller must not mutate
-// the returned slice.
-func (s *PairSet) List() []Pair { return s.list }
+// Keys returns the packed pairs in insertion order. The slice is the
+// set's own; the caller must not mutate it.
+func (s *PairSet) Keys() []Key { return s.keys }
+
+// Pair decodes one of the set's keys.
+func (s *PairSet) Pair(k Key) Pair { return Decode(s.u, k) }
+
+// List returns the pairs in insertion order, decoded into a fresh
+// slice the caller owns.
+func (s *PairSet) List() []Pair { return s.decode(s.keys) }
 
 // Sorted returns the pairs ordered by interned path IDs.
 func (s *PairSet) Sorted() []Pair {
-	out := append([]Pair(nil), s.list...)
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	keys := slices.Clone(s.keys)
+	slices.Sort(keys)
+	return s.decode(keys)
+}
+
+func (s *PairSet) decode(keys []Key) []Pair {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]Pair, len(keys))
+	for i, k := range keys {
+		out[i] = Decode(s.u, k)
+	}
 	return out
 }
 
 // Referents returns the distinct referent locations of the set's
 // ε-path pairs — the locations a pointer value may denote — in
-// first-appearance order. The slice is maintained incrementally on Add
-// and shared across calls; the caller must not mutate it.
-func (s *PairSet) Referents() []*paths.Path { return s.refs }
+// first-appearance order, in a fresh slice. Pairs are distinct and
+// share the ε path, so their referents are distinct too.
+func (s *PairSet) Referents() []*paths.Path {
+	var out []*paths.Path
+	for _, k := range s.keys {
+		if k.EmptyPath() {
+			out = append(out, s.u.ByID(k.RefID()))
+		}
+	}
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // Assumption-set interning (hashed on ID triples)

@@ -62,23 +62,24 @@ func (r *Result) LocReferents(n *vdg.Node) []*paths.Path {
 	return r.Pairs(n.Loc()).Referents()
 }
 
-// workItem is one (input, pair) arrival, as in the paper's worklist.
+// workItem is one (input, pair) arrival, as in the paper's worklist:
+// the input by ID and the pair packed, so the queue holds no pointers.
 type workItem struct {
-	in   *vdg.Input
-	pair Pair
+	in  int
+	key Key
 }
 
-// topoPriority assigns each VDG input its scheduling key for the
-// Priority strategy: creation order over functions, nodes, and inputs,
-// which approximates a topological order of the acyclic core of the
-// graph (earlier nodes feed later ones).
-func topoPriority(g *vdg.Graph) map[*vdg.Input]int {
-	pri := make(map[*vdg.Input]int)
+// topoPriority assigns each VDG input, by ID, its scheduling key for
+// the Priority strategy: creation order over functions, nodes, and
+// inputs, which approximates a topological order of the acyclic core
+// of the graph (earlier nodes feed later ones).
+func topoPriority(g *vdg.Graph) []int {
+	pri := make([]int, g.InputIDs())
 	order := 0
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {
 			for _, in := range n.Inputs {
-				pri[in] = order
+				pri[in.ID] = order
 				order++
 			}
 		}
@@ -87,8 +88,8 @@ func topoPriority(g *vdg.Graph) map[*vdg.Input]int {
 }
 
 // engineConfig assembles the solver configuration shared by both
-// analyses' item types.
-func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.Budget, maxSteps int, input func(T) *vdg.Input) solver.Config[T] {
+// analyses' item types; input maps an item to its input's ID.
+func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.Budget, maxSteps int, input func(T) int) solver.Config[T] {
 	cfg := solver.Config[T]{Strategy: strategy, Budget: budget, MaxSteps: maxSteps}
 	if strategy == solver.Priority {
 		pri := topoPriority(g)
@@ -100,10 +101,14 @@ func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.B
 // insensitive is the analysis state of one context-insensitive solve.
 // slice, when non-nil, restricts the solve to a set of outputs (see
 // AnalyzeDemand): pairs land only on slice members, so seeding and
-// propagation never touch the rest of the graph.
+// propagation never touch the rest of the graph. sets holds the pair
+// sets by Output.ID during the solve; Result.Sets is built from it at
+// the end.
 type insensitive struct {
 	g     *vdg.Graph
+	u     *paths.Universe
 	slice map[*vdg.Output]bool
+	sets  []*PairSet
 	res   *Result
 	eng   *solver.Engine[workItem]
 	st    *solver.Stats
@@ -137,61 +142,74 @@ func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solve
 func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Budget, strategy solver.Strategy) *Result {
 	a := &insensitive{
 		g:     g,
+		u:     g.Universe,
 		slice: slice,
+		sets:  make([]*PairSet, g.OutputIDs()),
 		res: &Result{
 			Graph:   g,
-			Sets:    make(map[*vdg.Output]*PairSet),
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		eng: solver.New(engineConfig(g, strategy, budget, 0, func(it workItem) *vdg.Input { return it.in })),
+		eng: solver.New(engineConfig(g, strategy, budget, 0, func(it workItem) int { return it.in })),
 	}
 	a.st = a.eng.Stats()
-	empty := g.Universe.Empty()
 
 	// Seed: every base-location constant points to its location (within
 	// a slice, flowOut drops the constants outside it).
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {
 			if n.Kind == vdg.KAddr || n.Kind == vdg.KAlloc {
-				a.flowOut(n.Outputs[0], Pair{Path: empty, Ref: n.Path})
+				a.flowOut(n.Outputs[0], PackKey(paths.EmptyID, n.Path.ID()))
 			}
 		}
 	}
 
-	out := a.eng.Run(func(it workItem) { a.flowIn(it.in, it.pair) })
+	out := a.eng.Run(func(it workItem) { a.flowIn(g.Input(it.in), it.key) })
+	n := 0
+	for _, s := range a.sets {
+		if s != nil {
+			n++
+		}
+	}
+	a.res.Sets = make(map[*vdg.Output]*PairSet, n)
+	g.Outputs(func(o *vdg.Output) {
+		if s := a.sets[o.ID]; s != nil {
+			a.res.Sets[o] = s
+		}
+	})
 	a.res.Stopped = out.Stopped
 	a.res.Engine = *a.st
 	a.res.Metrics = metricsFrom(a.st)
 	return a.res
 }
 
-// flowOut adds pair to the set on out; new pairs are queued at every
-// consumer. Outside a slice the pair is dropped before the meet, so
-// Metrics counts only the work a sliced solve actually performed.
-func (a *insensitive) flowOut(out *vdg.Output, pair Pair) {
+// flowOut adds the packed pair k to the set on out; new pairs are
+// queued at every consumer. Outside a slice the pair is dropped before
+// the meet, so Metrics counts only the work a sliced solve actually
+// performed.
+func (a *insensitive) flowOut(out *vdg.Output, k Key) {
 	if a.slice != nil && !a.slice[out] {
 		return
 	}
 	a.st.Meets++
-	s, ok := a.res.Sets[out]
-	if !ok {
-		s = &PairSet{}
-		a.res.Sets[out] = s
+	s := a.sets[out.ID]
+	if s == nil {
+		s = NewPairSet(a.u)
+		a.sets[out.ID] = s
 	}
-	if !s.Add(pair) {
+	if !s.AddKey(k) {
 		return
 	}
 	a.st.PairInserts++
 	for _, in := range out.Consumers {
-		a.eng.Push(workItem{in: in, pair: pair})
+		a.eng.Push(workItem{in: in.ID, key: k})
 	}
 }
 
-// pairsAt returns the current set on the source feeding in.
-func (a *insensitive) pairsAt(src *vdg.Output) []Pair {
-	if s, ok := a.res.Sets[src]; ok {
-		return s.List()
+// keysAt returns the current set on src, packed.
+func (a *insensitive) keysAt(src *vdg.Output) []Key {
+	if s := a.sets[src.ID]; s != nil {
+		return s.keys
 	}
 	return nil
 }

@@ -115,10 +115,15 @@ func (q QPair) String() string { return q.P.String() + q.A.String() }
 // assumption sets: arrivals subsumed by an existing weaker set are
 // discarded, and existing stronger sets are dropped when a weaker one
 // arrives (they have already propagated; keeping them adds nothing).
+// Plain pairs are held as packed keys and decoded on read.
 type QSet struct {
-	m     map[Pair][]*ASet
-	pairs []Pair // insertion order of first appearance
+	u    *paths.Universe
+	m    map[Key][]*ASet
+	keys []Key // insertion order of first appearance
 }
+
+// NewQSet returns an empty set whose pairs are interned in u.
+func NewQSet(u *paths.Universe) *QSet { return &QSet{u: u} }
 
 // Add inserts q, reporting whether it survived subsumption (and thus
 // must be propagated).
@@ -131,41 +136,56 @@ func (s *QSet) Add(q QPair) bool {
 // want: dropped is the number of existing stronger assumption sets the
 // arrival displaced (0 when the arrival itself was subsumed).
 func (s *QSet) AddCounted(q QPair) (added bool, dropped int) {
+	return s.addKey(KeyOf(q.P), q.A)
+}
+
+func (s *QSet) addKey(k Key, as *ASet) (added bool, dropped int) {
 	if s.m == nil {
-		s.m = make(map[Pair][]*ASet)
+		s.m = make(map[Key][]*ASet)
 	}
-	sets, seen := s.m[q.P]
+	sets, seen := s.m[k]
 	if !seen {
-		s.pairs = append(s.pairs, q.P)
+		s.keys = append(s.keys, k)
 	}
 	for _, a := range sets {
-		if a.SubsetOf(q.A) {
+		if a.SubsetOf(as) {
 			return false, 0 // already holds under a weaker assumption
 		}
 	}
 	kept := sets[:0]
 	for _, a := range sets {
-		if !q.A.SubsetOf(a) {
+		if !as.SubsetOf(a) {
 			kept = append(kept, a)
 		}
 	}
 	dropped = len(sets) - len(kept)
-	s.m[q.P] = append(kept, q.A)
+	s.m[k] = append(kept, as)
 	return true, dropped
 }
 
+// Keys returns the distinct plain pairs, packed, in first-appearance
+// order. The caller must not mutate the slice.
+func (s *QSet) Keys() []Key { return s.keys }
+
 // Pairs returns the distinct plain pairs in first-appearance order.
-func (s *QSet) Pairs() []Pair { return s.pairs }
+func (s *QSet) Pairs() []Pair {
+	var out []Pair
+	for _, k := range s.keys {
+		out = append(out, Decode(s.u, k))
+	}
+	return out
+}
 
 // Sets returns the antichain of assumption sets under which p holds.
-func (s *QSet) Sets(p Pair) []*ASet { return s.m[p] }
+func (s *QSet) Sets(p Pair) []*ASet { return s.m[KeyOf(p)] }
 
 // All returns every qualified pair currently stored, in deterministic
 // order.
 func (s *QSet) All() []QPair {
 	var out []QPair
-	for _, p := range s.pairs {
-		for _, a := range s.m[p] {
+	for _, k := range s.keys {
+		p := Decode(s.u, k)
+		for _, a := range s.m[k] {
 			out = append(out, QPair{P: p, A: a})
 		}
 	}
@@ -182,4 +202,4 @@ func (s *QSet) Len() int {
 }
 
 // PairCount returns the number of distinct plain pairs.
-func (s *QSet) PairCount() int { return len(s.pairs) }
+func (s *QSet) PairCount() int { return len(s.keys) }

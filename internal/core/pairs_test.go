@@ -34,8 +34,8 @@ func pairUniverse() (*paths.Universe, []Pair) {
 }
 
 func TestPairSetBasics(t *testing.T) {
-	_, pool := pairUniverse()
-	s := &PairSet{}
+	u, pool := pairUniverse()
+	s := NewPairSet(u)
 	if s.Len() != 0 || s.Has(pool[0]) {
 		t.Fatal("fresh set not empty")
 	}
@@ -62,7 +62,7 @@ func TestPairSetReferentsFilterEmptyPath(t *testing.T) {
 	u, _ := pairUniverse()
 	b := u.NewBase(paths.VarBase, "x", false, false)
 	root := u.Root(b)
-	s := &PairSet{}
+	s := NewPairSet(u)
 	s.Add(Pair{Path: u.Empty(), Ref: root})               // value pair
 	s.Add(Pair{Path: u.Field(u.Empty(), "f"), Ref: root}) // offset pair
 	s.Add(Pair{Path: root, Ref: root})                    // store pair
@@ -75,10 +75,10 @@ func TestPairSetReferentsFilterEmptyPath(t *testing.T) {
 // Property: a PairSet behaves as a set — its List has no duplicates and
 // exactly the elements added.
 func TestQuickPairSetIsASet(t *testing.T) {
-	_, pool := pairUniverse()
+	u, pool := pairUniverse()
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := &PairSet{}
+		s := NewPairSet(u)
 		want := make(map[Pair]bool)
 		for i := 0; i < int(n); i++ {
 			p := pool[r.Intn(len(pool))]
@@ -165,12 +165,12 @@ func TestQuickASetUnionLattice(t *testing.T) {
 }
 
 func TestQSetSubsumption(t *testing.T) {
-	_, pool := pairUniverse()
+	u, pool := pairUniverse()
 	at := NewATable()
 	a1 := Assumption{Formal: fakeFormals[0], P: pool[0]}
 	a2 := Assumption{Formal: fakeFormals[1], P: pool[1]}
 
-	s := &QSet{}
+	s := NewQSet(u)
 	p := pool[5]
 	if !s.Add(QPair{P: p, A: at.Make(a1, a2)}) {
 		t.Fatal("first add must succeed")
@@ -208,11 +208,11 @@ func TestQSetSubsumption(t *testing.T) {
 // Property: a QSet's per-pair assumption sets always form an antichain
 // (no element is a subset of another).
 func TestQuickQSetAntichain(t *testing.T) {
-	_, pool := pairUniverse()
+	u, pool := pairUniverse()
 	at := NewATable()
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := &QSet{}
+		s := NewQSet(u)
 		for i := 0; i < int(n); i++ {
 			var elems []Assumption
 			for j := 0; j < r.Intn(4); j++ {
@@ -240,11 +240,11 @@ func TestQuickQSetAntichain(t *testing.T) {
 // Property: QSet.Add is sound — after any sequence of adds, every added
 // pair either appears directly or is covered by a weaker assumption set.
 func TestQuickQSetCoverage(t *testing.T) {
-	_, pool := pairUniverse()
+	u, pool := pairUniverse()
 	at := NewATable()
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := &QSet{}
+		s := NewQSet(u)
 		var added []QPair
 		for i := 0; i < int(n); i++ {
 			var elems []Assumption

@@ -98,19 +98,21 @@ func (r *SensitiveResult) QPairs(o *vdg.Output) *QSet {
 func (r *SensitiveResult) Strip() map[*vdg.Output]*PairSet {
 	out := make(map[*vdg.Output]*PairSet, len(r.QSets))
 	for o, qs := range r.QSets {
-		ps := &PairSet{}
-		for _, p := range qs.Pairs() {
-			ps.Add(p)
+		ps := NewPairSet(r.Graph.Universe)
+		for _, k := range qs.Keys() {
+			ps.AddKey(k)
 		}
 		out[o] = ps
 	}
 	return out
 }
 
-// qItem is one (input, qualified-pair) arrival.
+// qItem is one (input, qualified-pair) arrival: the input by ID and
+// the plain pair packed, so only the assumption set is a pointer.
 type qItem struct {
-	in *vdg.Input
-	q  QPair
+	in  int
+	key Key
+	a   *ASet
 }
 
 // retEntry is one qualified pair at a function's return sink, tagged
@@ -142,7 +144,7 @@ type sensitive struct {
 	// the return pairs whose assumptions it can newly satisfy (instead
 	// of re-running every return pair, which dominates the running time
 	// on recursion-heavy programs).
-	retNeeds map[*vdg.Output]map[Pair][]retEntry
+	retNeeds map[*vdg.Output]map[Key][]retEntry
 }
 
 // AnalyzeSensitive runs the maximally context-sensitive analysis of
@@ -161,8 +163,8 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		at:             NewATable(),
 		opts:           opts,
 		maxAssumptions: opts.effectiveMaxAssumptions(),
-		eng:            solver.New(engineConfig(g, opts.Strategy, opts.Budget, opts.MaxSteps, func(it qItem) *vdg.Input { return it.in })),
-		retNeeds:       make(map[*vdg.Output]map[Pair][]retEntry),
+		eng:            solver.New(engineConfig(g, opts.Strategy, opts.Budget, opts.MaxSteps, func(it qItem) int { return it.in })),
+		retNeeds:       make(map[*vdg.Output]map[Key][]retEntry),
 	}
 	a.st = a.eng.Stats()
 	a.res.Widened = a.maxAssumptions > 0
@@ -189,7 +191,10 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		}
 	}
 
-	out := a.eng.Run(func(it qItem) { a.flowIn(it.in, it.q) })
+	u := g.Universe
+	out := a.eng.Run(func(it qItem) {
+		a.flowIn(g.Input(it.in), QPair{P: Decode(u, it.key), A: it.a})
+	})
 	a.res.Aborted = out.Aborted
 	a.res.Stopped = out.Stopped
 	a.res.Engine = *a.st
@@ -213,10 +218,11 @@ func (a *sensitive) flowOut(out *vdg.Output, q QPair) {
 	q.A = a.bound(q.A)
 	s, ok := a.res.QSets[out]
 	if !ok {
-		s = &QSet{}
+		s = NewQSet(a.g.Universe)
 		a.res.QSets[out] = s
 	}
-	added, dropped := s.AddCounted(q)
+	k := KeyOf(q.P)
+	added, dropped := s.addKey(k, q.A)
 	if !added {
 		a.st.SubsumeHits++
 		return // subsumed: already holds under weaker assumptions
@@ -224,7 +230,7 @@ func (a *sensitive) flowOut(out *vdg.Output, q QPair) {
 	a.st.SubsumeDrops += dropped
 	a.st.PairInserts++
 	for _, in := range out.Consumers {
-		a.eng.Push(qItem{in: in, q: q})
+		a.eng.Push(qItem{in: in.ID, key: k, a: q.A})
 	}
 }
 
@@ -474,7 +480,7 @@ func (a *sensitive) retriggerReturns(n *vdg.Node, formal *vdg.Output, pair Pair)
 	if byPair == nil {
 		return
 	}
-	for _, e := range byPair[pair] {
+	for _, e := range byPair[KeyOf(pair)] {
 		if e.isStore {
 			a.propagateReturn(n, vdg.CallStoreOut(n), e.q)
 		} else if res := vdg.CallResultOut(n); res != nil {
@@ -489,10 +495,11 @@ func (a *sensitive) indexReturn(q QPair, isStore bool) {
 	for _, asm := range q.A.Elems {
 		byPair := a.retNeeds[asm.Formal]
 		if byPair == nil {
-			byPair = make(map[Pair][]retEntry)
+			byPair = make(map[Key][]retEntry)
 			a.retNeeds[asm.Formal] = byPair
 		}
-		byPair[asm.P] = append(byPair[asm.P], retEntry{q: q, isStore: isStore})
+		k := KeyOf(asm.P)
+		byPair[k] = append(byPair[k], retEntry{q: q, isStore: isStore})
 	}
 }
 

@@ -73,19 +73,19 @@ func CheckDemand(name string, u *driver.Unit, opts DemandOptions) []Violation {
 		// Equality on the whole slice, both directions.
 		for o := range sl.Outputs {
 			ds, es := dem.Pairs(o), exh.Pairs(o)
-			for _, p := range es.List() {
-				if !ds.Has(p) {
+			for _, k := range es.Keys() {
+				if !ds.HasKey(k) {
 					add("demand-equals-exhaustive-on-slice",
 						"query (%s, %s): exhaustive pair %v on %s node at %s missing from demand solve",
-						x1, x2, p, o.Node.Kind, o.Node.Pos)
+						x1, x2, es.Pair(k), o.Node.Kind, o.Node.Pos)
 					return
 				}
 			}
-			for _, p := range ds.List() {
-				if !es.Has(p) {
+			for _, k := range ds.Keys() {
+				if !es.HasKey(k) {
 					add("demand-subset-exhaustive",
 						"query (%s, %s): demand pair %v on %s node at %s not in exhaustive fixpoint",
-						x1, x2, p, o.Node.Kind, o.Node.Pos)
+						x1, x2, ds.Pair(k), o.Node.Kind, o.Node.Pos)
 					return
 				}
 			}

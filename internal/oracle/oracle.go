@@ -225,10 +225,10 @@ func SubsetPerOutput(name, invariant string, g *vdg.Graph, sub, super map[*vdg.O
 			return
 		}
 		sup := super[o]
-		for _, p := range s.List() {
-			if sup == nil || !sup.Has(p) {
+		for _, k := range s.Keys() {
+			if sup == nil || !sup.HasKey(k) {
 				vs = append(vs, Violation{Program: name, Invariant: invariant,
-					Detail: fmt.Sprintf("pair %v on output of %s node at %s is missing from the superset", p, o.Node.Kind, o.Node.Pos)})
+					Detail: fmt.Sprintf("pair %v on output of %s node at %s is missing from the superset", s.Pair(k), o.Node.Kind, o.Node.Pos)})
 				return // one pair per output keeps reports readable
 			}
 		}

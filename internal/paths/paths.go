@@ -14,6 +14,7 @@ package paths
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // BaseKind classifies base locations for the Figure 7 breakdowns.
@@ -238,12 +239,26 @@ func (p *Path) String() string {
 	return sb.String()
 }
 
+// EmptyID is the ID of the ε path: NewUniverse interns it first, so a
+// packed pair whose path half is EmptyID is an ε-path pair without any
+// lookup.
+const EmptyID = 0
+
 // Universe creates and interns bases and paths for one analysis run.
+// Interning is single-writer; ByID may run concurrently with it.
 type Universe struct {
-	bases  []*Base
-	roots  map[*Base]*Path
-	empty  *Path
-	nextID int
+	bases []*Base
+	roots map[*Base]*Path
+	empty *Path
+
+	// table maps ID → path; intern appends to it. byID publishes the
+	// table's full-capacity view whenever intern moves it to a larger
+	// array. A slot is written once, before its ID is handed out, and a
+	// published array is never written again after a move, so ByID
+	// never races an intern running on another goroutine (a demand
+	// solve extending the universe while a finished result is read).
+	table []*Path
+	byID  atomic.Pointer[[]*Path]
 
 	nullRoot   *Path
 	uninitRoot *Path
@@ -252,10 +267,27 @@ type Universe struct {
 // NewUniverse returns an empty universe containing only the ε path.
 func NewUniverse() *Universe {
 	u := &Universe{roots: make(map[*Base]*Path)}
-	u.empty = &Path{id: u.nextID}
-	u.nextID++
+	u.empty = u.intern(&Path{})
 	return u
 }
+
+// intern assigns p the next ID and records it in the ID table.
+func (u *Universe) intern(p *Path) *Path {
+	p.id = len(u.table)
+	if len(u.table) == cap(u.table) {
+		grown := make([]*Path, len(u.table), max(64, 2*len(u.table)))
+		copy(grown, u.table)
+		u.table = grown
+		all := grown[:cap(grown)]
+		u.byID.Store(&all)
+	}
+	u.table = append(u.table, p)
+	return p
+}
+
+// ByID returns the interned path with the given ID. The ID must come
+// from a path of this universe.
+func (u *Universe) ByID(id int) *Path { return (*u.byID.Load())[id] }
 
 // Empty returns the ε offset path.
 func (u *Universe) Empty() *Path { return u.empty }
@@ -294,8 +326,7 @@ func (u *Universe) Root(base *Base) *Path {
 	if p, ok := u.roots[base]; ok {
 		return p
 	}
-	p := &Path{base: base, id: u.nextID}
-	u.nextID++
+	p := u.intern(&Path{base: base})
 	u.roots[base] = p
 	return p
 }
@@ -308,8 +339,7 @@ func (u *Universe) Extend(p *Path, op Op) *Path {
 	if q, ok := p.ext[op]; ok {
 		return q
 	}
-	q := &Path{base: p.base, parent: p, op: op, depth: p.depth + 1, id: u.nextID}
-	u.nextID++
+	q := u.intern(&Path{base: p.base, parent: p, op: op, depth: p.depth + 1})
 	p.ext[op] = q
 	return q
 }

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,48 @@ func TestQuickStrongDomSoundness(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the ID table decodes every interned path to itself, and
+// IDs are dense — across several table growths, with the null and
+// uninit marker roots interned mid-stream.
+func TestQuickByIDRoundTrip(t *testing.T) {
+	f := func(seed int64, n uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		u := NewUniverse()
+		all := []*Path{u.Empty()}
+		for i := 0; i < int(n)%1000; i++ {
+			p := all[r.Intn(len(all))]
+			switch r.Intn(6) {
+			case 0:
+				all = append(all, u.Root(u.NewBase(VarBase, fmt.Sprintf("v%d", i), false, false)))
+			case 1:
+				all = append(all, u.NullRoot(), u.UninitRoot())
+			case 2:
+				all = append(all, u.Index(p))
+			case 3:
+				all = append(all, u.UnionField(p, "u"))
+			default:
+				all = append(all, u.Field(p, string(rune('a'+r.Intn(3)))))
+			}
+		}
+		maxID := 0
+		for _, p := range all {
+			if u.ByID(p.ID()) != p {
+				return false
+			}
+			maxID = max(maxID, p.ID())
+		}
+		for id := 0; id <= maxID; id++ {
+			if u.ByID(id).ID() != id {
+				return false
+			}
+		}
+		return u.Empty().ID() == EmptyID
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -235,34 +235,39 @@ func (e *Engine[T]) Run(transfer func(T)) Outcome {
 // ---------------------------------------------------------------------------
 // Worklist implementations
 
-// fifo is the queue of the paper's algorithm: a slice with a read head,
-// compacted once the dead prefix dominates so a long run cannot retain
-// every item ever queued.
+// fifo is the queue of the paper's algorithm: a ring buffer that
+// doubles when full, so its memory follows the peak queue depth rather
+// than the number of items ever queued.
 type fifo[T any] struct {
-	items []T
+	items []T // len is a power of two once non-empty
 	head  int
+	n     int
 }
 
-func (f *fifo[T]) Push(item T) { f.items = append(f.items, item) }
+func (f *fifo[T]) Push(item T) {
+	if f.n == len(f.items) {
+		grown := make([]T, max(16, 2*len(f.items)))
+		k := copy(grown, f.items[f.head:])
+		copy(grown[k:], f.items[:f.head])
+		f.items, f.head = grown, 0
+	}
+	f.items[(f.head+f.n)&(len(f.items)-1)] = item
+	f.n++
+}
 
 func (f *fifo[T]) Pop() (T, bool) {
 	var zero T
-	if f.head >= len(f.items) {
+	if f.n == 0 {
 		return zero, false
 	}
 	item := f.items[f.head]
 	f.items[f.head] = zero // release for GC
-	f.head++
-	if f.head >= 1024 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		clear(f.items[n:])
-		f.items = f.items[:n]
-		f.head = 0
-	}
+	f.head = (f.head + 1) & (len(f.items) - 1)
+	f.n--
 	return item, true
 }
 
-func (f *fifo[T]) Len() int { return len(f.items) - f.head }
+func (f *fifo[T]) Len() int { return f.n }
 
 // lifo is a plain stack.
 type lifo[T any] struct{ items []T }

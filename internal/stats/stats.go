@@ -185,10 +185,7 @@ func CountIndirect(g *vdg.Graph, sets map[*vdg.Output]*core.PairSet) IndirectOps
 			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
 				continue
 			}
-			refs := 0
-			if s := sets[n.Loc()]; s != nil {
-				refs = len(s.Referents())
-			}
+			refs := len(referentKeys(sets[n.Loc()]))
 			if n.Kind == vdg.KLookup {
 				io.Reads.add(refs)
 			} else {
@@ -209,14 +206,14 @@ func IndirectDiff(g *vdg.Graph, a, b map[*vdg.Output]*core.PairSet) []*vdg.Node 
 			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
 				continue
 			}
-			ra := referentSet(a[n.Loc()])
-			rb := referentSet(b[n.Loc()])
-			if len(ra) != len(rb) {
+			ra := referentKeys(a[n.Loc()])
+			sb := b[n.Loc()]
+			if len(ra) != len(referentKeys(sb)) {
 				diff = append(diff, n)
 				continue
 			}
-			for p := range ra {
-				if !rb[p] {
+			for _, k := range ra {
+				if !sb.HasKey(k) {
 					diff = append(diff, n)
 					break
 				}
@@ -226,13 +223,17 @@ func IndirectDiff(g *vdg.Graph, a, b map[*vdg.Output]*core.PairSet) []*vdg.Node 
 	return diff
 }
 
-func referentSet(s *core.PairSet) map[*paths.Path]bool {
-	out := make(map[*paths.Path]bool)
+// referentKeys returns the ε-path pairs of s, packed: one per
+// referent, since pairs are distinct.
+func referentKeys(s *core.PairSet) []core.Key {
 	if s == nil {
-		return out
+		return nil
 	}
-	for _, r := range s.Referents() {
-		out[r] = true
+	var out []core.Key
+	for _, k := range s.Keys() {
+		if k.EmptyPath() {
+			out = append(out, k)
+		}
 	}
 	return out
 }
@@ -254,9 +255,9 @@ func SpuriousPairs(g *vdg.Graph, ci, cs map[*vdg.Output]*core.PairSet) []Spuriou
 			return
 		}
 		css := cs[o]
-		for _, p := range cis.List() {
-			if css == nil || !css.Has(p) {
-				out = append(out, SpuriousPair{Output: o, Pair: p})
+		for _, k := range cis.Keys() {
+			if css == nil || !css.HasKey(k) {
+				out = append(out, SpuriousPair{Output: o, Pair: cis.Pair(k)})
 			}
 		}
 	})
@@ -322,8 +323,8 @@ func BreakdownAll(g *vdg.Graph, sets map[*vdg.Output]*core.PairSet) *TypeMatrix 
 	m := NewTypeMatrix()
 	g.Outputs(func(o *vdg.Output) {
 		if s := sets[o]; s != nil {
-			for _, p := range s.List() {
-				m.AddPair(p)
+			for _, k := range s.Keys() {
+				m.AddPair(s.Pair(k))
 			}
 		}
 	})

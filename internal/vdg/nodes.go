@@ -132,6 +132,10 @@ type Input struct {
 	Node  *Node
 	Index int
 	Src   *Output
+
+	// ID is unique within the Graph, in creation order; Graph.Input
+	// maps it back, so solvers can queue arrivals without pointers.
+	ID int
 }
 
 // Output is one value produced by a node. Points-to analysis attaches a
@@ -260,6 +264,7 @@ type Graph struct {
 
 	nextNodeID   int
 	nextOutputID int
+	inputs       []*Input // by Input.ID
 }
 
 // NewNode allocates a node in fg.
@@ -281,7 +286,8 @@ func (g *Graph) AddOutput(n *Node, typ *ctypes.Type, isStore bool) *Output {
 
 // Connect appends an input to n fed by src.
 func (g *Graph) Connect(n *Node, src *Output) *Input {
-	in := &Input{Node: n, Index: len(n.Inputs), Src: src}
+	in := &Input{Node: n, Index: len(n.Inputs), Src: src, ID: len(g.inputs)}
+	g.inputs = append(g.inputs, in)
 	n.Inputs = append(n.Inputs, in)
 	src.Consumers = append(src.Consumers, in)
 	return in
@@ -322,6 +328,16 @@ func (g *Graph) Outputs(f func(*Output)) {
 		}
 	}
 }
+
+// OutputIDs returns one past the largest Output.ID ever assigned, the
+// length of a table indexed by output ID.
+func (g *Graph) OutputIDs() int { return g.nextOutputID }
+
+// Input returns the input with the given ID.
+func (g *Graph) Input(id int) *Input { return g.inputs[id] }
+
+// InputIDs returns one past the largest Input.ID ever assigned.
+func (g *Graph) InputIDs() int { return len(g.inputs) }
 
 // OutputCount returns the number of outputs in the whole program.
 func (g *Graph) OutputCount() int {
