@@ -38,18 +38,20 @@ lint: vet
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Compare the solve microbenchmarks between a base ref and the working
-# tree. Uses benchstat when it is on PATH; otherwise falls back to the
-# in-repo cmd/benchdiff comparator (geomean-only, no significance
-# test). The comparison is written to bench-compare.txt.
+# Compare the solve and front-end microbenchmarks between a base ref
+# and the working tree. Uses benchstat when it is on PATH; otherwise
+# falls back to the in-repo cmd/benchdiff comparator (geomean-only, no
+# significance test). The comparison is written to bench-compare.txt.
 #
 # The pattern includes benchmarks that predate the solver engine
 # (BatchSequential, InsensitivePerProgram) so the base side is never
 # empty even when the base ref lacks the Solve*/PairSetReferents ones.
 # It covers every solver that stores pairs in core.PairSet: CI (corpus
-# and the store-heavy generated units), CS, Andersen and Steensgaard.
+# and the store-heavy generated units), CS, Andersen and Steensgaard;
+# and FrontEnd times each front-end stage (lex, parse, sema, the VDG
+# build plain and with diagnostics) over the corpus.
 BENCH_BASE ?= HEAD
-BENCH_PATTERN ?= SolveCI|SolveCIStoreHeavy|SolveCS|SolveAndersen|SolveSteensgaard|PairSetReferents|BatchSequential|InsensitivePerProgram
+BENCH_PATTERN ?= SolveCI|SolveCIStoreHeavy|SolveCS|SolveAndersen|SolveSteensgaard|PairSetReferents|BatchSequential|InsensitivePerProgram|FrontEnd
 BENCH_COUNT ?= 3
 BENCH_PKGS ?= . ./internal/core
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"aliaslab/internal/ast"
 	"aliaslab/internal/backend/andersen"
 	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
@@ -23,10 +24,14 @@ import (
 	"aliaslab/internal/corpusgen"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/experiments"
+	"aliaslab/internal/lexer"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/modref"
+	"aliaslab/internal/parser"
+	"aliaslab/internal/sema"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
+	"aliaslab/internal/token"
 	"aliaslab/internal/vdg"
 )
 
@@ -547,4 +552,71 @@ func BenchmarkCheckers(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(total), "diagnostics")
+}
+
+// BenchmarkFrontEnd times each front-end stage alone over the 13
+// corpus programs: lex, parse (from tokens), sema (from the parsed
+// files) and the VDG build, plain and diagnostics-instrumented (from
+// the checked programs). Each stage's input is built outside the
+// timer, so with -benchmem the allocations reported are that stage's
+// own. The nodes metric is the corpus-wide count of kept VDG nodes, a
+// shape check that must not move when the build gets faster.
+func BenchmarkFrontEnd(b *testing.B) {
+	progs := corpus.All()
+	toks := make([][]token.Token, len(progs))
+	files := make([]*ast.File, len(progs))
+	checked := make([]*sema.Program, len(progs))
+	for i, p := range progs {
+		toks[i] = lexer.New(p.Name, p.Source).All()
+		f, perrs := parser.ParseTokens(p.Name, toks[i], nil)
+		if len(perrs) > 0 {
+			b.Fatalf("%s: %v", p.Name, perrs[0])
+		}
+		prog, serrs := sema.Check(f)
+		if len(serrs) > 0 {
+			b.Fatalf("%s: %v", p.Name, serrs[0])
+		}
+		files[i], checked[i] = f, prog
+	}
+	b.Run("lex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				lexer.New(p.Name, p.Source).All()
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, p := range progs {
+				parser.ParseTokens(p.Name, toks[j], nil)
+			}
+		}
+	})
+	b.Run("sema", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range files {
+				sema.Check(f)
+			}
+		}
+	})
+	for _, c := range []struct {
+		name string
+		opts vdg.Options
+	}{{"vdg", vdg.Options{}}, {"vdg-diag", vdg.Options{Diagnostics: true}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				nodes = 0
+				for _, prog := range checked {
+					g, _ := vdg.Build(prog, c.opts)
+					nodes += g.NodeCount()
+				}
+			}
+			b.ReportMetric(float64(nodes), "nodes")
+		})
+	}
 }

@@ -471,6 +471,11 @@ func (d *TagDecl) decl()          {}
 type File struct {
 	Name  string
 	Decls []Decl
+
+	// Exprs counts the expression nodes the parser built, and Idents
+	// the identifier uses among them. The checker sizes its per-
+	// expression tables from them.
+	Exprs, Idents int
 }
 
 // Pos returns the position of the first declaration, or a zero Pos.

@@ -121,6 +121,22 @@ func Basic(name string) (*Type, error) {
 // PointerTo returns a pointer type to elem.
 func PointerTo(elem *Type) *Type { return &Type{Kind: Pointer, Elem: elem} }
 
+// PointerCache hands out one pointer type per element type. Types
+// compare structurally, so a front-end pass that asks for the same few
+// pointer types over and over can share them instead of allocating one
+// per use; each pass keeps its own cache.
+type PointerCache map[*Type]*Type
+
+// To returns the pointer type to elem, making it on first use.
+func (c PointerCache) To(elem *Type) *Type {
+	t, ok := c[elem]
+	if !ok {
+		t = PointerTo(elem)
+		c[elem] = t
+	}
+	return t
+}
+
 // ArrayOf returns an array type of elem with the given length (-1 if
 // unknown).
 func ArrayOf(elem *Type, n int) *Type { return &Type{Kind: Array, Elem: elem, Len: n} }

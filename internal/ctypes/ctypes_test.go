@@ -139,3 +139,17 @@ func TestResultPanicsTypedOnNonFunction(t *testing.T) {
 	}()
 	IntType.Result()
 }
+
+func TestPointerCacheSharesPerElement(t *testing.T) {
+	c := make(PointerCache)
+	p := c.To(IntType)
+	if c.To(IntType) != p {
+		t.Fatal("second To(int) made a new type")
+	}
+	if !Equal(p, PointerTo(IntType)) || p.String() != "int*" {
+		t.Fatalf("To(int) = %v, want a pointer to int", p)
+	}
+	if q := c.To(CharType); q == p || !Equal(q, PointerTo(CharType)) {
+		t.Fatalf("To(char) = %v, want a distinct pointer to char", q)
+	}
+}

@@ -109,11 +109,7 @@ func LoadStringSpan(name, src string, opts vdg.Options, parent *obs.Span) (*Unit
 		return nil, err
 	}
 	if sp != nil {
-		nodes := 0
-		for _, fg := range graph.Funcs {
-			nodes += len(fg.Nodes)
-		}
-		sp.SetAttr(obs.Int("nodes", nodes))
+		sp.SetAttr(obs.Int("nodes", graph.NodeCount()))
 		sp.End()
 	}
 	if len(berrs) > 0 {
@@ -145,10 +141,17 @@ func LoadFileSpan(path string, opts vdg.Options, parent *obs.Span) (*Unit, error
 }
 
 // countLines counts non-blank lines, the convention used for the
-// Figure 2 size column.
+// Figure 2 size column. It walks the newlines in place rather than
+// splitting src into a slice of lines.
 func countLines(src string) int {
 	n := 0
-	for _, line := range strings.Split(src, "\n") {
+	for src != "" {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
 		if strings.TrimSpace(line) != "" {
 			n++
 		}

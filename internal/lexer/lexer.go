@@ -149,7 +149,10 @@ func (l *Lexer) Next() token.Token {
 
 // All scans the remaining input and returns every token, ending with EOF.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	// C source runs 3.7-4.9 bytes per token on the corpus, so a token
+	// per 3.5 bytes is room for every token there. Denser text (the
+	// generated population runs 2.5-3) grows the slice once.
+	toks := make([]token.Token, 0, (len(l.src)-l.off)*2/7+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

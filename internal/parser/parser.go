@@ -40,6 +40,10 @@ type Parser struct {
 	// enumConsts tracks enum constant values seen so far, so that array
 	// lengths may reference them (C requires parse-time constants).
 	enumConsts map[string]int64
+
+	// exprs and idents count the expression nodes built and the
+	// identifier uses among them (ast.File.Exprs, ast.File.Idents).
+	exprs, idents int
 }
 
 // ParseFile lexes and parses src, returning the file and any errors.
@@ -84,6 +88,7 @@ func ParseTokens(name string, toks []token.Token, lexErrs []*lexer.Error) (*ast.
 			p.advance()
 		}
 	}
+	file.Exprs, file.Idents = p.exprs, p.idents
 	return file, p.errs
 }
 
@@ -859,6 +864,7 @@ func (p *Parser) parseExpr() ast.Expr {
 	for p.at(token.COMMA) {
 		pos := p.advance().Pos
 		y := p.parseAssignExpr()
+		p.exprs++
 		e = &ast.Comma{X: e, Y: y, TokPos: pos}
 	}
 	return e
@@ -870,6 +876,7 @@ func (p *Parser) parseAssignExpr() ast.Expr {
 	if p.cur().Kind.IsAssign() {
 		op := p.advance()
 		rhs := p.parseAssignExpr()
+		p.exprs++
 		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, TokPos: op.Pos}
 	}
 	return lhs
@@ -882,6 +889,7 @@ func (p *Parser) parseCondExpr() ast.Expr {
 		then := p.parseExpr()
 		p.expect(token.COLON)
 		els := p.parseAssignExpr()
+		p.exprs++
 		return &ast.Cond{Cond: cond, Then: then, Else: els, TokPos: pos}
 	}
 	return cond
@@ -923,6 +931,7 @@ func (p *Parser) parseBinaryExpr(minPrec int) ast.Expr {
 		}
 		op := p.advance()
 		y := p.parseBinaryExpr(prec + 1)
+		p.exprs++
 		x = &ast.Binary{Op: op.Kind, X: x, Y: y, TokPos: op.Pos}
 	}
 }
@@ -936,10 +945,12 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 	case token.SUB, token.LNOT, token.NOT, token.MUL, token.AND:
 		op := p.advance()
 		x := p.parseUnaryExpr()
+		p.exprs++
 		return &ast.Unary{Op: op.Kind, X: x, TokPos: op.Pos}
 	case token.INC, token.DEC:
 		op := p.advance()
 		x := p.parseUnaryExpr()
+		p.exprs++
 		return &ast.Unary{Op: op.Kind, X: x, TokPos: op.Pos}
 	case token.SIZEOF:
 		p.advance()
@@ -947,9 +958,11 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			p.advance()
 			t := p.parseAbstractType()
 			p.expect(token.RPAREN)
+			p.exprs++
 			return &ast.SizeofExpr{Type: t, TokPos: pos}
 		}
 		x := p.parseUnaryExpr()
+		p.exprs++
 		return &ast.SizeofExpr{X: x, TokPos: pos}
 	case token.LPAREN:
 		if p.isTypeName(p.peek(1)) {
@@ -958,6 +971,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			t := p.parseAbstractType()
 			p.expect(token.RPAREN)
 			x := p.parseUnaryExpr()
+			p.exprs++
 			return &ast.Cast{Type: t, X: x, TokPos: pos}
 		}
 	}
@@ -1014,14 +1028,19 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 		default:
 			return x
 		}
+		p.exprs++
 	}
 }
 
 func (p *Parser) parsePrimaryExpr() ast.Expr {
 	t := p.cur()
+	if t.Kind != token.LPAREN {
+		p.exprs++ // every case but a parenthesized expression builds one
+	}
 	switch t.Kind {
 	case token.IDENT:
 		p.advance()
+		p.idents++
 		return &ast.Ident{Name: t.Lit, TokPos: t.Pos}
 	case token.INT:
 		p.advance()

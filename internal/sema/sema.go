@@ -148,6 +148,8 @@ type Checker struct {
 
 	curFunc   *Function
 	callGraph map[*Function][]*Function // direct calls, for recursion marking
+
+	ptrs ctypes.PointerCache
 }
 
 // Check type-checks file and returns the program. The program is usable
@@ -157,13 +159,14 @@ func Check(file *ast.File) (*Program, []*Error) {
 		prog: &Program{
 			Name:       file.Name,
 			FuncMap:    make(map[string]*Function),
-			ExprTypes:  make(map[ast.Expr]*ctypes.Type),
-			IdentObj:   make(map[*ast.Ident]*Object),
+			ExprTypes:  make(map[ast.Expr]*ctypes.Type, file.Exprs),
+			IdentObj:   make(map[*ast.Ident]*Object, file.Idents),
 			IdentConst: make(map[*ast.Ident]int64),
 			DeclObj:    make(map[*ast.VarDecl]*Object),
 			Builtins:   make(map[string]*Object),
 		},
 		structs: make(map[string]*ctypes.Type),
+		ptrs:    make(ctypes.PointerCache),
 	}
 	c.pushScope()
 	c.declareBuiltins()
@@ -193,8 +196,21 @@ func (c *Checker) errorf(pos token.Pos, format string, args ...any) {
 // ---------------------------------------------------------------------------
 // Scopes
 
-func (c *Checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*scopeEntry)) }
-func (c *Checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// pushScope opens a scope. The stack keeps popped maps past its length,
+// cleared, so a check allocates one map per nesting depth rather than
+// one per block.
+func (c *Checker) pushScope() {
+	if n := len(c.scopes); n < cap(c.scopes) && c.scopes[:n+1][n] != nil {
+		c.scopes = c.scopes[:n+1]
+		return
+	}
+	c.scopes = append(c.scopes, make(map[string]*scopeEntry))
+}
+
+func (c *Checker) popScope() {
+	clear(c.scopes[len(c.scopes)-1])
+	c.scopes = c.scopes[:len(c.scopes)-1]
+}
 
 func (c *Checker) declare(name string, e *scopeEntry, pos token.Pos) {
 	top := c.scopes[len(c.scopes)-1]
@@ -350,7 +366,7 @@ func (c *Checker) resolveType(te ast.TypeExpr) *ctypes.Type {
 		c.errorf(te.Pos(), "undefined type %s", te.Name)
 		return ctypes.IntType
 	case *ast.PointerType:
-		return ctypes.PointerTo(c.resolveType(te.Elem))
+		return c.ptrs.To(c.resolveType(te.Elem))
 	case *ast.ArrayType:
 		return ctypes.ArrayOf(c.resolveType(te.Elem), te.Len)
 	case *ast.FuncType:
@@ -677,12 +693,12 @@ func (c *Checker) setType(e ast.Expr, t *ctypes.Type) *ctypes.Type {
 
 // decay converts array values to pointers and function designators to
 // function pointers, as C does in rvalue contexts.
-func decay(t *ctypes.Type) *ctypes.Type {
+func (c *Checker) decay(t *ctypes.Type) *ctypes.Type {
 	switch t.Kind {
 	case ctypes.Array:
-		return ctypes.PointerTo(t.Elem)
+		return c.ptrs.To(t.Elem)
 	case ctypes.Func:
-		return ctypes.PointerTo(t)
+		return c.ptrs.To(t)
 	}
 	return t
 }
@@ -690,7 +706,7 @@ func decay(t *ctypes.Type) *ctypes.Type {
 // checkExpr type-checks e and returns its (decayed) type.
 func (c *Checker) checkExpr(e ast.Expr) *ctypes.Type {
 	t := c.checkExprNoDecay(e)
-	d := decay(t)
+	d := c.decay(t)
 	if d != t {
 		c.prog.ExprTypes[e] = d
 	}
@@ -708,7 +724,7 @@ func (c *Checker) checkExprNoDecay(e ast.Expr) *ctypes.Type {
 	case *ast.CharLit:
 		return c.setType(e, ctypes.CharType)
 	case *ast.StringLit:
-		return c.setType(e, ctypes.PointerTo(ctypes.CharType))
+		return c.setType(e, c.ptrs.To(ctypes.CharType))
 	case *ast.Ident:
 		return c.checkIdent(e)
 	case *ast.Unary:
@@ -794,13 +810,13 @@ func (c *Checker) checkUnary(e *ast.Unary) *ctypes.Type {
 					c.errorf(e.TokPos, "cannot take the address of library function %s", id.Name)
 				}
 			}
-			return c.setType(e, ctypes.PointerTo(t))
+			return c.setType(e, c.ptrs.To(t))
 		}
 		if !c.requireLvalue(e.X) {
-			return c.setType(e, ctypes.PointerTo(t))
+			return c.setType(e, c.ptrs.To(t))
 		}
 		c.markAddrTaken(e.X)
-		return c.setType(e, ctypes.PointerTo(t))
+		return c.setType(e, c.ptrs.To(t))
 	case token.MUL:
 		t := c.checkExpr(e.X)
 		if t.Kind != ctypes.Pointer {
@@ -926,7 +942,7 @@ func (c *Checker) checkMember(e *ast.Member) *ctypes.Type {
 	xt := c.checkExprNoDecay(e.X)
 	st := xt
 	if e.Arrow {
-		xt = decay(xt)
+		xt = c.decay(xt)
 		if xt.Kind != ctypes.Pointer {
 			c.errorf(e.TokPos, "-> on non-pointer type %s", xt)
 			return c.setType(e, ctypes.IntType)

@@ -60,11 +60,15 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 			FuncByBase: make(map[*paths.Base]*FuncGraph),
 			BaseOf:     make(map[*sema.Object]*paths.Base),
 			VarValues:  make(map[*sema.Object][]*Output),
+			// A build creates 1.0-1.4 inputs per checked expression
+			// on the corpus.
+			inputs: make([]*Input, 0, len(prog.ExprTypes)*3/2),
 		},
 		prog:      prog,
 		opts:      opts,
 		funcBases: make(map[*sema.Function]*paths.Base),
 		strBases:  make(map[*ast.StringLit]*paths.Base),
+		ptrs:      make(ctypes.PointerCache),
 	}
 	// Create function graphs and bases up front so calls can refer to
 	// them in any order.
@@ -127,6 +131,7 @@ type builder struct {
 
 	funcBases map[*sema.Function]*paths.Base
 	strBases  map[*ast.StringLit]*paths.Base
+	ptrs      ctypes.PointerCache
 	heapBase  *paths.Base // when SingleHeapBase
 	heapSeq   int
 
@@ -643,7 +648,7 @@ func (fb *fnBuilder) ifStmt(s *ast.If) {
 	fb.stmt(s.Then)
 	thenState := fb.cur
 
-	fb.cur = pre.clone()
+	fb.cur = pre // pre is not read again, so the else branch may own it
 	fb.refineGuard(s.Cond, false, s.TokPos)
 	if s.Else != nil {
 		fb.stmt(s.Else)

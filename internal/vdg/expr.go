@@ -21,7 +21,7 @@ func (fb *fnBuilder) addrOfObj(obj *sema.Object, pos token.Pos) *Output {
 	n := fb.g.NewNode(fb.fg, KAddr, pos)
 	n.Obj = obj
 	n.Path = fb.g.Universe.Root(base)
-	out := fb.g.AddOutput(n, ctypes.PointerTo(obj.Type), false)
+	out := fb.g.AddOutput(n, fb.b.ptrs.To(obj.Type), false)
 	fb.addrCache[obj] = out
 	return out
 }
@@ -34,7 +34,7 @@ func (fb *fnBuilder) funcRef(fn *sema.Function, pos token.Pos) *Output {
 	base := fb.b.funcBases[fn]
 	n := fb.g.NewNode(fb.fg, KAddr, pos)
 	n.Path = fb.g.Universe.Root(base)
-	out := fb.g.AddOutput(n, ctypes.PointerTo(fn.Type), false)
+	out := fb.g.AddOutput(n, fb.b.ptrs.To(fn.Type), false)
 	fb.funcRefs[fn] = out
 	return out
 }
@@ -67,7 +67,7 @@ func (fb *fnBuilder) fieldAddr(addr *Output, structType *ctypes.Type, name strin
 	if f, ok := structType.Field(name); ok {
 		ft = f.Type
 	}
-	return fb.g.AddOutput(n, ctypes.PointerTo(ft), false)
+	return fb.g.AddOutput(n, fb.b.ptrs.To(ft), false)
 }
 
 // indexAddr computes the address of an element from the array/pointer
@@ -75,7 +75,7 @@ func (fb *fnBuilder) fieldAddr(addr *Output, structType *ctypes.Type, name strin
 func (fb *fnBuilder) indexAddr(base *Output, elem *ctypes.Type, pos token.Pos) *Output {
 	n := fb.g.NewNode(fb.fg, KIndexAddr, pos)
 	fb.g.Connect(n, base)
-	return fb.g.AddOutput(n, ctypes.PointerTo(elem), false)
+	return fb.g.AddOutput(n, fb.b.ptrs.To(elem), false)
 }
 
 // konst creates an opaque constant value.
@@ -147,13 +147,13 @@ func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 		obj := fb.b.prog.IdentObj[e]
 		if obj == nil {
 			fb.b.errorf(e.TokPos, "cannot address unresolved identifier %s", e.Name)
-			return fb.unknown(ctypes.PointerTo(ctypes.IntType), e.TokPos), ctypes.IntType
+			return fb.unknown(fb.b.ptrs.To(ctypes.IntType), e.TokPos), ctypes.IntType
 		}
 		if !fb.b.storeResident(obj) {
 			// sema's AddrTaken marking guarantees this does not happen
 			// for genuine address-of; it can only be an internal error.
 			fb.b.errorf(e.TokPos, "internal: address of dataflow variable %s", e.Name)
-			return fb.unknown(ctypes.PointerTo(obj.Type), e.TokPos), obj.Type
+			return fb.unknown(fb.b.ptrs.To(obj.Type), e.TokPos), obj.Type
 		}
 		return fb.addrOfObj(obj, e.TokPos), obj.Type
 	case *ast.Unary:
@@ -186,7 +186,7 @@ func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 		}
 		if structType == nil || structType.Kind != ctypes.Struct {
 			fb.b.errorf(e.TokPos, "member access on non-struct")
-			return fb.unknown(ctypes.PointerTo(ctypes.IntType), e.TokPos), ctypes.IntType
+			return fb.unknown(fb.b.ptrs.To(ctypes.IntType), e.TokPos), ctypes.IntType
 		}
 		ft := ctypes.IntType
 		if f, ok := structType.Field(e.Name); ok {
@@ -195,7 +195,7 @@ func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 		return fb.fieldAddr(baseAddr, structType, e.Name, e.TokPos), ft
 	}
 	fb.b.errorf(e.Pos(), "expression is not addressable")
-	return fb.unknown(ctypes.PointerTo(ctypes.IntType), e.Pos()), ctypes.IntType
+	return fb.unknown(fb.b.ptrs.To(ctypes.IntType), e.Pos()), ctypes.IntType
 }
 
 // ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ func (fb *fnBuilder) stringRef(e *ast.StringLit) *Output {
 	}
 	n := fb.g.NewNode(fb.fg, KAddr, e.TokPos)
 	n.Path = fb.g.Universe.Root(base)
-	return fb.g.AddOutput(n, ctypes.PointerTo(ctypes.CharType), false)
+	return fb.g.AddOutput(n, fb.b.ptrs.To(ctypes.CharType), false)
 }
 
 // recordVar registers v as a value occurrence of obj for the demand
@@ -257,7 +257,12 @@ func (fb *fnBuilder) recordVar(obj *sema.Object, v *Output) {
 	if obj == nil || v == nil || fb.g.VarValues == nil {
 		return
 	}
-	fb.g.VarValues[obj] = append(fb.g.VarValues[obj], v)
+	outs := fb.g.VarValues[obj]
+	if outs == nil {
+		// Most variables have a handful of occurrences; more copy out.
+		outs = fb.g.outEdges.carve(4)
+	}
+	fb.g.VarValues[obj] = append(outs, v)
 }
 
 func (fb *fnBuilder) identValue(e *ast.Ident) *Output {

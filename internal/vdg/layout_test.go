@@ -1,0 +1,140 @@
+package vdg_test
+
+import (
+	"fmt"
+	"testing"
+
+	"aliaslab/internal/corpus"
+	"aliaslab/internal/corpusgen"
+	"aliaslab/internal/parser"
+	"aliaslab/internal/sema"
+	"aliaslab/internal/vdg"
+)
+
+// layoutOptions are the builds the well-formedness check covers: every
+// option that changes which nodes the builder creates.
+var layoutOptions = []struct {
+	name string
+	opts vdg.Options
+}{
+	{"plain", vdg.Options{}},
+	{"diagnostics", vdg.Options{Diagnostics: true}},
+	{"nossa", vdg.Options{NoSSA: true}},
+	{"singleheap", vdg.Options{SingleHeapBase: true}},
+}
+
+// wellFormed checks the edge invariants of a built graph. The node,
+// output and input slabs and the edge slices carved from shared chunks
+// must leave every edge where Connect, Rewire and the dead-node sweep
+// put it:
+//   - each input of a live node records that node and its index, is
+//     the graph's input for its ID, and appears exactly once among its
+//     source's consumers;
+//   - each output of a live node records that node and its index, and
+//     each of its consumers reads from it and sits on a live node.
+//
+// It returns the first violation found, or nil.
+func wellFormed(g *vdg.Graph) error {
+	live := make(map[*vdg.Node]bool)
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			live[n] = true
+		}
+	}
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			for i, in := range n.Inputs {
+				if in.Node != n || in.Index != i {
+					return fmt.Errorf("%s#%d input %d records node %s#%d index %d", n.Kind, n.ID, i, in.Node.Kind, in.Node.ID, in.Index)
+				}
+				if got := g.Input(in.ID); got != in {
+					return fmt.Errorf("%s#%d input %d: Graph.Input(%d) is another input", n.Kind, n.ID, i, in.ID)
+				}
+				seen := 0
+				for _, c := range in.Src.Consumers {
+					if c == in {
+						seen++
+					}
+				}
+				if seen != 1 {
+					return fmt.Errorf("%s#%d input %d appears %d times among the consumers of %s", n.Kind, n.ID, i, seen, in.Src)
+				}
+			}
+			for i, o := range n.Outputs {
+				if o.Node != n || o.Index != i {
+					return fmt.Errorf("%s#%d output %d records node #%d index %d", n.Kind, n.ID, i, o.Node.ID, o.Index)
+				}
+				for _, c := range o.Consumers {
+					if c.Src != o {
+						return fmt.Errorf("consumer of %s reads from %s", o, c.Src)
+					}
+					if !live[c.Node] {
+						return fmt.Errorf("consumer of %s sits on deleted node %s#%d", o, c.Node.Kind, c.Node.ID)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestGraphWellFormed runs the edge invariants over the corpus and the
+// first 200 generated units of seed 42, under every layout option.
+func TestGraphWellFormed(t *testing.T) {
+	type unit struct{ name, src string }
+	var units []unit
+	for _, p := range corpus.All() {
+		units = append(units, unit{p.Name, p.Source})
+	}
+	for _, p := range corpusgen.Sweep(42, 200) {
+		units = append(units, unit{p.Name, p.Source})
+	}
+	for _, o := range layoutOptions {
+		for _, u := range units {
+			f, perrs := parser.ParseFile(u.name, u.src)
+			if len(perrs) > 0 {
+				t.Fatalf("%s: %v", u.name, perrs[0])
+			}
+			prog, serrs := sema.Check(f)
+			if len(serrs) > 0 {
+				t.Fatalf("%s: %v", u.name, serrs[0])
+			}
+			g, berrs := vdg.Build(prog, o.opts)
+			if len(berrs) > 0 {
+				t.Fatalf("%s/%s: %v", u.name, o.name, berrs[0])
+			}
+			if err := wellFormed(g); err != nil {
+				t.Errorf("%s/%s: %v", u.name, o.name, err)
+			}
+		}
+	}
+}
+
+// TestBuildAllocsPerNode bounds the heap allocations of one VDG build
+// of bc per node it creates. With one allocation per node, output,
+// input and edge-slice growth the figure was about 9; the slabs bring
+// it to about 2, and 4 leaves room for toolchain drift.
+func TestBuildAllocsPerNode(t *testing.T) {
+	p, err := corpus.Get("bc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, perrs := parser.ParseFile(p.Name, p.Source)
+	if len(perrs) > 0 {
+		t.Fatal(perrs[0])
+	}
+	prog, serrs := sema.Check(f)
+	if len(serrs) > 0 {
+		t.Fatal(serrs[0])
+	}
+	const maxPerNode = 4
+	for _, o := range layoutOptions[:2] {
+		var g *vdg.Graph
+		allocs := testing.AllocsPerRun(5, func() { g, _ = vdg.Build(prog, o.opts) })
+		perNode := allocs / float64(vdg.CreatedNodes(g))
+		t.Logf("%s: %.0f allocations for %d created nodes (%.2f per node)", o.name, allocs, vdg.CreatedNodes(g), perNode)
+		if perNode > maxPerNode {
+			t.Errorf("%s: %.2f allocations per created node, want at most %d", o.name, perNode, maxPerNode)
+		}
+	}
+}

@@ -265,11 +265,37 @@ type Graph struct {
 	nextNodeID   int
 	nextOutputID int
 	inputs       []*Input // by Input.ID
+
+	// Construction slabs (DESIGN.md §16): nodes, outputs and inputs
+	// come from per-graph chunks, and each Inputs, Consumers, Outputs
+	// and VarValues slice starts as a carve from inEdges or outEdges.
+	nodeSlab slab[Node]
+	outSlab  slab[Output]
+	inSlab   slab[Input]
+	inEdges  slab[*Input]
+	outEdges slab[*Output]
+}
+
+// inputCap is the capacity carved for a node's Inputs at its first
+// Connect: the kind's arity, or the common case for the variadic kinds
+// (two-way gammas, calls with up to two arguments). A longer list
+// copies out on the append that overflows it.
+func inputCap(k NodeKind) int {
+	switch k {
+	case KUpdate:
+		return 3
+	case KCall:
+		return 4
+	case KLookup, KGamma, KPrimop, KReturn, KFree:
+		return 2
+	}
+	return 1
 }
 
 // NewNode allocates a node in fg.
 func (g *Graph) NewNode(fg *FuncGraph, kind NodeKind, pos token.Pos) *Node {
-	n := &Node{Kind: kind, ID: g.nextNodeID, Fn: fg, Pos: pos}
+	n := g.nodeSlab.alloc()
+	*n = Node{Kind: kind, ID: g.nextNodeID, Fn: fg, Pos: pos}
 	g.nextNodeID++
 	fg.Nodes = append(fg.Nodes, n)
 	return n
@@ -278,17 +304,34 @@ func (g *Graph) NewNode(fg *FuncGraph, kind NodeKind, pos token.Pos) *Node {
 // AddOutput appends an output to n. typ nil + isStore=true makes a store
 // output.
 func (g *Graph) AddOutput(n *Node, typ *ctypes.Type, isStore bool) *Output {
-	o := &Output{Node: n, Index: len(n.Outputs), Type: typ, IsStore: isStore, ID: g.nextOutputID}
+	o := g.outSlab.alloc()
+	*o = Output{Node: n, Index: len(n.Outputs), Type: typ, IsStore: isStore, ID: g.nextOutputID}
 	g.nextOutputID++
+	if n.Outputs == nil {
+		// A call has a store and a result output; every other kind one.
+		k := 1
+		if n.Kind == KCall {
+			k = 2
+		}
+		n.Outputs = g.outEdges.carve(k)
+	}
 	n.Outputs = append(n.Outputs, o)
 	return o
 }
 
 // Connect appends an input to n fed by src.
 func (g *Graph) Connect(n *Node, src *Output) *Input {
-	in := &Input{Node: n, Index: len(n.Inputs), Src: src, ID: len(g.inputs)}
+	in := g.inSlab.alloc()
+	*in = Input{Node: n, Index: len(n.Inputs), Src: src, ID: len(g.inputs)}
 	g.inputs = append(g.inputs, in)
+	if n.Inputs == nil {
+		n.Inputs = g.inEdges.carve(inputCap(n.Kind))
+	}
 	n.Inputs = append(n.Inputs, in)
+	if src.Consumers == nil {
+		// Most outputs feed one input; fan-out copies out.
+		src.Consumers = g.inEdges.carve(1)
+	}
 	src.Consumers = append(src.Consumers, in)
 	return in
 }

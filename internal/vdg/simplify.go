@@ -7,10 +7,12 @@ package vdg
 // whose variable is loop-invariant restores the sparse representation
 // the paper's compiler produces.
 func SimplifyGammas(g *Graph) {
-	// Collapsed gamma outputs are recorded so VarValues entries pointing
-	// at them can be redirected to the surviving source (the collapsed
-	// gamma becomes dead and is deleted by RemoveDeadNodes).
-	redirect := make(map[*Output]*Output)
+	// Collapsed gamma outputs are recorded, by output ID, so VarValues
+	// entries pointing at them can be redirected to the surviving
+	// source (the collapsed gamma becomes dead and is deleted by
+	// RemoveDeadNodes). The table is made at the first collapse.
+	var redirect []*Output
+	var consumers []*Input // reused copy of a collapsing gamma's consumers
 	for {
 		changed := false
 		for _, fg := range g.Funcs {
@@ -39,11 +41,14 @@ func SimplifyGammas(g *Graph) {
 					continue
 				}
 				// Rewire every consumer of the gamma to the single source.
-				consumers := append([]*Input(nil), out.Consumers...)
+				consumers = append(consumers[:0], out.Consumers...)
 				for _, c := range consumers {
 					Rewire(c, src)
 				}
-				redirect[out] = src
+				if redirect == nil {
+					redirect = make([]*Output, g.OutputIDs())
+				}
+				redirect[out.ID] = src
 				changed = true
 			}
 		}
@@ -51,17 +56,14 @@ func SimplifyGammas(g *Graph) {
 			break
 		}
 	}
-	if len(redirect) == 0 || g.VarValues == nil {
+	if redirect == nil || g.VarValues == nil {
 		return
 	}
 	chase := func(o *Output) *Output {
-		for {
-			next, ok := redirect[o]
-			if !ok {
-				return o
-			}
-			o = next
+		for redirect[o.ID] != nil {
+			o = redirect[o.ID]
 		}
+		return o
 	}
 	for obj, outs := range g.VarValues {
 		for i, o := range outs {
@@ -92,9 +94,10 @@ func isPureKind(k NodeKind) bool {
 // iterating to a fixpoint (removing a node can strand its producers).
 // Formals, calls, and return sinks are always kept.
 func RemoveDeadNodes(g *Graph) {
-	dead := make(map[*Node]bool)
+	dead := make([]bool, g.nextNodeID) // by Node.ID
+	ndead := 0
 	// Worklist over candidate nodes.
-	var work []*Node
+	work := make([]*Node, 0, g.nextNodeID)
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {
 			if isPure(n) {
@@ -105,7 +108,7 @@ func RemoveDeadNodes(g *Graph) {
 	liveConsumers := func(o *Output) int {
 		c := 0
 		for _, in := range o.Consumers {
-			if !dead[in.Node] {
+			if !dead[in.Node.ID] {
 				c++
 			}
 		}
@@ -114,7 +117,7 @@ func RemoveDeadNodes(g *Graph) {
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		if dead[n] || !isPure(n) {
+		if dead[n.ID] || !isPure(n) {
 			continue
 		}
 		used := false
@@ -127,21 +130,22 @@ func RemoveDeadNodes(g *Graph) {
 		if used {
 			continue
 		}
-		dead[n] = true
+		dead[n.ID] = true
+		ndead++
 		// Producers of this node may now be dead too.
 		for _, in := range n.Inputs {
-			if isPure(in.Src.Node) && !dead[in.Src.Node] {
+			if isPure(in.Src.Node) && !dead[in.Src.Node.ID] {
 				work = append(work, in.Src.Node)
 			}
 		}
 	}
-	if len(dead) == 0 {
+	if ndead == 0 {
 		return
 	}
 	for _, fg := range g.Funcs {
 		kept := fg.Nodes[:0]
 		for _, n := range fg.Nodes {
-			if !dead[n] {
+			if !dead[n.ID] {
 				kept = append(kept, n)
 			}
 		}
@@ -151,7 +155,7 @@ func RemoveDeadNodes(g *Graph) {
 	g.Outputs(func(o *Output) {
 		kept := o.Consumers[:0]
 		for _, in := range o.Consumers {
-			if !dead[in.Node] {
+			if !dead[in.Node.ID] {
 				kept = append(kept, in)
 			}
 		}
@@ -162,7 +166,7 @@ func RemoveDeadNodes(g *Graph) {
 	for obj, outs := range g.VarValues {
 		kept := outs[:0]
 		for _, o := range outs {
-			if !dead[o.Node] {
+			if !dead[o.Node.ID] {
 				kept = append(kept, o)
 			}
 		}
