@@ -48,10 +48,13 @@ bench:
 # empty even when the base ref lacks the Solve*/PairSetReferents ones.
 # It covers every solver that stores pairs in core.PairSet: CI (corpus
 # and the store-heavy generated units), CS, Andersen and Steensgaard;
-# and FrontEnd times each front-end stage (lex, parse, sema, the VDG
-# build plain and with diagnostics) over the corpus.
+# SolvePopulationTail times CS, Andersen and Steensgaard on the
+# generated units with the most Steensgaard meets and reports the
+# Steensgaard/Andersen time ratio there; and FrontEnd times each
+# front-end stage (lex, parse, sema, the VDG build plain and with
+# diagnostics) over the corpus.
 BENCH_BASE ?= HEAD
-BENCH_PATTERN ?= SolveCI|SolveCIStoreHeavy|SolveCS|SolveAndersen|SolveSteensgaard|PairSetReferents|BatchSequential|InsensitivePerProgram|FrontEnd
+BENCH_PATTERN ?= SolveCI|SolveCIStoreHeavy|SolveCS|SolveAndersen|SolveSteensgaard|SolvePopulationTail|PairSetReferents|BatchSequential|InsensitivePerProgram|FrontEnd
 BENCH_COUNT ?= 3
 BENCH_PKGS ?= . ./internal/core
 

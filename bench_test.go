@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"aliaslab/internal/ast"
 	"aliaslab/internal/backend/andersen"
@@ -330,8 +331,12 @@ func loadSolveUnits(b *testing.B) []*driver.Unit {
 // BenchmarkSolveAndersen and BenchmarkSolveSteensgaard time the
 // constraint backends' solve loops (VDG construction held outside the
 // timer) over the corpus plus the copy-dense unit. bench-compare tracks
-// their ratio: unification must stay several times faster than directed
-// inclusion on copy-dense input, or the frontier's cost story is gone.
+// their ratio. On copy-dense input like this unit unification must stay
+// several times faster than directed inclusion, or the frontier's cost
+// story is gone. That holds for copy-dense input only: on the
+// population's store-heavy tail, where the collapsed store sends every
+// store pair past every load, Steensgaard is the slower of the two
+// (BenchmarkSolvePopulationTail reports that ratio).
 func BenchmarkSolveAndersen(b *testing.B) {
 	units := loadSolveUnits(b)
 	b.ResetTimer()
@@ -358,6 +363,56 @@ func BenchmarkSolveSteensgaard(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(pairs), "pair-inserts")
+}
+
+// BenchmarkSolvePopulationTail times the three solvers only the
+// population workload runs (CS with its CI input precomputed, Andersen,
+// Steensgaard) on its costliest units for unification: the 5 units
+// with the most Steensgaard meets among the first 200 of the seed-42
+// corpusgen sweep. Units are chosen by that count, as
+// BenchmarkSolveCIStoreHeavy chooses by CI pair inserts. It reports
+// each solver's time per op and the Steensgaard/Andersen time ratio,
+// which is above 1 on these units (see BenchmarkSolveAndersen).
+func BenchmarkSolvePopulationTail(b *testing.B) {
+	const population, keep = 200, 5
+	type unit struct {
+		g     *vdg.Graph
+		ci    *core.Result
+		meets int
+	}
+	var units []unit
+	for _, p := range corpusgen.Sweep(42, population) {
+		u, err := p.Load(vdg.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = append(units, unit{u.Graph, nil, steensgaard.Analyze(u.Graph).Engine.Meets})
+	}
+	sort.SliceStable(units, func(i, j int) bool { return units[i].meets > units[j].meets })
+	units = append([]unit(nil), units[:keep]...) // let the other graphs go
+	for i := range units {
+		units[i].ci = core.AnalyzeInsensitive(units[i].g)
+	}
+	b.ResetTimer()
+	var cs, and, st time.Duration
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			t0 := time.Now()
+			res := core.AnalyzeSensitive(u.g, core.SensitiveOptions{CI: u.ci, MaxSteps: experiments.MaxCSSteps})
+			res.Strip()
+			t1 := time.Now()
+			andersen.Analyze(u.g)
+			t2 := time.Now()
+			steensgaard.Analyze(u.g)
+			t3 := time.Now()
+			cs, and, st = cs+t1.Sub(t0), and+t2.Sub(t1), st+t3.Sub(t2)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(cs.Nanoseconds())/n, "cs-ns/op")
+	b.ReportMetric(float64(and.Nanoseconds())/n, "andersen-ns/op")
+	b.ReportMetric(float64(st.Nanoseconds())/n, "steensgaard-ns/op")
+	b.ReportMetric(float64(st)/float64(and), "steensgaard/andersen")
 }
 
 // BenchmarkBaseline times the Weihl-style program-wide analysis (served

@@ -75,6 +75,21 @@ type analysis struct {
 	// edgesSince counts dynamic edges since the last cycle-detection
 	// pass.
 	edgesSince int
+
+	// Tarjan scratch, reused by every collapse pass: per-cell DFS index
+	// and lowlink (-1 = unvisited), the on-stack marks, the component
+	// stack, and the explicit DFS frames.
+	index, low []int32
+	onStack    []bool
+	stack      []backend.CellID
+	frames     []frame
+}
+
+// frame is one DFS activation of collapse: the cell and the position
+// of the next outgoing edge to follow.
+type frame struct {
+	v  backend.CellID
+	ei int
 }
 
 // transfer pushes one arrival across the cell's copy edges, then
@@ -174,11 +189,11 @@ func (a *analysis) onCallee(n *vdg.Node, callee *vdg.FuncGraph) {
 		if i >= len(callee.ParamOuts) {
 			break
 		}
-		a.addEdge(cellOf[argIn.Src], cellOf[callee.ParamOuts[i]], false, true)
+		a.addEdge(cellOf[argIn.Src.ID], cellOf[callee.ParamOuts[i].ID], false, true)
 	}
 	if rv := callee.ReturnValue(); rv != nil {
 		if res := vdg.CallResultOut(n); res != nil {
-			a.addEdge(cellOf[rv], cellOf[res], false, true)
+			a.addEdge(cellOf[rv.ID], cellOf[res.ID], false, true)
 		}
 	}
 }
@@ -191,20 +206,18 @@ func (a *analysis) onCallee(n *vdg.Node, callee *vdg.FuncGraph) {
 // lands on the merged representative.
 func (a *analysis) collapse() {
 	n := len(a.succ)
-	index := make([]int32, n)
-	low := make([]int32, n)
+	if a.index == nil {
+		a.index = make([]int32, n)
+		a.low = make([]int32, n)
+		a.onStack = make([]bool, n)
+	}
+	index, low, onStack := a.index, a.low, a.onStack
 	for i := range index {
 		index[i] = -1
 	}
-	onStack := make([]bool, n)
-	var stack []backend.CellID
+	stack, frames := a.stack[:0], a.frames[:0]
+	defer func() { a.stack, a.frames = stack, frames }()
 	var next int32
-
-	type frame struct {
-		v  backend.CellID
-		ei int
-	}
-	var frames []frame
 
 	for root := 0; root < n; root++ {
 		rv := a.sys.Find(backend.CellID(root))
@@ -241,21 +254,22 @@ func (a *analysis) collapse() {
 				continue
 			}
 			if low[v] == index[v] {
-				var scc []backend.CellID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				// The component is the stack above and including v;
+				// it merges in pop order, top first.
+				base := len(stack) - 1
+				for stack[base] != v {
+					base--
+				}
+				scc := stack[base:]
+				stack = stack[:base]
+				for _, w := range scc {
 					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
 				}
 				if len(scc) > 1 {
 					a.sys.St.SCCsCollapsed++
-					kept := scc[0]
-					for _, w := range scc[1:] {
-						kept, _ = a.sys.Merge(kept, w)
+					kept := scc[len(scc)-1]
+					for i := len(scc) - 2; i >= 0; i-- {
+						kept, _ = a.sys.Merge(kept, scc[i])
 					}
 				}
 			}

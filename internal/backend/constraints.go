@@ -129,9 +129,10 @@ type Constraints struct {
 	// NumCells is the number of constraint variables (cell 0 is the
 	// store).
 	NumCells int
-	// CellOf maps every VDG output to its cell; all store outputs map
-	// to StoreCell.
-	CellOf map[*vdg.Output]CellID
+	// CellOf maps every live VDG output, by Output.ID, to its cell; all
+	// store outputs map to StoreCell. Slots of outputs on deleted nodes
+	// are never read.
+	CellOf []CellID
 	// OutOf maps each non-store cell back to its output (index 0, the
 	// store cell, is nil). Used for priority scheduling and debugging.
 	OutOf []*vdg.Output
@@ -156,15 +157,15 @@ func (c *Constraints) Count() int {
 func Extract(g *vdg.Graph) *Constraints {
 	c := &Constraints{
 		Graph:  g,
-		CellOf: make(map[*vdg.Output]CellID),
-		OutOf:  []*vdg.Output{nil}, // cell 0: the store
+		CellOf: make([]CellID, g.OutputIDs()),
+		OutOf:  make([]*vdg.Output, 1, g.OutputIDs()+1), // cell 0: the store
 	}
 	g.Outputs(func(o *vdg.Output) {
 		if o.IsStore {
-			c.CellOf[o] = StoreCell
+			c.CellOf[o.ID] = StoreCell
 			return
 		}
-		c.CellOf[o] = CellID(len(c.OutOf))
+		c.CellOf[o.ID] = CellID(len(c.OutOf))
 		c.OutOf = append(c.OutOf, o)
 	})
 	c.NumCells = len(c.OutOf)
@@ -186,7 +187,7 @@ func Extract(g *vdg.Graph) *Constraints {
 func (c *Constraints) extractNode(n *vdg.Node) {
 	switch n.Kind {
 	case vdg.KAddr, vdg.KAlloc:
-		out := c.CellOf[n.Outputs[0]]
+		out := c.CellOf[n.Outputs[0].ID]
 		c.Seeds = append(c.Seeds, Seed{Cell: out, Pair: core.Pair{Path: c.Graph.Universe.Empty(), Ref: n.Path}})
 		// realloc: the old block's pairs pass through.
 		for _, in := range n.Inputs {
@@ -204,31 +205,31 @@ func (c *Constraints) extractNode(n *vdg.Node) {
 		}
 	case vdg.KFieldAddr:
 		c.Xforms = append(c.Xforms, Xform{
-			Kind: XField, Src: c.CellOf[n.Inputs[0].Src], Dst: c.CellOf[n.Outputs[0]],
+			Kind: XField, Src: c.CellOf[n.Inputs[0].Src.ID], Dst: c.CellOf[n.Outputs[0].ID],
 			Field: n.Field, Union: n.Transparent,
 		})
 	case vdg.KIndexAddr:
 		c.Xforms = append(c.Xforms, Xform{
-			Kind: XIndex, Src: c.CellOf[n.Inputs[0].Src], Dst: c.CellOf[n.Outputs[0]],
+			Kind: XIndex, Src: c.CellOf[n.Inputs[0].Src.ID], Dst: c.CellOf[n.Outputs[0].ID],
 		})
 	case vdg.KExtract:
 		c.Xforms = append(c.Xforms, Xform{
-			Kind: XExtract, Src: c.CellOf[n.Inputs[0].Src], Dst: c.CellOf[n.Outputs[0]],
+			Kind: XExtract, Src: c.CellOf[n.Inputs[0].Src.ID], Dst: c.CellOf[n.Outputs[0].ID],
 			Field: n.Field, Union: n.Transparent,
 		})
 	case vdg.KLookup:
-		c.Loads = append(c.Loads, Load{Loc: c.CellOf[n.Loc()], Dst: c.CellOf[n.Outputs[0]]})
+		c.Loads = append(c.Loads, Load{Loc: c.CellOf[n.Loc().ID], Dst: c.CellOf[n.Outputs[0].ID]})
 	case vdg.KUpdate:
-		c.Stores = append(c.Stores, Store{Loc: c.CellOf[n.Loc()], Val: c.CellOf[n.Value()]})
+		c.Stores = append(c.Stores, Store{Loc: c.CellOf[n.Loc().ID], Val: c.CellOf[n.Value().ID]})
 	case vdg.KCall:
-		c.Calls = append(c.Calls, Call{Node: n, Fn: c.CellOf[vdg.CallFunc(n).Src]})
+		c.Calls = append(c.Calls, Call{Node: n, Fn: c.CellOf[vdg.CallFunc(n).Src.ID]})
 	}
 }
 
 // copyEdge emits Dst ⊇ Src unless both endpoints are the store cell
 // (store-to-store flow is the identity under the collapsed store).
 func (c *Constraints) copyEdge(src, dst *vdg.Output, checked bool) {
-	s, d := c.CellOf[src], c.CellOf[dst]
+	s, d := c.CellOf[src.ID], c.CellOf[dst.ID]
 	if s == StoreCell && d == StoreCell {
 		return
 	}

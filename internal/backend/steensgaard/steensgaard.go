@@ -76,11 +76,11 @@ func (s *analysis) onCallee(n *vdg.Node, callee *vdg.FuncGraph) {
 		if i >= len(callee.ParamOuts) {
 			break
 		}
-		s.unify(cellOf[argIn.Src], cellOf[callee.ParamOuts[i]])
+		s.unify(cellOf[argIn.Src.ID], cellOf[callee.ParamOuts[i].ID])
 	}
 	if rv := callee.ReturnValue(); rv != nil {
 		if res := vdg.CallResultOut(n); res != nil {
-			s.unify(cellOf[rv], cellOf[res])
+			s.unify(cellOf[rv.ID], cellOf[res.ID])
 		}
 	}
 }

@@ -36,7 +36,9 @@ type System struct {
 
 	// Complex-constraint attachments, indexed by the cell playing the
 	// constraint's source role; moved to the kept representative on
-	// merge. Values are indices into the Cons slices.
+	// merge. Values are indices into the Cons slices. Each kind's lists
+	// start as capacity-limited carves of one array, so a merge's
+	// append copies out.
 	XformsFrom    [][]int32
 	LoadsFrom     [][]int32
 	StoresLocFrom [][]int32
@@ -55,6 +57,49 @@ type System struct {
 	// OnCallee runs once per newly discovered (call, callee) edge; the
 	// backend materializes actual→formal and return→result flow.
 	OnCallee func(n *vdg.Node, callee *vdg.FuncGraph)
+
+	// Dereference-scan scratch for Complex (see scanFor): the scans of
+	// the current arrival, and each cell's scan, by cell ID, plus one.
+	scans  []matchScan
+	scanOf []int32
+}
+
+// matchScan caches one dereference scan of one arrival over an
+// append-only key list: the results of the keys examined so far, in
+// key order. Loads that scan the same list replay its matches instead
+// of re-deriving them, and a list that grew since the last load only
+// has its new keys examined.
+type matchScan struct {
+	cell    CellID
+	n       int
+	matches []core.Key
+}
+
+// attachments indexes the constraints cons by the cell cell(c) names:
+// list i holds, in constraint order, the indices of the constraints
+// attached to cell i. The lists are carved from one array.
+func attachments[T any](cells int, cons []T, cell func(T) CellID) [][]int32 {
+	lists := make([][]int32, cells)
+	if len(cons) == 0 {
+		return lists
+	}
+	count := make([]int32, cells)
+	for _, c := range cons {
+		count[cell(c)]++
+	}
+	backing := make([]int32, len(cons))
+	off := int32(0)
+	for i, n := range count {
+		if n > 0 {
+			lists[i] = backing[off : off : off+n]
+			off += n
+		}
+	}
+	for i, c := range cons {
+		id := cell(c)
+		lists[id] = append(lists[id], int32(i))
+	}
+	return lists
 }
 
 // NewSystem extracts nothing itself — it wraps an already-extracted
@@ -65,30 +110,14 @@ func NewSystem(cons *Constraints, budget limits.Budget, strategy solver.Strategy
 	s := &System{
 		Cons:          cons,
 		UF:            NewUnionFind(n),
-		Sets:          make([]*core.PairSet, n),
-		XformsFrom:    make([][]int32, n),
-		LoadsFrom:     make([][]int32, n),
-		StoresLocFrom: make([][]int32, n),
-		StoresValFrom: make([][]int32, n),
-		CallsFrom:     make([][]int32, n),
+		Sets:          core.NewPairSets(cons.Graph.Universe, n),
+		XformsFrom:    attachments(n, cons.Xforms, func(x Xform) CellID { return x.Src }),
+		LoadsFrom:     attachments(n, cons.Loads, func(l Load) CellID { return l.Loc }),
+		StoresLocFrom: attachments(n, cons.Stores, func(st Store) CellID { return st.Loc }),
+		StoresValFrom: attachments(n, cons.Stores, func(st Store) CellID { return st.Val }),
+		CallsFrom:     attachments(n, cons.Calls, func(cl Call) CellID { return cl.Fn }),
 		Callees:       make(map[*vdg.Node][]*vdg.FuncGraph),
 		Callers:       make(map[*vdg.FuncGraph][]*vdg.Node),
-	}
-	for i := range s.Sets {
-		s.Sets[i] = core.NewPairSet(cons.Graph.Universe)
-	}
-	for i, x := range cons.Xforms {
-		s.XformsFrom[x.Src] = append(s.XformsFrom[x.Src], int32(i))
-	}
-	for i, l := range cons.Loads {
-		s.LoadsFrom[l.Loc] = append(s.LoadsFrom[l.Loc], int32(i))
-	}
-	for i, st := range cons.Stores {
-		s.StoresLocFrom[st.Loc] = append(s.StoresLocFrom[st.Loc], int32(i))
-		s.StoresValFrom[st.Val] = append(s.StoresValFrom[st.Val], int32(i))
-	}
-	for i, cl := range cons.Calls {
-		s.CallsFrom[cl.Fn] = append(s.CallsFrom[cl.Fn], int32(i))
 	}
 	cfg := solver.Config[Arrival]{Strategy: strategy, Budget: budget}
 	if strategy == solver.Priority {
@@ -193,14 +222,24 @@ func (s *System) Complex(r CellID, k core.Key) {
 	if k.EmptyPath() {
 		rl := u.ByID(k.RefID())
 		// A new location referent dereferences every store pair it may
-		// observe (lookup) …
-		for _, li := range s.LoadsFrom[r] {
-			l := s.Cons.Loads[li]
-			for _, ks := range s.Sets[storeRep].Keys() {
-				if ps := u.ByID(ks.PathID()); paths.Dom(rl, ps) {
-					s.AddKey(l.Dst, core.PackKey(u.Subtract(ps, rl).ID(), ks.RefID()))
+		// observe (lookup): the store is matched once, and each load
+		// attached here replays the matches.
+		if lis := s.LoadsFrom[r]; len(lis) > 0 {
+			sc := s.scanFor(storeRep)
+			for _, li := range lis {
+				keys := s.Sets[storeRep].Keys()
+				for _, ks := range keys[sc.n:] {
+					if ps := u.ByID(ks.PathID()); paths.Dom(rl, ps) {
+						sc.matches = append(sc.matches, core.PackKey(u.Subtract(ps, rl).ID(), ks.RefID()))
+					}
+				}
+				sc.n = len(keys)
+				dst := s.Cons.Loads[li].Dst
+				for _, m := range sc.matches {
+					s.AddKey(dst, m)
 				}
 			}
+			s.endScans()
 		}
 		// … and writes every value pair at its new target (update).
 		for _, si := range s.StoresLocFrom[r] {
@@ -236,21 +275,69 @@ func (s *System) Complex(r CellID, k core.Key) {
 	}
 	// A new store pair is observed by every lookup whose location may
 	// reach it. Loads attach conceptually to the single store cell, so
-	// this scans them all — the price of the collapsed store.
+	// this visits them all — the price of the collapsed store — but
+	// each location representative's set is scanned once per arrival
+	// and the loads sharing it replay the matches.
 	if r == storeRep {
 		ps := u.ByID(k.PathID())
 		for _, l := range s.Cons.Loads {
-			dst := l.Dst
-			for _, kl := range s.Sets[s.UF.Find(l.Loc)].Keys() {
+			rep := s.UF.Find(l.Loc)
+			keys := s.Sets[rep].Keys()
+			if len(keys) == 0 {
+				continue
+			}
+			sc := s.scanFor(rep)
+			for _, kl := range keys[sc.n:] {
 				if !kl.EmptyPath() {
 					continue
 				}
 				if rl := u.ByID(kl.RefID()); paths.Dom(rl, ps) {
-					s.AddKey(dst, core.PackKey(u.Subtract(ps, rl).ID(), k.RefID()))
+					sc.matches = append(sc.matches, core.PackKey(u.Subtract(ps, rl).ID(), k.RefID()))
 				}
 			}
+			sc.n = len(keys)
+			for _, m := range sc.matches {
+				s.AddKey(l.Dst, m)
+			}
 		}
+		s.endScans()
 	}
+}
+
+// scanFor returns the current arrival's scan of cell c's set, starting
+// an empty one on first use. The pointer is valid until the next
+// scanFor.
+//
+// Replaying a scan issues exactly the AddKey calls of a fresh scan:
+// a set's keys are append-only, so the matches of its first n keys do
+// not change, and a load extends the scan to the keys present when it
+// starts, just as a fresh scan of the set would read them. The
+// matches replay in key order, and Subtract interns each new path at
+// its first match, as the fresh scan did.
+func (s *System) scanFor(c CellID) *matchScan {
+	if s.scanOf == nil {
+		s.scanOf = make([]int32, s.Cons.NumCells)
+	}
+	if i := s.scanOf[c]; i > 0 {
+		return &s.scans[i-1]
+	}
+	if len(s.scans) < cap(s.scans) {
+		s.scans = s.scans[:len(s.scans)+1] // reuse the slot's matches array
+	} else {
+		s.scans = append(s.scans, matchScan{})
+	}
+	sc := &s.scans[len(s.scans)-1]
+	sc.cell, sc.n, sc.matches = c, 0, sc.matches[:0]
+	s.scanOf[c] = int32(len(s.scans))
+	return sc
+}
+
+// endScans drops the current arrival's scans.
+func (s *System) endScans() {
+	for _, sc := range s.scans {
+		s.scanOf[sc.cell] = 0
+	}
+	s.scans = s.scans[:0]
 }
 
 // addCallEdge records call → callee once and hands the flow
@@ -271,16 +358,21 @@ func (s *System) addCallEdge(n *vdg.Node, callee *vdg.FuncGraph) {
 // solution unchanged. Outputs of one merged cell share one *PairSet,
 // exactly as the Weihl baseline shares its global store set.
 func (s *System) Result(out solver.Outcome) *core.Result {
+	n := 0
+	s.Cons.Graph.Outputs(func(o *vdg.Output) {
+		if s.Set(s.Cons.CellOf[o.ID]).Len() > 0 {
+			n++
+		}
+	})
 	res := &core.Result{
 		Graph:   s.Cons.Graph,
-		Sets:    make(map[*vdg.Output]*core.PairSet),
+		Sets:    make(map[*vdg.Output]*core.PairSet, n),
 		Callees: s.Callees,
 		Callers: s.Callers,
 		Stopped: out.Stopped,
 	}
 	s.Cons.Graph.Outputs(func(o *vdg.Output) {
-		r := s.UF.Find(s.Cons.CellOf[o])
-		if set := s.Sets[r]; set != nil && set.Len() > 0 {
+		if set := s.Set(s.Cons.CellOf[o.ID]); set.Len() > 0 {
 			res.Sets[o] = set
 		}
 	})

@@ -13,7 +13,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"aliaslab/internal/paths"
 )
@@ -75,6 +74,18 @@ type PairSet struct {
 // pairs added to it.
 func NewPairSet(u *paths.Universe) *PairSet { return &PairSet{u: u} }
 
+// NewPairSets returns n empty sets whose pairs are interned in u,
+// allocated together in one array.
+func NewPairSets(u *paths.Universe, n int) []*PairSet {
+	sets := make([]PairSet, n)
+	out := make([]*PairSet, n)
+	for i := range sets {
+		sets[i].u = u
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // slot is the home slot of k in an index of 1<<(64-shift) slots
 // (Fibonacci hashing: the top bits of the product depend on every bit
 // of k).
@@ -92,10 +103,17 @@ func (s *PairSet) Add(p Pair) bool { return s.AddKey(KeyOf(p)) }
 
 // AddKey inserts the packed pair k, reporting whether it was new.
 func (s *PairSet) AddKey(k Key) bool {
+	_, added := s.insert(k)
+	return added
+}
+
+// insert adds k unless present and returns its position in insertion
+// order either way.
+func (s *PairSet) insert(k Key) (pos int, added bool) {
 	if s.index == nil {
-		for _, kk := range s.keys {
+		for i, kk := range s.keys {
 			if kk == k {
-				return false
+				return i, false
 			}
 		}
 		if s.keys == nil {
@@ -105,22 +123,22 @@ func (s *PairSet) AddKey(k Key) bool {
 		if len(s.keys) > pairSetSmall {
 			s.rehash(4 * len(s.keys))
 		}
-		return true
+		return len(s.keys) - 1, true
 	}
 	mask := len(s.index) - 1
 	i := slot(k, s.shift())
 	for {
-		pos := s.index[i]
-		if pos == 0 {
+		p := s.index[i]
+		if p == 0 {
 			s.keys = append(s.keys, k)
 			s.index[i] = uint32(len(s.keys))
 			if 2*len(s.keys) > len(s.index) {
 				s.rehash(2 * len(s.index))
 			}
-			return true
+			return len(s.keys) - 1, true
 		}
-		if s.keys[pos-1] == k {
-			return false
+		if s.keys[p-1] == k {
+			return int(p - 1), false
 		}
 		i = (i + 1) & mask
 	}
@@ -145,22 +163,28 @@ func (s *PairSet) Has(p Pair) bool { return s.HasKey(KeyOf(p)) }
 
 // HasKey reports membership of the packed pair k.
 func (s *PairSet) HasKey(k Key) bool {
+	_, ok := s.find(k)
+	return ok
+}
+
+// find returns the insertion-order position of k.
+func (s *PairSet) find(k Key) (pos int, ok bool) {
 	if s.index == nil {
-		for _, kk := range s.keys {
+		for i, kk := range s.keys {
 			if kk == k {
-				return true
+				return i, true
 			}
 		}
-		return false
+		return 0, false
 	}
 	mask := len(s.index) - 1
 	for i := slot(k, s.shift()); ; i = (i + 1) & mask {
-		pos := s.index[i]
-		if pos == 0 {
-			return false
+		p := s.index[i]
+		if p == 0 {
+			return 0, false
 		}
-		if s.keys[pos-1] == k {
-			return true
+		if s.keys[p-1] == k {
+			return int(p - 1), true
 		}
 	}
 }
@@ -252,37 +276,62 @@ func assumptionsEqual(a, b []Assumption) bool {
 }
 
 // ATable interns assumption sets, keyed by the FNV-1a hash of their ID
-// triples with per-hash collision buckets: a hash hit is confirmed by
-// element comparison before the interned set is reused, so two distinct
-// sets can never alias even under a hash collision.
+// triples; sets sharing a hash chain through ASet.next, and a hash hit
+// is confirmed by element comparison before the interned set is reused,
+// so two distinct sets can never alias even under a hash collision.
+//
+// Make and Union build their canonical element slice in a scratch
+// buffer and look it up there; only a new set copies its elements out,
+// into chunks shared by the table's sets (an interned set never
+// changes, so its elements can live beside another's).
 type ATable struct {
-	sets  map[uint64][]*ASet
+	sets  map[uint64]*ASet
 	empty *ASet
+
+	scratch  []Assumption
+	setSlab  []ASet       // unused interned sets, handed out in order
+	elemSlab []Assumption // interned elements; spare capacity is free
 }
+
+// aSlab is the number of sets, and of elements, in one table chunk.
+const aSlab = 64
 
 // NewATable returns an empty intern table.
 func NewATable() *ATable {
-	return &ATable{sets: make(map[uint64][]*ASet), empty: &ASet{}}
+	return &ATable{sets: make(map[uint64]*ASet), empty: &ASet{}}
 }
 
 // EmptySet returns the interned empty assumption set.
 func (t *ATable) EmptySet() *ASet { return t.empty }
 
 // intern returns the canonical *ASet for a sorted, deduplicated
-// element slice, creating it on first sight. The slice is adopted, not
-// copied: callers must not retain it.
+// element slice, creating it on first sight. The slice is copied on
+// creation, so callers may reuse it.
 func (t *ATable) intern(elems []Assumption) *ASet {
 	if len(elems) == 0 {
 		return t.empty
 	}
 	h := aHash(elems)
-	for _, s := range t.sets[h] {
+	first := t.sets[h]
+	for s := first; s != nil; s = s.next {
 		if assumptionsEqual(s.Elems, elems) {
 			return s
 		}
 	}
-	s := &ASet{Elems: elems}
-	t.sets[h] = append(t.sets[h], s)
+	if len(t.setSlab) == 0 {
+		t.setSlab = make([]ASet, aSlab)
+	}
+	s := &t.setSlab[0]
+	t.setSlab = t.setSlab[1:]
+	n := len(elems)
+	if cap(t.elemSlab)-len(t.elemSlab) < n {
+		t.elemSlab = make([]Assumption, 0, max(aSlab, n))
+	}
+	l := len(t.elemSlab)
+	t.elemSlab = append(t.elemSlab, elems...)
+	s.Elems = t.elemSlab[l : l+n : l+n]
+	s.next = first
+	t.sets[h] = s
 	return s
 }
 
@@ -292,14 +341,23 @@ func (t *ATable) Make(elems ...Assumption) *ASet {
 	if len(elems) == 0 {
 		return t.empty
 	}
-	sorted := append([]Assumption(nil), elems...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].less(sorted[j]) })
+	sorted := append(t.scratch[:0], elems...)
+	slices.SortFunc(sorted, func(a, b Assumption) int {
+		switch {
+		case a.less(b):
+			return -1
+		case b.less(a):
+			return 1
+		}
+		return 0
+	})
 	dedup := sorted[:1]
 	for _, a := range sorted[1:] {
 		if a != dedup[len(dedup)-1] {
 			dedup = append(dedup, a)
 		}
 	}
+	t.scratch = sorted
 	return t.intern(dedup)
 }
 
@@ -311,7 +369,7 @@ func (t *ATable) Union(a, b *ASet) *ASet {
 	if a.Empty() {
 		return b
 	}
-	merged := make([]Assumption, 0, len(a.Elems)+len(b.Elems))
+	merged := t.scratch[:0]
 	i, j := 0, 0
 	for i < len(a.Elems) && j < len(b.Elems) {
 		switch {
@@ -329,5 +387,6 @@ func (t *ATable) Union(a, b *ASet) *ASet {
 	}
 	merged = append(merged, a.Elems[i:]...)
 	merged = append(merged, b.Elems[j:]...)
+	t.scratch = merged
 	return t.intern(merged)
 }

@@ -203,10 +203,10 @@ func TestATableHashCollisionResolved(t *testing.T) {
 	a := []Assumption{{Formal: fakeFormals[0], P: pool[0]}}
 	b := []Assumption{{Formal: fakeFormals[1], P: pool[1]}}
 
-	// Manufacture the collision: pre-seed a's interned set into b's
-	// bucket, as if aHash had mapped both slices to the same key.
+	// Manufacture the collision: make a's interned set head b's hash
+	// chain, as if aHash had mapped both slices to the same key.
 	sa := at.intern(a)
-	at.sets[aHash(b)] = append(at.sets[aHash(b)], sa)
+	at.sets[aHash(b)] = sa
 
 	sb := at.intern(b)
 	if sb == sa {

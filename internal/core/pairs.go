@@ -62,6 +62,8 @@ func (a Assumption) less(b Assumption) bool {
 // makes subset tests cheap to memoize and equality a pointer compare.
 type ASet struct {
 	Elems []Assumption // sorted, no duplicates
+
+	next *ASet // the next set of the same hash in its ATable
 }
 
 // Empty reports whether the set has no assumptions.
@@ -115,15 +117,20 @@ func (q QPair) String() string { return q.P.String() + q.A.String() }
 // assumption sets: arrivals subsumed by an existing weaker set are
 // discarded, and existing stronger sets are dropped when a weaker one
 // arrives (they have already propagated; keeping them adds nothing).
-// Plain pairs are held as packed keys and decoded on read.
+//
+// The plain pairs are a PairSet of packed keys, so position i of the
+// key list names one pair, and the antichains run parallel to it.
+// Almost every antichain has one element; that element sits in one[i]
+// and needs no slice of its own. A pair whose antichain grows past one
+// element has one[i] == nil and its elements in many[i].
 type QSet struct {
-	u    *paths.Universe
-	m    map[Key][]*ASet
-	keys []Key // insertion order of first appearance
+	set  PairSet
+	one  []*ASet           // by key position; nil when the antichain is in many
+	many map[int32][]*ASet // by key position: antichains of two or more sets
 }
 
 // NewQSet returns an empty set whose pairs are interned in u.
-func NewQSet(u *paths.Universe) *QSet { return &QSet{u: u} }
+func NewQSet(u *paths.Universe) *QSet { return &QSet{set: PairSet{u: u}} }
 
 // Add inserts q, reporting whether it survived subsumption (and thus
 // must be propagated).
@@ -139,17 +146,34 @@ func (s *QSet) AddCounted(q QPair) (added bool, dropped int) {
 	return s.addKey(KeyOf(q.P), q.A)
 }
 
+// addKey inserts the packed pair k under as. A surviving arrival goes
+// to the end of its pair's antichain, after the sets it did not
+// displace, so the antichain keeps arrival order.
 func (s *QSet) addKey(k Key, as *ASet) (added bool, dropped int) {
-	if s.m == nil {
-		s.m = make(map[Key][]*ASet)
+	pos, isNew := s.set.insert(k)
+	if isNew {
+		s.one = append(s.one, as)
+		return true, 0
 	}
-	sets, seen := s.m[k]
-	if !seen {
-		s.keys = append(s.keys, k)
+	if a := s.one[pos]; a != nil {
+		switch {
+		case a.SubsetOf(as):
+			return false, 0 // already holds under a weaker assumption
+		case as.SubsetOf(a):
+			s.one[pos] = as
+			return true, 1
+		}
+		if s.many == nil {
+			s.many = make(map[int32][]*ASet)
+		}
+		s.one[pos] = nil
+		s.many[int32(pos)] = []*ASet{a, as}
+		return true, 0
 	}
+	sets := s.many[int32(pos)]
 	for _, a := range sets {
 		if a.SubsetOf(as) {
-			return false, 0 // already holds under a weaker assumption
+			return false, 0
 		}
 	}
 	kept := sets[:0]
@@ -159,47 +183,65 @@ func (s *QSet) addKey(k Key, as *ASet) (added bool, dropped int) {
 		}
 	}
 	dropped = len(sets) - len(kept)
-	s.m[k] = append(kept, as)
+	if len(kept) == 0 {
+		delete(s.many, int32(pos))
+		s.one[pos] = as
+	} else {
+		s.many[int32(pos)] = append(kept, as)
+	}
 	return true, dropped
 }
 
 // Keys returns the distinct plain pairs, packed, in first-appearance
 // order. The caller must not mutate the slice.
-func (s *QSet) Keys() []Key { return s.keys }
+func (s *QSet) Keys() []Key { return s.set.keys }
 
 // Pairs returns the distinct plain pairs in first-appearance order.
-func (s *QSet) Pairs() []Pair {
-	var out []Pair
-	for _, k := range s.keys {
-		out = append(out, Decode(s.u, k))
-	}
-	return out
-}
+func (s *QSet) Pairs() []Pair { return s.set.List() }
 
 // Sets returns the antichain of assumption sets under which p holds.
-func (s *QSet) Sets(p Pair) []*ASet { return s.m[KeyOf(p)] }
+// The slice is valid until the next Add and must not be mutated. A
+// one-element antichain is a capacity-limited view of one, so even an
+// append cannot write into a neighbour.
+func (s *QSet) Sets(p Pair) []*ASet {
+	pos, ok := s.set.find(KeyOf(p))
+	switch {
+	case !ok:
+		return nil
+	case s.one[pos] != nil:
+		return s.one[pos : pos+1 : pos+1]
+	}
+	return s.many[int32(pos)]
+}
 
 // All returns every qualified pair currently stored, in deterministic
-// order.
-func (s *QSet) All() []QPair {
-	var out []QPair
-	for _, k := range s.keys {
-		p := Decode(s.u, k)
-		for _, a := range s.m[k] {
-			out = append(out, QPair{P: p, A: a})
+// order: pairs in first-appearance order, each pair's assumption sets
+// in antichain order.
+func (s *QSet) All() []QPair { return s.appendAll(nil) }
+
+// appendAll appends All's qualified pairs to dst.
+func (s *QSet) appendAll(dst []QPair) []QPair {
+	for pos, k := range s.set.keys {
+		p := Decode(s.set.u, k)
+		if a := s.one[pos]; a != nil {
+			dst = append(dst, QPair{P: p, A: a})
+			continue
+		}
+		for _, a := range s.many[int32(pos)] {
+			dst = append(dst, QPair{P: p, A: a})
 		}
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of stored qualified pairs.
 func (s *QSet) Len() int {
-	n := 0
-	for _, sets := range s.m {
+	n := len(s.set.keys) - len(s.many)
+	for _, sets := range s.many {
 		n += len(sets)
 	}
 	return n
 }
 
 // PairCount returns the number of distinct plain pairs.
-func (s *QSet) PairCount() int { return len(s.keys) }
+func (s *QSet) PairCount() int { return len(s.set.keys) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"aliaslab/internal/limits"
 	"aliaslab/internal/paths"
 	"aliaslab/internal/solver"
@@ -94,15 +96,23 @@ func (r *SensitiveResult) QPairs(o *vdg.Output) *QSet {
 }
 
 // Strip computes the ordinary points-to pairs on each output by removing
-// assumption sets and deduplicating (§4.1, final paragraph).
+// assumption sets and deduplicating (§4.1, final paragraph). A QSet's
+// plain pairs already are a PairSet, so each stripped set is a copy of
+// it: the keys in the same order, the index as built. The copies share
+// one key array, each capacity-limited to its own keys.
 func (r *SensitiveResult) Strip() map[*vdg.Output]*PairSet {
 	out := make(map[*vdg.Output]*PairSet, len(r.QSets))
+	n := 0
+	for _, qs := range r.QSets {
+		n += len(qs.set.keys)
+	}
+	sets := make([]PairSet, 0, len(r.QSets))
+	keys := make([]Key, 0, n)
 	for o, qs := range r.QSets {
-		ps := NewPairSet(r.Graph.Universe)
-		for _, k := range qs.Keys() {
-			ps.AddKey(k)
-		}
-		out[o] = ps
+		l := len(keys)
+		keys = append(keys, qs.set.keys...)
+		sets = append(sets, PairSet{u: r.Graph.Universe, keys: keys[l:len(keys):len(keys)], index: slices.Clone(qs.set.index)})
+		out[o] = &sets[len(sets)-1]
 	}
 	return out
 }
@@ -116,12 +126,22 @@ type qItem struct {
 }
 
 // retEntry is one qualified pair at a function's return sink, tagged
-// with which return input (store or value) it arrived on.
+// with which return input (store or value) it arrived on. Entries
+// filed under one (formal, pair) need form a list in arrival order,
+// linked through next (an index into sensitive.retEntries, -1 ends it).
 type retEntry struct {
 	q       QPair
 	isStore bool
+	next    int32
 }
 
+// retList is one need's entry list: the first and last entry indices.
+type retList struct{ first, last int32 }
+
+// sensitive is the analysis state of one context-sensitive solve. Like
+// the CI solver it keeps its tables by dense ID: qsets by Output.ID
+// (SensitiveResult.QSets is built from it at the end), the CI facts by
+// Node.ID, retNeeds by the formal's Output.ID.
 type sensitive struct {
 	g    *vdg.Graph
 	res  *SensitiveResult
@@ -134,9 +154,18 @@ type sensitive struct {
 	eng *solver.Engine[qItem]
 	st  *solver.Stats
 
-	// CI-derived node facts for the optimizations.
-	singleLoc map[*vdg.Node]bool          // lookup/update references ≤1 location
-	ciLocRefs map[*vdg.Node][]*paths.Path // CI location referents per update
+	qsets []*QSet
+
+	// Chunks the qsets come from (see newQSet): unused sets, and the
+	// key and antichain arrays their first qsetCap pairs are carved
+	// from.
+	qslab   []QSet
+	keySlab []Key
+	oneSlab []*ASet
+
+	// CI-derived node facts for the optimizations, nil without CI.
+	singleLoc []bool          // lookup/update references ≤1 location
+	ciLocRefs [][]*paths.Path // CI location referents per lookup/update
 
 	// retNeeds indexes the qualified pairs at each function's return
 	// sink by the (formal, pair) assumptions they carry, so that a new
@@ -144,7 +173,14 @@ type sensitive struct {
 	// the return pairs whose assumptions it can newly satisfy (instead
 	// of re-running every return pair, which dominates the running time
 	// on recursion-heavy programs).
-	retNeeds map[*vdg.Output]map[Key][]retEntry
+	retNeeds   []map[Key]retList
+	retEntries []retEntry
+
+	// Scratch reused across transfer functions: snap holds the
+	// qpairsAt snapshot (no caller nests two), combos and spare the
+	// assumption-set products of propagateReturn.
+	snap          []QPair
+	combos, spare []*ASet
 }
 
 // AnalyzeSensitive runs the maximally context-sensitive analysis of
@@ -156,7 +192,6 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		g: g,
 		res: &SensitiveResult{
 			Graph:   g,
-			QSets:   make(map[*vdg.Output]*QSet),
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
@@ -164,22 +199,13 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		opts:           opts,
 		maxAssumptions: opts.effectiveMaxAssumptions(),
 		eng:            solver.New(engineConfig(g, opts.Strategy, opts.Budget, opts.MaxSteps, func(it qItem) int { return it.in })),
-		retNeeds:       make(map[*vdg.Output]map[Key][]retEntry),
+		qsets:          make([]*QSet, g.OutputIDs()),
+		retNeeds:       make([]map[Key]retList, g.OutputIDs()),
 	}
 	a.st = a.eng.Stats()
 	a.res.Widened = a.maxAssumptions > 0
 	if opts.CI != nil {
-		a.singleLoc = make(map[*vdg.Node]bool)
-		a.ciLocRefs = make(map[*vdg.Node][]*paths.Path)
-		for _, fg := range g.Funcs {
-			for _, n := range fg.Nodes {
-				if n.Kind == vdg.KLookup || n.Kind == vdg.KUpdate {
-					refs := opts.CI.LocReferents(n)
-					a.singleLoc[n] = len(refs) <= 1
-					a.ciLocRefs[n] = refs
-				}
-			}
-		}
+		a.ciFacts(opts.CI)
 	}
 
 	empty := g.Universe.Empty()
@@ -195,11 +221,52 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 	out := a.eng.Run(func(it qItem) {
 		a.flowIn(g.Input(it.in), QPair{P: Decode(u, it.key), A: it.a})
 	})
+	n := 0
+	for _, s := range a.qsets {
+		if s != nil {
+			n++
+		}
+	}
+	a.res.QSets = make(map[*vdg.Output]*QSet, n)
+	g.Outputs(func(o *vdg.Output) {
+		if s := a.qsets[o.ID]; s != nil {
+			a.res.QSets[o] = s
+		}
+	})
 	a.res.Aborted = out.Aborted
 	a.res.Stopped = out.Stopped
 	a.res.Engine = *a.st
 	a.res.Metrics = metricsFrom(a.st)
 	return a.res
+}
+
+// ciFacts records, per lookup and update node, the CI location
+// referents (the ε-path referents of its location input) and whether
+// there is at most one. The referent lists share one backing array.
+func (a *sensitive) ciFacts(ci *Result) {
+	u := a.g.Universe
+	a.singleLoc = make([]bool, a.g.NodeIDs())
+	a.ciLocRefs = make([][]*paths.Path, a.g.NodeIDs())
+	var refs []*paths.Path
+	for _, fg := range a.g.Funcs {
+		for _, n := range fg.Nodes {
+			if n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate {
+				continue
+			}
+			l := len(refs)
+			if s := ci.Sets[n.Loc()]; s != nil {
+				for _, k := range s.keys {
+					if k.EmptyPath() {
+						refs = append(refs, u.ByID(k.RefID()))
+					}
+				}
+			}
+			a.singleLoc[n.ID] = len(refs)-l <= 1
+			if len(refs) > l {
+				a.ciLocRefs[n.ID] = refs[l:len(refs):len(refs)]
+			}
+		}
+	}
 }
 
 // bound enforces the widening threshold by truncating oversized sets
@@ -216,10 +283,10 @@ func (a *sensitive) bound(s *ASet) *ASet {
 func (a *sensitive) flowOut(out *vdg.Output, q QPair) {
 	a.st.Meets++
 	q.A = a.bound(q.A)
-	s, ok := a.res.QSets[out]
-	if !ok {
-		s = NewQSet(a.g.Universe)
-		a.res.QSets[out] = s
+	s := a.qsets[out.ID]
+	if s == nil {
+		s = a.newQSet()
+		a.qsets[out.ID] = s
 	}
 	k := KeyOf(q.P)
 	added, dropped := s.addKey(k, q.A)
@@ -234,11 +301,36 @@ func (a *sensitive) flowOut(out *vdg.Output, q QPair) {
 	}
 }
 
-func (a *sensitive) qpairsAt(src *vdg.Output) []QPair {
-	if s, ok := a.res.QSets[src]; ok {
-		return s.All()
+// qsetChunk is the number of sets in one chunk of newQSet, and
+// qsetCap the number of pairs each holds before its first allocation
+// (most outputs end the solve with at most four).
+const qsetChunk, qsetCap = 64, 4
+
+// newQSet hands out an empty set from the solver's chunks. Its key and
+// antichain slices are capacity-limited carves, so the append that
+// outgrows one copies out instead of writing into the next set's.
+func (a *sensitive) newQSet() *QSet {
+	if len(a.qslab) == 0 {
+		a.qslab = make([]QSet, qsetChunk)
+		a.keySlab = make([]Key, qsetChunk*qsetCap)
+		a.oneSlab = make([]*ASet, qsetChunk*qsetCap)
 	}
-	return nil
+	s := &a.qslab[0]
+	s.set.u = a.g.Universe
+	s.set.keys = a.keySlab[:0:qsetCap]
+	s.one = a.oneSlab[:0:qsetCap]
+	a.qslab, a.keySlab, a.oneSlab = a.qslab[1:], a.keySlab[qsetCap:], a.oneSlab[qsetCap:]
+	return s
+}
+
+// qpairsAt snapshots the qualified pairs on src into the solver's
+// snapshot buffer, which the next call overwrites.
+func (a *sensitive) qpairsAt(src *vdg.Output) []QPair {
+	a.snap = a.snap[:0]
+	if s := a.qsets[src.ID]; s != nil {
+		a.snap = s.appendAll(a.snap)
+	}
+	return a.snap
 }
 
 func (a *sensitive) flowIn(in *vdg.Input, q QPair) {
@@ -294,7 +386,7 @@ func (a *sensitive) flowIn(in *vdg.Input, q QPair) {
 // proved the operation references a single location, the location is
 // context-invariant and its assumptions need not be tracked.
 func (a *sensitive) locAssumptions(n *vdg.Node, al *ASet) *ASet {
-	if a.singleLoc != nil && a.singleLoc[n] {
+	if a.singleLoc != nil && a.singleLoc[n.ID] {
 		return a.at.EmptySet()
 	}
 	return al
@@ -341,7 +433,7 @@ func (a *sensitive) ciUnmodifiable(n *vdg.Node, p *paths.Path) bool {
 	if a.ciLocRefs == nil {
 		return false
 	}
-	refs := a.ciLocRefs[n]
+	refs := a.ciLocRefs[n.ID]
 	if len(refs) == 0 {
 		// A CI-dead update: no referent ever reaches its location input,
 		// so the CI analysis (and the exact CS analysis) block every
@@ -476,11 +568,12 @@ func (a *sensitive) reproplicateReturns(n *vdg.Node, callee *vdg.FuncGraph) {
 // the return pairs that carry an assumption (formal, pair) — the ones a
 // new actual pair can newly satisfy.
 func (a *sensitive) retriggerReturns(n *vdg.Node, formal *vdg.Output, pair Pair) {
-	byPair := a.retNeeds[formal]
-	if byPair == nil {
+	l, ok := a.retNeeds[formal.ID][KeyOf(pair)]
+	if !ok {
 		return
 	}
-	for _, e := range byPair[KeyOf(pair)] {
+	for i := l.first; i >= 0; i = a.retEntries[i].next {
+		e := a.retEntries[i]
 		if e.isStore {
 			a.propagateReturn(n, vdg.CallStoreOut(n), e.q)
 		} else if res := vdg.CallResultOut(n); res != nil {
@@ -493,13 +586,20 @@ func (a *sensitive) retriggerReturns(n *vdg.Node, formal *vdg.Output, pair Pair)
 // carries.
 func (a *sensitive) indexReturn(q QPair, isStore bool) {
 	for _, asm := range q.A.Elems {
-		byPair := a.retNeeds[asm.Formal]
+		byPair := a.retNeeds[asm.Formal.ID]
 		if byPair == nil {
-			byPair = make(map[Key][]retEntry)
-			a.retNeeds[asm.Formal] = byPair
+			byPair = make(map[Key]retList)
+			a.retNeeds[asm.Formal.ID] = byPair
 		}
+		i := int32(len(a.retEntries))
+		a.retEntries = append(a.retEntries, retEntry{q: q, isStore: isStore, next: -1})
 		k := KeyOf(asm.P)
-		byPair[k] = append(byPair[k], retEntry{q: q, isStore: isStore})
+		if l, ok := byPair[k]; ok {
+			a.retEntries[l.last].next = i
+			byPair[k] = retList{l.first, i}
+		} else {
+			byPair[k] = retList{i, i}
+		}
 	}
 }
 
@@ -547,27 +647,28 @@ func (a *sensitive) returnFlow(n *vdg.Node, in *vdg.Input, q QPair) {
 // site; the Cartesian product of those collections yields every caller
 // assumption set sufficient to satisfy the callee's assumptions.
 func (a *sensitive) propagateReturn(call *vdg.Node, target *vdg.Output, q QPair) {
-	combos := []*ASet{a.at.EmptySet()}
+	combos, spare := append(a.combos[:0], a.at.EmptySet()), a.spare[:0]
+	defer func() { a.combos, a.spare = combos, spare }()
 	for _, asm := range q.A.Elems {
 		src := a.actualFor(call, asm.Formal)
 		if src == nil {
 			return // arity mismatch: unsatisfiable at this site
 		}
-		qs, ok := a.res.QSets[src]
-		if !ok {
+		qs := a.qsets[src.ID]
+		if qs == nil {
 			return
 		}
 		sets := qs.Sets(asm.P)
 		if len(sets) == 0 {
 			return // the assumed pair does not hold at this call site
 		}
-		next := make([]*ASet, 0, len(combos)*len(sets))
+		spare = spare[:0]
 		for _, c := range combos {
 			for _, s := range sets {
-				next = append(next, a.at.Union(c, s))
+				spare = append(spare, a.at.Union(c, s))
 			}
 		}
-		combos = next
+		combos, spare = spare, combos
 	}
 	for _, c := range combos {
 		a.flowOut(target, QPair{P: q.P, A: c})

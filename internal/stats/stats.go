@@ -185,7 +185,7 @@ func CountIndirect(g *vdg.Graph, sets map[*vdg.Output]*core.PairSet) IndirectOps
 			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
 				continue
 			}
-			refs := len(referentKeys(sets[n.Loc()]))
+			refs := referentCount(sets[n.Loc()])
 			if n.Kind == vdg.KLookup {
 				io.Reads.add(refs)
 			} else {
@@ -206,36 +206,45 @@ func IndirectDiff(g *vdg.Graph, a, b map[*vdg.Output]*core.PairSet) []*vdg.Node 
 			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
 				continue
 			}
-			ra := referentKeys(a[n.Loc()])
-			sb := b[n.Loc()]
-			if len(ra) != len(referentKeys(sb)) {
+			if !sameReferents(a[n.Loc()], b[n.Loc()]) {
 				diff = append(diff, n)
-				continue
-			}
-			for _, k := range ra {
-				if !sb.HasKey(k) {
-					diff = append(diff, n)
-					break
-				}
 			}
 		}
 	}
 	return diff
 }
 
-// referentKeys returns the ε-path pairs of s, packed: one per
-// referent, since pairs are distinct.
-func referentKeys(s *core.PairSet) []core.Key {
+// referentCount returns the number of ε-path pairs of s (nil: none),
+// one per referent, since pairs are distinct.
+func referentCount(s *core.PairSet) int {
 	if s == nil {
-		return nil
+		return 0
 	}
-	var out []core.Key
+	n := 0
 	for _, k := range s.Keys() {
 		if k.EmptyPath() {
-			out = append(out, k)
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// sameReferents reports whether a and b (either may be nil) have the
+// same ε-path pairs: as many of them, and each of a's in b.
+func sameReferents(a, b *core.PairSet) bool {
+	n := referentCount(a)
+	if n != referentCount(b) {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	for _, k := range a.Keys() {
+		if k.EmptyPath() && !b.HasKey(k) {
+			return false
+		}
+	}
+	return true
 }
 
 // Spurious computes the pairs found by CI but not by CS, per output

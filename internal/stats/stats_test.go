@@ -178,6 +178,80 @@ int main(void) {
 	}
 }
 
+// TestIndirectDiffSets drives IndirectDiff on one indirect read, *p,
+// with hand-built location sets: an operation differs exactly when the
+// two solutions' ε-path referents differ as sets. Order, nil versus
+// empty, and offset pairs do not count.
+func TestIndirectDiffSets(t *testing.T) {
+	u := load(t, `
+int a, b;
+int *p;
+int main(void) {
+	int t;
+	t = 1;
+	p = &a;
+	if (t) {
+		p = &b;
+	}
+	return *p;
+}
+`)
+	g := u.Graph
+	var loc *vdg.Output
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			if n.Kind == vdg.KLookup && n.Indirect {
+				loc = n.Loc()
+			}
+		}
+	}
+	ref := core.AnalyzeInsensitive(g).Sets[loc]
+	if ref == nil || ref.Len() != 2 {
+		t.Fatalf("*p must read two referents under CI, got %v", ref)
+	}
+	ra, rb := ref.List()[0], ref.List()[1]
+	offset := core.Pair{Path: g.Universe.Field(g.Universe.Empty(), "f"), Ref: rb.Ref}
+	set := func(ps ...core.Pair) *core.PairSet {
+		s := core.NewPairSet(g.Universe)
+		for _, p := range ps {
+			s.Add(p)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		a, b *core.PairSet
+		diff bool
+	}{
+		{"nil/nil", nil, nil, false},
+		{"empty/nil", set(), nil, false},
+		{"nil/empty", nil, set(), false},
+		{"equal in another order", set(ra, rb), set(rb, ra), false},
+		{"offset pairs ignored", set(ra, offset), set(ra), false},
+		{"subset", set(ra), set(ra, rb), true},
+		{"superset", set(ra, rb), set(rb), true},
+		{"disjoint", set(ra), set(rb), true},
+		{"nil/nonempty", nil, set(ra), true},
+		{"nonempty/empty", set(rb), set(), true},
+	} {
+		a := map[*vdg.Output]*core.PairSet{}
+		b := map[*vdg.Output]*core.PairSet{}
+		if c.a != nil {
+			a[loc] = c.a
+		}
+		if c.b != nil {
+			b[loc] = c.b
+		}
+		if got := len(stats.IndirectDiff(g, a, b)) == 1; got != c.diff {
+			t.Errorf("%s: differs = %v, want %v", c.name, got, c.diff)
+		}
+		// Comparing allocates nothing; only a difference is recorded.
+		if n := testing.AllocsPerRun(5, func() { stats.IndirectDiff(g, a, b) }); !c.diff && n != 0 {
+			t.Errorf("%s: %.0f allocations comparing equal referent sets", c.name, n)
+		}
+	}
+}
+
 func TestTypeMatrix(t *testing.T) {
 	u := load(t, sample)
 	res := core.AnalyzeInsensitive(u.Graph)

@@ -131,8 +131,8 @@ func TestBuildAllocsPerNode(t *testing.T) {
 	for _, o := range layoutOptions[:2] {
 		var g *vdg.Graph
 		allocs := testing.AllocsPerRun(5, func() { g, _ = vdg.Build(prog, o.opts) })
-		perNode := allocs / float64(vdg.CreatedNodes(g))
-		t.Logf("%s: %.0f allocations for %d created nodes (%.2f per node)", o.name, allocs, vdg.CreatedNodes(g), perNode)
+		perNode := allocs / float64(g.NodeIDs())
+		t.Logf("%s: %.0f allocations for %d created nodes (%.2f per node)", o.name, allocs, g.NodeIDs(), perNode)
 		if perNode > maxPerNode {
 			t.Errorf("%s: %.2f allocations per created node, want at most %d", o.name, perNode, maxPerNode)
 		}

@@ -372,6 +372,10 @@ func (g *Graph) Outputs(f func(*Output)) {
 	}
 }
 
+// NodeIDs returns one past the largest Node.ID ever assigned, dead
+// nodes included: the length of a table indexed by node ID.
+func (g *Graph) NodeIDs() int { return g.nextNodeID }
+
 // OutputIDs returns one past the largest Output.ID ever assigned, the
 // length of a table indexed by output ID.
 func (g *Graph) OutputIDs() int { return g.nextOutputID }
