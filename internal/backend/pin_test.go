@@ -18,6 +18,7 @@ import (
 	"aliaslab/internal/corpusgen"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/experiments"
+	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -94,6 +95,14 @@ func (d digest) sum() string { return hex.EncodeToString(d.h.Sum(nil))[:16] }
 
 func (d digest) key(k core.Key) { d.f("(%d,%d)", k.PathID(), k.RefID()) }
 
+// stats renders every solver counter by name, so the digest follows the
+// counters' values and not the shape of the Stats type.
+func (d digest) stats(st solver.Stats) {
+	d.f("steps=%d meets=%d inserts=%d subsume-hits=%d subsume-drops=%d enqueued=%d peak=%d depth-sum=%d constraints=%d edges=%d sccs=%d unions=%d",
+		st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth, st.DepthSum,
+		st.Constraints, st.EdgesAdded, st.SCCsCollapsed, st.Unions)
+}
+
 func (d digest) callees(g *vdg.Graph, callees map[*vdg.Node][]*vdg.FuncGraph) {
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {
@@ -109,7 +118,8 @@ func (d digest) callees(g *vdg.Graph, callees map[*vdg.Node][]*vdg.FuncGraph) {
 // in key order, and the call graph.
 func digestSensitive(g *vdg.Graph, res *core.SensitiveResult) string {
 	d := newDigest()
-	d.f("stats %+v aborted=%v\n", res.Engine, res.Aborted)
+	d.stats(res.Engine)
+	d.f(" aborted=%v\n", res.Aborted)
 	stripped := res.Strip()
 	g.Outputs(func(o *vdg.Output) {
 		qs, ok := res.QSets[o]
@@ -140,7 +150,8 @@ func digestSensitive(g *vdg.Graph, res *core.SensitiveResult) string {
 // Keys order, and the call graph.
 func digestBackend(g *vdg.Graph, res *core.Result) string {
 	d := newDigest()
-	d.f("stats %+v stopped=%v\n", res.Engine, res.Stopped != nil)
+	d.stats(res.Engine)
+	d.f(" stopped=%v\n", res.Stopped != nil)
 	g.Outputs(func(o *vdg.Output) {
 		s, ok := res.Sets[o]
 		if !ok {
