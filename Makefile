@@ -48,6 +48,9 @@ bench:
 # empty even when the base ref lacks the Solve*/PairSetReferents ones.
 # It covers every solver that stores pairs in core.PairSet: CI (corpus
 # and the store-heavy generated units), CS, Andersen and Steensgaard;
+# SolveCI and SolveCS are single benchmarks on the one FIFO engine (a
+# base ref older than that reports them as per-strategy sub-benchmarks
+# such as SolveCI/fifo, which benchstat does not pair with SolveCI);
 # SolvePopulationTail times CS, Andersen and Steensgaard on the
 # generated units with the most Steensgaard meets and reports the
 # Steensgaard/Andersen time ratio there; and FrontEnd times each

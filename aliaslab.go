@@ -158,28 +158,8 @@ type Result struct {
 	Engine EngineStats
 }
 
-// Engine selects the solver engine configuration of an analysis run.
-// The zero value is the default engine (FIFO worklist).
-type Engine struct {
-	// Worklist is the worklist strategy: "" or "fifo" (the default),
-	// "lifo", or "priority". Every strategy reaches the same fixpoint;
-	// only the visit order (and the order-dependent counters) changes.
-	Worklist string
-}
-
-func (e Engine) strategy() (solver.Strategy, error) {
-	s, err := solver.ParseStrategy(e.Worklist)
-	if err != nil {
-		return solver.FIFO, fmt.Errorf("aliaslab: %w", err)
-	}
-	return s, nil
-}
-
-// EngineStats reports one engine run's work counters. Steps and
-// PairInserts are strategy-independent on converged runs; Meets, the
-// subsumption counters, and PeakDepth depend on the visit order.
+// EngineStats reports one engine run's work counters.
 type EngineStats struct {
-	Worklist     string
 	Steps        int
 	Meets        int
 	PairInserts  int
@@ -197,7 +177,6 @@ type EngineStats struct {
 
 func engineStats(st solver.Stats) EngineStats {
 	return EngineStats{
-		Worklist:      st.Strategy.String(),
 		Steps:         st.Steps,
 		Meets:         st.Meets,
 		PairInserts:   st.PairInserts,
@@ -246,18 +225,8 @@ func (l Limits) budget(ctx context.Context) (limits.Budget, context.CancelFunc) 
 
 // Analyze runs the context-insensitive analysis (paper Figure 1).
 func (p *Program) Analyze() (*Result, error) {
-	return p.AnalyzeWithEngine(Engine{})
-}
-
-// AnalyzeWithEngine is Analyze on an explicitly configured solver
-// engine.
-func (p *Program) AnalyzeWithEngine(eng Engine) (*Result, error) {
-	strategy, err := eng.strategy()
-	if err != nil {
-		return nil, err
-	}
 	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, limits.Budget{}, strategy)
+	ci := core.AnalyzeInsensitive(p.unit.Graph)
 	core.AttachEngine(sp, ci.Engine)
 	return &Result{
 		prog: p, ci: ci, sets: ci.Sets, label: "context-insensitive",
@@ -286,25 +255,20 @@ func Backends() []string {
 // its steps), "andersen" for the inclusion-constraint solver, and
 // "steensgaard" for the unification solver. The flow-insensitive
 // backends produce full CI-shaped results, so ModRef and CallGraph work
-// on them. Steensgaard has no worklist to schedule — a non-empty
-// Engine.Worklist is rejected rather than silently ignored.
-func (p *Program) AnalyzeWithBackend(name string, eng Engine) (*Result, error) {
+// on them.
+func (p *Program) AnalyzeWithBackend(name string) (*Result, error) {
 	kind, err := backend.ParseKind(name)
 	if err != nil {
 		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
 	switch kind {
 	case backend.CI:
-		return p.AnalyzeWithEngine(eng)
+		return p.Analyze()
 	case backend.CS:
-		return p.AnalyzeContextSensitiveWithEngine(0, eng)
+		return p.AnalyzeContextSensitive(0)
 	case backend.Andersen:
-		strategy, err := eng.strategy()
-		if err != nil {
-			return nil, err
-		}
 		sp := p.span("solve-andersen")
-		res := andersen.AnalyzeEngine(p.unit.Graph, limits.Budget{}, strategy)
+		res := andersen.Analyze(p.unit.Graph)
 		core.AttachEngine(sp, res.Engine)
 		return &Result{
 			prog: p, ci: res, sets: res.Sets, label: "andersen (inclusion-based)",
@@ -312,9 +276,6 @@ func (p *Program) AnalyzeWithBackend(name string, eng Engine) (*Result, error) {
 			Engine: engineStats(res.Engine),
 		}, nil
 	default: // backend.Steensgaard
-		if err := backend.ValidateWorklist(kind, eng.Worklist); err != nil {
-			return nil, fmt.Errorf("aliaslab: %w", err)
-		}
 		sp := p.span("solve-steensgaard")
 		res := steensgaard.Analyze(p.unit.Graph)
 		core.AttachEngine(sp, res.Engine)
@@ -331,21 +292,11 @@ func (p *Program) AnalyzeWithBackend(name string, eng Engine) (*Result, error) {
 // sets. maxSteps bounds the work (0 = unlimited); the analysis is
 // exponential in the worst case.
 func (p *Program) AnalyzeContextSensitive(maxSteps int) (*Result, error) {
-	return p.AnalyzeContextSensitiveWithEngine(maxSteps, Engine{})
-}
-
-// AnalyzeContextSensitiveWithEngine is AnalyzeContextSensitive on an
-// explicitly configured solver engine.
-func (p *Program) AnalyzeContextSensitiveWithEngine(maxSteps int, eng Engine) (*Result, error) {
-	strategy, err := eng.strategy()
-	if err != nil {
-		return nil, err
-	}
 	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitiveEngine(p.unit.Graph, limits.Budget{}, strategy)
+	ci := core.AnalyzeInsensitive(p.unit.Graph)
 	core.AttachEngine(sp, ci.Engine)
 	sp = p.span("solve-cs")
-	cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, MaxSteps: maxSteps, Strategy: strategy})
+	cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, MaxSteps: maxSteps})
 	core.AttachEngine(sp, cs.Engine)
 	if cs.Aborted {
 		return nil, fmt.Errorf("aliaslab: context-sensitive analysis exceeded %d steps", maxSteps)

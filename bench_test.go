@@ -26,11 +26,9 @@ import (
 	"aliaslab/internal/driver"
 	"aliaslab/internal/experiments"
 	"aliaslab/internal/lexer"
-	"aliaslab/internal/limits"
 	"aliaslab/internal/modref"
 	"aliaslab/internal/parser"
 	"aliaslab/internal/sema"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/token"
 	"aliaslab/internal/vdg"
@@ -215,24 +213,18 @@ func BenchmarkSensitivePerProgram(b *testing.B) {
 
 // BenchmarkSolveCI and BenchmarkSolveCS are the solve microbenchmarks
 // bench-compare tracks: the fixpoint loops alone (VDG construction held
-// outside the timer) over the whole corpus, one sub-benchmark per
-// worklist strategy. The fifo variants are the reference the dense
-// pair domain must not regress.
+// outside the timer) over the whole corpus.
 func BenchmarkSolveCI(b *testing.B) {
 	units := loadAll(b, vdg.Options{})
-	for _, s := range solver.Strategies() {
-		b.Run(s.String(), func(b *testing.B) {
-			var pairs int
-			for i := 0; i < b.N; i++ {
-				pairs = 0
-				for _, u := range units {
-					res := core.AnalyzeInsensitiveEngine(u.Graph, limits.Budget{}, s)
-					pairs += res.Engine.PairInserts
-				}
-			}
-			b.ReportMetric(float64(pairs), "pair-inserts")
-		})
+	b.ResetTimer()
+	var pairs int
+	for i := 0; i < b.N; i++ {
+		pairs = 0
+		for _, u := range units {
+			pairs += core.AnalyzeInsensitive(u.Graph).Engine.PairInserts
+		}
 	}
+	b.ReportMetric(float64(pairs), "pair-inserts")
 }
 
 // BenchmarkSolveCIStoreHeavy times the CI solve on the units where the
@@ -273,19 +265,14 @@ func BenchmarkSolveCS(b *testing.B) {
 	for _, u := range units {
 		cis = append(cis, core.AnalyzeInsensitive(u.Graph))
 	}
-	for _, s := range solver.Strategies() {
-		b.Run(s.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j, u := range units {
-					cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{
-						CI: cis[j], MaxSteps: experiments.MaxCSSteps, Strategy: s,
-					})
-					if cs.Aborted {
-						b.Fatal("aborted")
-					}
-				}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, u := range units {
+			cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: cis[j], MaxSteps: experiments.MaxCSSteps})
+			if cs.Aborted {
+				b.Fatal("aborted")
 			}
-		})
+		}
 	}
 }
 

@@ -18,10 +18,7 @@
 // solving only the demand slice that can influence the queried
 // expressions instead of the whole-program fixpoint (same -format
 // text|json switch; answers are byte-identical to the exhaustive
-// solve's). The solver's worklist discipline is swappable (-worklist
-// fifo|lifo|priority — every strategy reaches the same fixpoint;
-// steensgaard has no worklist and rejects the flag) and -stats prints
-// the engine's work counters on stderr.
+// solve's). -stats prints the solver engine's work counters on stderr.
 //
 // With several files, each is an independent translation unit: units
 // analyze concurrently on a bounded worker pool (-jobs, default
@@ -81,7 +78,6 @@ type config struct {
 	format   string
 	query    string
 	budget   limits.Budget
-	strategy solver.Strategy
 	stats    bool
 
 	// span is the unit's trace span (nil when untraced); analyzeUnit
@@ -108,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&maxSteps, "maxsteps", 50_000_000, "alias for -max-steps")
 	maxPairs := fs.Int("max-pairs", 0, "cap on materialized points-to pairs per attempt (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole analysis, e.g. 30s (0 = none)")
-	worklist := fs.String("worklist", "", "solver worklist strategy: fifo (default), lifo, or priority")
 	statsFlag := fs.Bool("stats", false, "print solver engine counters to stderr after each analysis")
 	vet := fs.Bool("vet", false, "run the pointer-bug checkers instead of printing analysis results")
 	checkersFlag := fs.String("checkers", "", "comma-separated checker IDs for -vet (default: all; see -vet -checkers help)")
@@ -119,12 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile (with per-phase pprof labels) to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	strategy, err := solver.ParseStrategy(*worklist)
-	if err != nil {
-		fmt.Fprintln(stderr, "aliaslab:", err)
 		return 2
 	}
 
@@ -148,15 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		*analysis = kind.String()
-	}
-	// Backend/worklist compatibility is validated in one typed place
-	// (internal/backend) shared with the facade and the server, so every
-	// entry point rejects the combination identically.
-	if kind, err := backend.ParseKind(*analysis); err == nil {
-		if err := backend.ValidateWorklist(kind, *worklist); err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 2
-		}
 	}
 
 	// Demand queries solve the ci analysis on a slice; mixing them with
@@ -228,7 +208,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format:   *format,
 		query:    *queryFlag,
 		budget:   budget,
-		strategy: strategy,
 		stats:    *statsFlag,
 	}
 
@@ -374,7 +353,6 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
 			Budget:    cfg.budget,
 			Sensitive: cfg.analysis == "cs",
-			Strategy:  cfg.strategy,
 			Span:      cfg.span,
 		})
 		ci, sets = gr.CI, gr.Sets
@@ -402,7 +380,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		sp := cfg.span.Child("solve-" + cfg.analysis)
 		var res *core.Result
 		if cfg.analysis == "andersen" {
-			res = andersen.AnalyzeEngine(u.Graph, cfg.budget, cfg.strategy)
+			res = andersen.AnalyzeBudgeted(u.Graph, cfg.budget)
 			label = "andersen (inclusion-based)"
 		} else {
 			res = steensgaard.AnalyzeBudgeted(u.Graph, cfg.budget)
@@ -420,7 +398,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		}
 	case "baseline":
 		sp := cfg.span.Child("solve-ci")
-		ci = core.AnalyzeInsensitiveEngine(u.Graph, limits.Budget{}, cfg.strategy)
+		ci = core.AnalyzeInsensitive(u.Graph)
 		core.AttachEngine(sp, ci.Engine)
 		sp = cfg.span.Child("solve-baseline")
 		// The Weihl baseline (one program-wide store, no kills) computes
@@ -502,11 +480,11 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	switch cfg.analysis {
 	case "ci":
 		sp := cfg.span.Child("solve-ci")
-		res = core.AnalyzeInsensitiveEngine(u.Graph, cfg.budget, cfg.strategy)
+		res = core.AnalyzeInsensitiveBudgeted(u.Graph, cfg.budget)
 		core.AttachEngine(sp, res.Engine)
 	case "andersen":
 		sp := cfg.span.Child("solve-andersen")
-		res = andersen.AnalyzeEngine(u.Graph, cfg.budget, cfg.strategy)
+		res = andersen.AnalyzeBudgeted(u.Graph, cfg.budget)
 		core.AttachEngine(sp, res.Engine)
 	case "steensgaard":
 		sp := cfg.span.Child("solve-steensgaard")
@@ -565,7 +543,7 @@ func runQuery(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "aliaslab:", err)
 		return 2
 	}
-	e := query.New(u.Graph, query.Options{Budget: cfg.budget, Strategy: cfg.strategy})
+	e := query.New(u.Graph, query.Options{Budget: cfg.budget})
 	answers := make([]query.Answer, 0, len(qs))
 	degraded := false
 	for _, q := range qs {
@@ -629,8 +607,8 @@ func renderAnswer(a query.Answer) string {
 // printEngineStats renders one analysis run's solver counters on
 // stderr (it is diagnostics, not part of the result rendering).
 func printEngineStats(w io.Writer, analysis string, st solver.Stats) {
-	fmt.Fprintf(w, "aliaslab: %s engine [%s]: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
-		analysis, st.Strategy, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
+	fmt.Fprintf(w, "aliaslab: %s engine: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
+		analysis, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
 	if st.Constraints > 0 {
 		// Constraint-backend runs carry their own counters; CI/CS lines
 		// stay byte-identical to the pre-backend output.

@@ -229,8 +229,8 @@ func TestBackendGolden(t *testing.T) {
 
 // TestBackendErrors: the backend flag fails loudly — unknown names get
 // the usage message, conflicting selectors are rejected, and options
-// that cannot apply to a backend are an error rather than silently
-// ignored.
+// that do not exist or cannot apply to a backend are an error rather
+// than silently ignored.
 func TestBackendErrors(t *testing.T) {
 	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "anderson"); code != 2 ||
 		!strings.Contains(stderr, `unknown backend "anderson"`) ||
@@ -241,9 +241,10 @@ func TestBackendErrors(t *testing.T) {
 		!strings.Contains(stderr, "conflicts") {
 		t.Errorf("backend/analysis conflict: exit %d, stderr %q", code, stderr)
 	}
+	// The worklist-order flag is gone: the solver has one FIFO queue.
 	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "steensgaard", "-worklist", "lifo"); code != 2 ||
-		!strings.Contains(stderr, "no worklist to schedule") {
-		t.Errorf("steensgaard -worklist: exit %d, stderr %q", code, stderr)
+		!strings.Contains(stderr, "flag provided but not defined: -worklist") {
+		t.Errorf("-worklist: exit %d, stderr %q", code, stderr)
 	}
 	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "cs", "-vet"); code != 2 ||
 		!strings.Contains(stderr, "-vet runs on the ci, andersen, or steensgaard backend") {

@@ -6,7 +6,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/analyze   {"source"|"corpus", "backend", "worklist"}
+//	POST /v1/analyze   {"source"|"corpus", "backend"}
 //	POST /v1/vet       {"source"|"corpus", "backend", "checkers"}
 //	POST /v1/query     {"source"|"corpus", "queries"}
 //	GET  /v1/corpus    list the embedded benchmark programs

@@ -12,8 +12,8 @@
 // The stream on stdout pipes into `experiments -population`. Output is
 // a pure function of (-seed, -n): byte-identical on any machine, at any
 // -jobs width. -check runs every theorem invariant (CS ⊆ CI ⊆ Andersen
-// ⊆ Steensgaard, the widening lattice, governed-full, worklist-strategy
-// confluence) on every generated unit, plus a batch-determinism probe
+// ⊆ Steensgaard, the widening lattice, governed-full) on every
+// generated unit, plus a batch-determinism probe
 // (the population JSON at -jobs 1 versus the requested width); a
 // failing unit is greedily shrunk to a minimal reproducer, written as
 // both a .c file and a Go fuzz corpus entry, and flips the exit status

@@ -9,7 +9,6 @@
 //	experiments -json        # machine-readable summary (deterministic)
 //	experiments -jobs 8      # analyze corpus units on 8 workers
 //	experiments -timing      # per-unit wall times + parallel speedup
-//	experiments -worklist lifo   # solver worklist: fifo (default), lifo, priority
 //	experiments -backend frontier    # four-way precision/cost frontier table
 //	experiments -backend andersen    # also solve each unit with one constraint backend
 //	experiments -queries     # demand-query sweep per unit + demand-vs-exhaustive table
@@ -28,8 +27,8 @@
 // every figure and the JSON summary are byte-identical at any -jobs
 // value, including the sequential -jobs=1 run. The observability flags
 // keep that guarantee: only Deterministic-stability metrics reach the
-// JSON summary; wall-clock and visit-order quantities render on stderr
-// and in the trace file only.
+// JSON summary; wall-clock and solver-schedule quantities render on
+// stderr and in the trace file only.
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"aliaslab/internal/experiments"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/report"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -57,7 +55,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "render the machine-readable JSON summary instead of figures")
 	jobs := flag.Int("jobs", 0, "corpus units analyzed concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	timing := flag.Bool("timing", false, "append per-unit wall times and the aggregate parallel speedup")
-	worklist := flag.String("worklist", "", "solver worklist strategy: fifo (default), lifo, or priority")
 	backendFlag := flag.String("backend", "", "run a constraint backend per unit (andersen, steensgaard) or render the four-way frontier table (frontier)")
 	queries := flag.Bool("queries", false, "also sweep each unit's variables through the demand-driven query engine, cross-checked against the exhaustive answer; appends the demand-vs-exhaustive table")
 	statsOut := flag.Bool("stats", false, "append the solver engine counters (embedded in the summary with -json)")
@@ -71,14 +68,10 @@ func run() int {
 	population := flag.Bool("population", false, "read a corpusgen stream on stdin and render the population agreement study (JSON with -json)")
 	flag.Parse()
 
-	strategy, err := solver.ParseStrategy(*worklist)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
 	frontier := *backendFlag == "frontier"
 	var backendKind backend.Kind
 	if !frontier {
+		var err error
 		backendKind, err = backend.ParseKind(*backendFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err, "(or frontier)")
@@ -123,7 +116,7 @@ func run() int {
 			return 2
 		}
 		res, err := experiments.RunPopulation(progs, experiments.PopulationOptions{
-			Jobs: *jobs, Opts: opts, Strategy: strategy,
+			Jobs: *jobs, Opts: opts,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -147,7 +140,7 @@ func run() int {
 
 	if frontier {
 		rows, skipped, err := experiments.RunFrontier(corpus.Names(), experiments.BatchOptions{
-			Opts: opts, Jobs: *jobs, Strategy: strategy, Trace: tr, Metrics: reg,
+			Opts: opts, Jobs: *jobs, Trace: tr, Metrics: reg,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -168,7 +161,7 @@ func run() int {
 
 	t0 := time.Now()
 	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
-		WithCS: needCS, Opts: opts, Jobs: *jobs, Strategy: strategy,
+		WithCS: needCS, Opts: opts, Jobs: *jobs,
 		Trace: tr, Metrics: reg, Backend: backendKind, Queries: *queries,
 	})
 	wall := time.Since(t0)

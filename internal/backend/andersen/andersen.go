@@ -18,7 +18,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/core"
 	"aliaslab/internal/limits"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -30,16 +29,14 @@ const sccEvery = 32
 // Analyze solves the inclusion-constraint system of g to its least
 // fixpoint with no resource limits.
 func Analyze(g *vdg.Graph) *core.Result {
-	return AnalyzeEngine(g, limits.Budget{}, solver.FIFO)
+	return AnalyzeBudgeted(g, limits.Budget{})
 }
 
-// AnalyzeEngine is the fully configured entry point: budgeted, with a
-// selectable worklist strategy. Every strategy reaches the same least
-// solution; FIFO is the reference for golden outputs.
-func AnalyzeEngine(g *vdg.Graph, budget limits.Budget, strategy solver.Strategy) *core.Result {
+// AnalyzeBudgeted is Analyze under a resource budget.
+func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 	cons := backend.Extract(g)
 	a := &analysis{
-		sys:         backend.NewSystem(cons, budget, strategy),
+		sys:         backend.NewSystem(cons, budget),
 		succ:        make([][]backend.CellID, cons.NumCells),
 		succChecked: make([][]backend.CellID, cons.NumCells),
 		edges:       make([]map[int64]bool, cons.NumCells),

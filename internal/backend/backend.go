@@ -78,31 +78,6 @@ func ParseKind(name string) (Kind, error) {
 // Kinds lists every backend in precision order, most precise first.
 func Kinds() []Kind { return []Kind{CS, CI, Andersen, Steensgaard} }
 
-// WorklistError reports a -worklist strategy aimed at a backend that
-// has no worklist to schedule. It is a typed validation error so every
-// entry point — the CLIs, the facade, and the analysis server — rejects
-// the combination loudly and identically instead of silently ignoring
-// the flag.
-type WorklistError struct {
-	Kind     Kind
-	Worklist string
-}
-
-func (e *WorklistError) Error() string {
-	return fmt.Sprintf("the %s backend has no worklist to schedule; -worklist %s does not apply (unification solves copies up front)", e.Kind, e.Worklist)
-}
-
-// ValidateWorklist checks that the named worklist strategy applies to
-// the backend. Only Steensgaard lacks a worklist: unification solves
-// the copy constraints up front, so there is no visit order to pick.
-// An empty worklist (the default strategy) is always valid.
-func ValidateWorklist(k Kind, worklist string) error {
-	if k == Steensgaard && worklist != "" {
-		return &WorklistError{Kind: k, Worklist: worklist}
-	}
-	return nil
-}
-
 // KindError reports a backend requested where it cannot run. It is the
 // typed shape of "this entry point does not support that backend".
 type KindError struct {

@@ -1,8 +1,6 @@
 package backend_test
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"aliaslab/internal/backend"
@@ -13,7 +11,6 @@ import (
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/oracle"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -104,28 +101,6 @@ func TestCorpusLattice(t *testing.T) {
 	}
 }
 
-// TestAndersenStrategyConfluence: the inclusion solver's fixpoint is
-// order-independent — every worklist strategy must produce exactly the
-// FIFO solution.
-func TestAndersenStrategyConfluence(t *testing.T) {
-	for _, name := range corpus.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			u, err := corpus.Load(name, vdg.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := andersen.AnalyzeEngine(u.Graph, limits.Budget{}, solver.FIFO)
-			for _, s := range solver.Strategies()[1:] {
-				got := andersen.AnalyzeEngine(u.Graph, limits.Budget{}, s)
-				for _, v := range oracle.EqualPerOutput(name, "andersen-strategy("+s.String()+"=fifo)", u.Graph, got.Sets, ref.Sets) {
-					t.Errorf("%s", v)
-				}
-			}
-		})
-	}
-}
-
 // TestBackendCounters: the new solver.Stats counters are populated by
 // the runs they belong to and stay zero elsewhere.
 func TestBackendCounters(t *testing.T) {
@@ -151,9 +126,6 @@ func TestBackendCounters(t *testing.T) {
 	if st.Engine.EdgesAdded != 0 || st.Engine.SCCsCollapsed != 0 {
 		t.Errorf("steensgaard run counted inclusion edges: %+v", st.Engine)
 	}
-	if st.Engine.Strategy != solver.FIFO {
-		t.Errorf("steensgaard strategy = %v, want pinned fifo", st.Engine.Strategy)
-	}
 }
 
 // TestBudgetStops: a tiny pair budget halts both backends with Stopped
@@ -164,7 +136,7 @@ func TestBudgetStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := limits.Budget{MaxPairs: 10}
-	if res := andersen.AnalyzeEngine(u.Graph, b, solver.FIFO); res.Stopped == nil {
+	if res := andersen.AnalyzeBudgeted(u.Graph, b); res.Stopped == nil {
 		t.Error("andersen under MaxPairs=10 did not stop")
 	}
 	if res := steensgaard.AnalyzeBudgeted(u.Graph, b); res.Stopped == nil {
@@ -202,28 +174,5 @@ int main(void) {
 	ci := core.AnalyzeInsensitive(u.Graph)
 	for _, v := range oracle.SubsetPerOutput("scc", "ci-subset-andersen", u.Graph, ci.Sets, res.Sets) {
 		t.Errorf("%s", v)
-	}
-}
-
-// ValidateWorklist is the single typed seam every entry point (facade,
-// CLIs, server) uses to reject a worklist aimed at the unification
-// backend; the other three backends all schedule a worklist.
-func TestValidateWorklist(t *testing.T) {
-	for _, k := range backend.Kinds() {
-		if err := backend.ValidateWorklist(k, ""); err != nil {
-			t.Errorf("%s with default worklist: %v", k, err)
-		}
-		err := backend.ValidateWorklist(k, "lifo")
-		if k == backend.Steensgaard {
-			var we *backend.WorklistError
-			if !errors.As(err, &we) {
-				t.Fatalf("steensgaard+lifo: got %v, want *WorklistError", err)
-			}
-			if we.Worklist != "lifo" || !strings.Contains(we.Error(), "no worklist to schedule") {
-				t.Errorf("WorklistError shape: %+v (%s)", we, we)
-			}
-		} else if err != nil {
-			t.Errorf("%s with lifo: %v", k, err)
-		}
 	}
 }

@@ -133,9 +133,6 @@ type Constraints struct {
 	// store outputs map to StoreCell. Slots of outputs on deleted nodes
 	// are never read.
 	CellOf []CellID
-	// OutOf maps each non-store cell back to its output (index 0, the
-	// store cell, is nil). Used for priority scheduling and debugging.
-	OutOf []*vdg.Output
 
 	Seeds  []Seed
 	Copies []Copy
@@ -156,19 +153,18 @@ func (c *Constraints) Count() int {
 // deterministic.
 func Extract(g *vdg.Graph) *Constraints {
 	c := &Constraints{
-		Graph:  g,
-		CellOf: make([]CellID, g.OutputIDs()),
-		OutOf:  make([]*vdg.Output, 1, g.OutputIDs()+1), // cell 0: the store
+		Graph:    g,
+		CellOf:   make([]CellID, g.OutputIDs()),
+		NumCells: 1, // cell 0: the store
 	}
 	g.Outputs(func(o *vdg.Output) {
 		if o.IsStore {
 			c.CellOf[o.ID] = StoreCell
 			return
 		}
-		c.CellOf[o.ID] = CellID(len(c.OutOf))
-		c.OutOf = append(c.OutOf, o)
+		c.CellOf[o.ID] = CellID(c.NumCells)
+		c.NumCells++
 	})
-	c.NumCells = len(c.OutOf)
 
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {

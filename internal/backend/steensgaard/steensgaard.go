@@ -23,7 +23,6 @@ import (
 	"aliaslab/internal/backend"
 	"aliaslab/internal/core"
 	"aliaslab/internal/limits"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -33,14 +32,10 @@ func Analyze(g *vdg.Graph) *core.Result {
 	return AnalyzeBudgeted(g, limits.Budget{})
 }
 
-// AnalyzeBudgeted is Analyze under a resource budget. There is no
-// strategy parameter: unification leaves no copy edges to schedule, the
-// residual propagation order is immaterial to both the result and the
-// (near-linear) cost, so the engine is pinned to FIFO and the CLIs
-// reject -worklist for this backend rather than silently ignoring it.
+// AnalyzeBudgeted is Analyze under a resource budget.
 func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 	cons := backend.Extract(g)
-	s := &analysis{sys: backend.NewSystem(cons, budget, solver.FIFO)}
+	s := &analysis{sys: backend.NewSystem(cons, budget)}
 	s.sys.OnCallee = s.onCallee
 
 	// The single unification pass: every static copy, checked or not,

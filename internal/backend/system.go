@@ -103,9 +103,8 @@ func attachments[T any](cells int, cons []T, cell func(T) CellID) [][]int32 {
 }
 
 // NewSystem extracts nothing itself — it wraps an already-extracted
-// constraint system with fresh solving state under the given budget and
-// worklist strategy.
-func NewSystem(cons *Constraints, budget limits.Budget, strategy solver.Strategy) *System {
+// constraint system with fresh solving state under the given budget.
+func NewSystem(cons *Constraints, budget limits.Budget) *System {
 	n := cons.NumCells
 	s := &System{
 		Cons:          cons,
@@ -119,13 +118,7 @@ func NewSystem(cons *Constraints, budget limits.Budget, strategy solver.Strategy
 		Callees:       make(map[*vdg.Node][]*vdg.FuncGraph),
 		Callers:       make(map[*vdg.FuncGraph][]*vdg.Node),
 	}
-	cfg := solver.Config[Arrival]{Strategy: strategy, Budget: budget}
-	if strategy == solver.Priority {
-		// Cell IDs follow output creation order, the same topological
-		// approximation the CI analysis schedules by.
-		cfg.Prio = func(a Arrival) int { return int(a.Cell) }
-	}
-	s.Eng = solver.New(cfg)
+	s.Eng = solver.New[Arrival](solver.Config{Budget: budget})
 	s.St = s.Eng.Stats()
 	s.St.Constraints = cons.Count()
 	return s

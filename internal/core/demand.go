@@ -2,7 +2,6 @@ package core
 
 import (
 	"aliaslab/internal/limits"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -19,9 +18,6 @@ type DemandOptions struct {
 
 	// Budget optionally bounds the solve; Result.Stopped reports a trip.
 	Budget limits.Budget
-
-	// Strategy selects the worklist discipline (zero value = FIFO).
-	Strategy solver.Strategy
 }
 
 // AnalyzeDemand runs the context-insensitive points-to analysis
@@ -31,5 +27,5 @@ type DemandOptions struct {
 // filter on where work may land, so per-output results on the slice
 // are identical to AnalyzeInsensitive by construction.
 func AnalyzeDemand(g *vdg.Graph, opts DemandOptions) *Result {
-	return solveInsensitive(g, opts.Slice, opts.Budget, opts.Strategy)
+	return solveInsensitive(g, opts.Slice, opts.Budget)
 }

@@ -55,9 +55,9 @@ const pairSetSmall = 16
 
 // PairSet is an insertion-ordered set of pairs over the dense pair
 // domain. Iterating it gives a deterministic order when the
-// construction sequence is deterministic, which every worklist strategy
-// of the solver engine guarantees. Reads never modify the set, so a
-// finished set may be read from many goroutines at once.
+// construction sequence is deterministic, which the solver engine's
+// FIFO queue guarantees. Reads never modify the set, so a finished set
+// may be read from many goroutines at once.
 type PairSet struct {
 	u    *paths.Universe
 	keys []Key // insertion order

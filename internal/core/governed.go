@@ -17,7 +17,6 @@ func AttachEngine(sp *obs.Span, st solver.Stats) {
 	if sp == nil {
 		return
 	}
-	sp.SetAttr(obs.Str("worklist", st.Strategy.String()))
 	sp.SetAttr(obs.Int("steps", st.Steps))
 	sp.SetAttr(obs.Int("meets", st.Meets))
 	sp.SetAttr(obs.Int("pairInserts", st.PairInserts))
@@ -97,10 +96,6 @@ type GovernedOptions struct {
 	// any other governance (0 = unlimited).
 	MaxSteps int
 
-	// Strategy selects the solver engine's worklist discipline for
-	// every attempt in the pipeline (zero value: FIFO).
-	Strategy solver.Strategy
-
 	// Span, when non-nil, records one child span per solve attempt
 	// (solve-ci, solve-cs, solve-cs-widened) with the attempt's engine
 	// counters attached. Nil traces nothing.
@@ -148,7 +143,7 @@ func AnalyzeGoverned(g *vdg.Graph, opts GovernedOptions) *GovernedResult {
 	r := &GovernedResult{}
 
 	sp := opts.Span.Child("solve-ci")
-	r.CI = AnalyzeInsensitiveEngine(g, opts.Budget, opts.Strategy)
+	r.CI = AnalyzeInsensitiveBudgeted(g, opts.Budget)
 	AttachEngine(sp, r.CI.Engine)
 	if r.CI.Stopped != nil {
 		r.Tier = TierPartialCI
@@ -166,7 +161,7 @@ func AnalyzeGoverned(g *vdg.Graph, opts GovernedOptions) *GovernedResult {
 
 	sp = opts.Span.Child("solve-cs")
 	cs := AnalyzeSensitive(g, SensitiveOptions{
-		CI: r.CI, MaxSteps: opts.MaxSteps, Budget: opts.Budget, Strategy: opts.Strategy,
+		CI: r.CI, MaxSteps: opts.MaxSteps, Budget: opts.Budget,
 	})
 	AttachEngine(sp, cs.Engine)
 	if !cs.Aborted {
@@ -183,7 +178,7 @@ func AnalyzeGoverned(g *vdg.Graph, opts GovernedOptions) *GovernedResult {
 	}
 	sp = opts.Span.Child("solve-cs-widened")
 	wcs := AnalyzeSensitive(g, SensitiveOptions{
-		CI: r.CI, MaxSteps: opts.MaxSteps, MaxAssumptions: widen, Budget: opts.Budget, Strategy: opts.Strategy,
+		CI: r.CI, MaxSteps: opts.MaxSteps, MaxAssumptions: widen, Budget: opts.Budget,
 	})
 	AttachEngine(sp, wcs.Engine)
 	if !wcs.Aborted {

@@ -37,8 +37,8 @@ type Result struct {
 
 	Metrics Metrics
 
-	// Engine is the solver-engine counter record of the run (strategy,
-	// steps, meets, subsumption, worklist depth).
+	// Engine is the solver-engine counter record of the run (steps,
+	// meets, subsumption, worklist depth).
 	Engine solver.Stats
 
 	// Stopped is non-nil when a resource budget halted the fixpoint
@@ -69,35 +69,6 @@ type workItem struct {
 	key Key
 }
 
-// topoPriority assigns each VDG input, by ID, its scheduling key for
-// the Priority strategy: creation order over functions, nodes, and
-// inputs, which approximates a topological order of the acyclic core
-// of the graph (earlier nodes feed later ones).
-func topoPriority(g *vdg.Graph) []int {
-	pri := make([]int, g.InputIDs())
-	order := 0
-	for _, fg := range g.Funcs {
-		for _, n := range fg.Nodes {
-			for _, in := range n.Inputs {
-				pri[in.ID] = order
-				order++
-			}
-		}
-	}
-	return pri
-}
-
-// engineConfig assembles the solver configuration shared by both
-// analyses' item types; input maps an item to its input's ID.
-func engineConfig[T any](g *vdg.Graph, strategy solver.Strategy, budget limits.Budget, maxSteps int, input func(T) int) solver.Config[T] {
-	cfg := solver.Config[T]{Strategy: strategy, Budget: budget, MaxSteps: maxSteps}
-	if strategy == solver.Priority {
-		pri := topoPriority(g)
-		cfg.Prio = func(item T) int { return pri[input(item)] }
-	}
-	return cfg
-}
-
 // insensitive is the analysis state of one context-insensitive solve.
 // slice, when non-nil, restricts the solve to a set of outputs (see
 // AnalyzeDemand): pairs land only on slice members, so seeding and
@@ -126,20 +97,12 @@ func AnalyzeInsensitive(g *vdg.Graph) *Result {
 // with Result.Stopped set when a limit trips. Under the zero
 // (unlimited) budget the result is identical to AnalyzeInsensitive.
 func AnalyzeInsensitiveBudgeted(g *vdg.Graph, budget limits.Budget) *Result {
-	return AnalyzeInsensitiveEngine(g, budget, solver.FIFO)
-}
-
-// AnalyzeInsensitiveEngine is the fully configured entry point: the
-// analysis runs on the shared solver engine under the given budget and
-// worklist strategy. Every strategy converges to the same fixpoint;
-// FIFO is the reference discipline for golden outputs.
-func AnalyzeInsensitiveEngine(g *vdg.Graph, budget limits.Budget, strategy solver.Strategy) *Result {
-	return solveInsensitive(g, nil, budget, strategy)
+	return solveInsensitive(g, nil, budget)
 }
 
 // solveInsensitive runs the fixpoint, over the whole graph when slice
 // is nil and over the slice's outputs otherwise.
-func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Budget, strategy solver.Strategy) *Result {
+func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Budget) *Result {
 	a := &insensitive{
 		g:     g,
 		u:     g.Universe,
@@ -150,7 +113,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		eng: solver.New(engineConfig(g, strategy, budget, 0, func(it workItem) int { return it.in })),
+		eng: solver.New[workItem](solver.Config{Budget: budget}),
 	}
 	a.st = a.eng.Stats()
 

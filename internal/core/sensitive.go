@@ -38,11 +38,6 @@ type SensitiveOptions struct {
 	// via the MaxAssumptions field above (the larger of the two wins
 	// nothing — the smaller positive bound applies).
 	Budget limits.Budget
-
-	// Strategy selects the solver engine's worklist discipline (zero
-	// value: FIFO, the reference order for golden outputs). Every
-	// strategy converges to the same stripped fixpoint.
-	Strategy solver.Strategy
 }
 
 // effectiveMaxAssumptions merges the two ways to request widening.
@@ -198,7 +193,7 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		at:             NewATable(),
 		opts:           opts,
 		maxAssumptions: opts.effectiveMaxAssumptions(),
-		eng:            solver.New(engineConfig(g, opts.Strategy, opts.Budget, opts.MaxSteps, func(it qItem) int { return it.in })),
+		eng:            solver.New[qItem](solver.Config{Budget: opts.Budget, MaxSteps: opts.MaxSteps}),
 		qsets:          make([]*QSet, g.OutputIDs()),
 		retNeeds:       make([]map[Key]retList, g.OutputIDs()),
 	}

@@ -31,7 +31,7 @@ const checkSteps = 2_000_000
 
 // CheckUnit runs the full oracle lattice on one generated program:
 // every theorem invariant (CS ⊆ CI ⊆ Andersen ⊆ Steensgaard, the
-// widening lattice, governed-full) plus worklist-strategy confluence.
+// widening lattice, governed-full).
 // Indirect agreement is the paper's *empirical* claim, not a theorem —
 // generated programs are free to disagree, so it is measured by the
 // population study rather than asserted here.
@@ -44,9 +44,7 @@ func CheckUnit(p Program) CheckResult {
 		ExpectIndirectAgreement: false,
 		MaxSteps:                checkSteps,
 	}
-	vs := oracle.Check(p.Name, u, opts)
-	vs = append(vs, oracle.CheckStrategies(p.Name, u, opts)...)
-	return CheckResult{Name: p.Name, Violations: vs}
+	return CheckResult{Name: p.Name, Violations: oracle.Check(p.Name, u, opts)}
 }
 
 // StillFails builds a Shrink predicate from a failing program: the

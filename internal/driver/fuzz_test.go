@@ -11,7 +11,6 @@ import (
 	"aliaslab/internal/core"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -86,7 +85,7 @@ return *p + *q; }`,
 			t.Fatalf("solver did %d flow-ins past the %d-step budget without reporting a stop",
 				res.Metrics.FlowIns, budget.MaxSteps)
 		}
-		and := andersen.AnalyzeEngine(u.Graph, budget, solver.FIFO)
+		and := andersen.AnalyzeBudgeted(u.Graph, budget)
 		st := steensgaard.AnalyzeBudgeted(u.Graph, budget)
 		if and == nil || st == nil {
 			t.Fatal("budgeted constraint-backend solve returned nil result")

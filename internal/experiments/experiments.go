@@ -104,10 +104,6 @@ type BatchOptions struct {
 	// worker cancels the units that have not started yet.
 	Budget limits.Budget
 
-	// Strategy selects the solver engine's worklist discipline for every
-	// analysis in the batch (zero value: FIFO, the golden reference).
-	Strategy solver.Strategy
-
 	// Backend additionally runs a constraint backend (Andersen or
 	// Steensgaard) on every unit, recording its result in
 	// ProgramResult.BE. The zero value (CI) runs nothing extra — the
@@ -142,10 +138,6 @@ type BatchOptions struct {
 // doing something other than what was asked. The errors are typed
 // (internal/backend) so embedders — the CLIs, the analysis server —
 // can map them to their own surfaces (exit 2, HTTP 400).
-//
-// Note that Strategy is always valid alongside a Steensgaard Backend
-// here: the batch's CI reference analysis runs on the worklist engine
-// regardless of which extra backend is requested.
 func (bo BatchOptions) Validate() error {
 	switch bo.Backend {
 	case backend.CI, backend.Andersen, backend.Steensgaard:
@@ -190,7 +182,7 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 
 		ssp := sp.Child("solve-ci")
 		t0 := time.Now()
-		r.CI = core.AnalyzeInsensitiveEngine(u.Graph, bo.Budget, bo.Strategy)
+		r.CI = core.AnalyzeInsensitiveBudgeted(u.Graph, bo.Budget)
 		r.CITime = time.Since(t0)
 		core.AttachEngine(ssp, r.CI.Engine)
 		r.CISets = r.CI.Sets
@@ -210,7 +202,7 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 			ssp := sp.Child("solve-" + bo.Backend.String())
 			t0 := time.Now()
 			if bo.Backend == backend.Andersen {
-				r.BE = andersen.AnalyzeEngine(u.Graph, bo.Budget, bo.Strategy)
+				r.BE = andersen.AnalyzeBudgeted(u.Graph, bo.Budget)
 			} else {
 				r.BE = steensgaard.AnalyzeBudgeted(u.Graph, bo.Budget)
 			}
@@ -226,7 +218,7 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 		if bo.WithCS {
 			ssp = sp.Child("solve-cs")
 			t0 = time.Now()
-			r.CS = core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: r.CI, MaxSteps: MaxCSSteps, Budget: bo.Budget, Strategy: bo.Strategy})
+			r.CS = core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: r.CI, MaxSteps: MaxCSSteps, Budget: bo.Budget})
 			r.CSTime = time.Since(t0)
 			core.AttachEngine(ssp, r.CS.Engine)
 			if r.CS.Aborted {
@@ -494,16 +486,17 @@ func Costs(w io.Writer, rs []*ProgramResult) {
 }
 
 // EngineStats renders the solver engine counters of a batch, one row
-// per analysis run. Steps and pair inserts are strategy-independent on
-// converged runs; meets, the subsumption counters, and peak worklist
-// depth depend on the visit order, which is why this table (and the
-// matching JSON block) is opt-in rather than part of the golden output.
+// per analysis run. Meets, the subsumption counters, and peak worklist
+// depth measure the solver's schedule rather than its answer, so a
+// change to the engine may move them with every set unchanged; that is
+// why this table (and the matching JSON block) is opt-in rather than
+// part of the golden output.
 func EngineStats(w io.Writer, rs []*ProgramResult) {
-	headers := []string{"name", "analysis", "worklist", "steps", "meets", "pair inserts", "subsume hits", "subsume drops", "enqueued", "peak depth"}
+	headers := []string{"name", "analysis", "steps", "meets", "pair inserts", "subsume hits", "subsume drops", "enqueued", "peak depth"}
 	var rows [][]string
 	row := func(name, analysis string, st solver.Stats) []string {
 		return []string{
-			name, analysis, st.Strategy.String(),
+			name, analysis,
 			report.Itoa(st.Steps), report.Itoa(st.Meets), report.Itoa(st.PairInserts),
 			report.Itoa(st.SubsumeHits), report.Itoa(st.SubsumeDrops),
 			report.Itoa(st.Enqueued), report.Itoa(st.PeakDepth),

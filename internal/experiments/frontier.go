@@ -100,7 +100,7 @@ func RunFrontier(names []string, bo BatchOptions) (map[backend.Kind]*FrontierRow
 
 		sp := fsp.Child("solve-andersen", obs.Str("unit", r.Name))
 		t0 := time.Now()
-		and := andersen.AnalyzeEngine(g, bo.Budget, bo.Strategy)
+		and := andersen.AnalyzeBudgeted(g, bo.Budget)
 		andTime := time.Since(t0)
 		sp.End()
 		sp = fsp.Child("solve-steensgaard", obs.Str("unit", r.Name))

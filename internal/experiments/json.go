@@ -53,23 +53,22 @@ type AnalysisJSON struct {
 	Writes   OpsJSON    `json:"writes"`
 
 	// Engine carries the solver engine counters, present only when the
-	// caller opted in (JSONOptions.EngineStats). Several counters are
-	// visit-order-dependent, so including them unconditionally would
-	// break the byte-identity of the default rendering across worklist
-	// strategies.
+	// caller opted in (JSONOptions.EngineStats). Several counters
+	// measure the solver's schedule rather than its answer, so keeping
+	// them out by default keeps the default rendering a function of the
+	// computed sets alone.
 	Engine *EngineJSON `json:"engine,omitempty"`
 }
 
 // EngineJSON mirrors solver.Stats.
 type EngineJSON struct {
-	Worklist     string `json:"worklist"`
-	Steps        int    `json:"steps"`
-	Meets        int    `json:"meets"`
-	PairInserts  int    `json:"pairInserts"`
-	SubsumeHits  int    `json:"subsumeHits"`
-	SubsumeDrops int    `json:"subsumeDrops"`
-	Enqueued     int    `json:"enqueued"`
-	PeakDepth    int    `json:"peakDepth"`
+	Steps        int `json:"steps"`
+	Meets        int `json:"meets"`
+	PairInserts  int `json:"pairInserts"`
+	SubsumeHits  int `json:"subsumeHits"`
+	SubsumeDrops int `json:"subsumeDrops"`
+	Enqueued     int `json:"enqueued"`
+	PeakDepth    int `json:"peakDepth"`
 
 	// Constraint-backend counters. They are zero on CI/CS runs, and
 	// omitempty keeps those runs' opt-in JSON bytes unchanged.
@@ -81,7 +80,6 @@ type EngineJSON struct {
 
 func engineJSON(st solver.Stats) *EngineJSON {
 	return &EngineJSON{
-		Worklist:      st.Strategy.String(),
 		Steps:         st.Steps,
 		Meets:         st.Meets,
 		PairInserts:   st.PairInserts,
@@ -105,8 +103,8 @@ type JSONOptions struct {
 	// stability metrics as a "metrics" block. Volatile metrics (times,
 	// visit-order-dependent counters) are excluded by construction, so
 	// the block — like the rest of the rendering — is byte-identical at
-	// every -jobs width and worklist strategy for batches that complete
-	// without budget cancellation.
+	// every -jobs width for batches that complete without budget
+	// cancellation.
 	Metrics *obs.Registry
 }
 

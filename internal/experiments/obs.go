@@ -11,14 +11,18 @@ import (
 
 // Metric stability rationale. A metric is registered Deterministic only
 // when it is a pure function of the analysis results, which the
-// determinism oracle proves identical at every -jobs width and worklist
-// strategy (for batches that complete without budget cancellation):
-// unit counts, VDG sizes, the CI engine's confluent counters, and the
-// pairs-per-procedure distribution. Everything order- or
-// schedule-dependent — CS counters (subsumption makes even their step
-// counts visit-order-dependent), meet counts, worklist depth profiles,
-// ledger contention — is Volatile and renders only in the text tree and
-// Chrome trace, never in the byte-stable metrics JSON.
+// determinism oracle proves identical at every -jobs width (for batches
+// that complete without budget cancellation): unit counts, VDG sizes,
+// the CI engine's confluent counters, and the pairs-per-procedure
+// distribution. Everything that depends on how the solver schedules its
+// work rather than on what it computes — CS counters (subsumption makes
+// even their step counts depend on the visit order), meet counts,
+// worklist depth profiles — and everything that depends on the worker
+// schedule, such as ledger contention, is Volatile. The FIFO engine
+// repeats the visit order from run to run, but a change to the engine
+// may move these counters with every answer unchanged, so they render
+// only in the text tree and Chrome trace, never in the byte-stable
+// metrics JSON.
 
 // depthBounds buckets worklist depths; the corpus peaks in the
 // hundreds, so 2^0..2^11 plus overflow covers pathological inputs too.
@@ -55,9 +59,10 @@ func recordUnit(reg *obs.Registry, r *ProgramResult) {
 		recordPairsPerProc(reg, r.Unit.Graph, r.CISets)
 	}
 	if r.CS != nil {
-		// CS counters are Volatile wholesale: subsumption is
-		// visit-order-dependent, and a dropped pair changes what gets
-		// re-enqueued, so not even Steps is stable across strategies.
+		// CS counters are Volatile wholesale: subsumption depends on
+		// the visit order, and a dropped pair changes what gets
+		// re-enqueued, so even Steps follows the schedule, not only
+		// the fixpoint.
 		recordEngine(reg, "solve.cs", obs.Volatile, r.CS.Engine)
 	}
 }

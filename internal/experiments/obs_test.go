@@ -3,12 +3,11 @@ package experiments_test
 // Determinism harness for the observability layer. The tentpole
 // guarantee under test: the metrics block of the JSON summary is a
 // pure function of the analysis results — byte-identical at every
-// -jobs width and worklist strategy — because everything wall-clock-
-// or visit-order-dependent is registered Volatile and filtered out
-// before rendering. The trace tree's *shape* (span names, unit order,
-// deterministic attributes) is likewise schedule-independent once the
-// volatile tokens (durations, allocation deltas, worker lanes) are
-// scrubbed.
+// -jobs width — because everything wall-clock- or schedule-dependent
+// is registered Volatile and filtered out before rendering. The trace
+// tree's *shape* (span names, unit order, deterministic attributes) is
+// likewise schedule-independent once the volatile tokens (durations,
+// allocation deltas, worker lanes) are scrubbed.
 
 import (
 	"bytes"
@@ -21,16 +20,15 @@ import (
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/experiments"
 	"aliaslab/internal/obs"
-	"aliaslab/internal/solver"
 )
 
 // runMetricsBatch runs a CI-only corpus batch with a fresh registry
 // (and optionally a tracer) and returns both.
-func runMetricsBatch(t *testing.T, jobs int, strategy solver.Strategy, tr *obs.Tracer) ([]*experiments.ProgramResult, *obs.Registry) {
+func runMetricsBatch(t *testing.T, jobs int, tr *obs.Tracer) ([]*experiments.ProgramResult, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
-		Jobs: jobs, Strategy: strategy, Trace: tr, Metrics: reg,
+		Jobs: jobs, Trace: tr, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,48 +37,27 @@ func runMetricsBatch(t *testing.T, jobs int, strategy solver.Strategy, tr *obs.T
 }
 
 // metricsJSON renders the full JSON summary including the metrics
-// block, plus the metrics block alone. The full document is the
-// byte-stable surface across -jobs widths; the metrics block is
-// additionally byte-stable across worklist strategies (the programs
-// block carries flowOuts — a meet count, visit-order-dependent by
-// nature — so the whole document never promised cross-strategy
-// identity).
-func metricsJSON(t *testing.T, jobs int, strategy solver.Strategy) (doc, metrics string) {
+// block.
+func metricsJSON(t *testing.T, jobs int) string {
 	t.Helper()
-	rs, reg := runMetricsBatch(t, jobs, strategy, nil)
+	rs, reg := runMetricsBatch(t, jobs, nil)
 	var buf bytes.Buffer
 	if err := experiments.WriteJSONWith(&buf, rs, experiments.JSONOptions{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.MarshalIndent(obs.MetricsJSON(reg.DeterministicSnapshot()), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), string(b)
+	return buf.String()
 }
 
 // TestMetricsJSONDeterministic: the JSON summary with its metrics
-// block is byte-identical across worker-pool widths 1, 2, and 8, and
-// the metrics block alone is further byte-identical across all three
-// worklist strategies at every width — Volatile metrics (times,
-// visit-order counters) are excluded by construction, so nothing
-// schedule-dependent reaches these bytes.
+// block is byte-identical across worker-pool widths 1, 2, and 8 —
+// Volatile metrics (times, schedule counters) are excluded by
+// construction, so nothing schedule-dependent reaches these bytes.
 func TestMetricsJSONDeterministic(t *testing.T) {
-	wantDoc, wantMetrics := metricsJSON(t, 1, solver.FIFO)
-	for _, jobs := range []int{1, 2, 8} {
-		for _, strategy := range solver.Strategies() {
-			if jobs == 1 && strategy == solver.FIFO {
-				continue
-			}
-			doc, metrics := metricsJSON(t, jobs, strategy)
-			if metrics != wantMetrics {
-				t.Errorf("jobs=%d worklist=%s: metrics block differs from the jobs=1 fifo reference (first diff at line %d)",
-					jobs, strategy, firstDiffLine(metrics, wantMetrics))
-			}
-			if strategy == solver.FIFO && doc != wantDoc {
-				t.Errorf("jobs=%d: JSON summary differs from the jobs=1 reference (first diff at line %d)",
-					jobs, firstDiffLine(doc, wantDoc))
-			}
+	want := metricsJSON(t, 1)
+	for _, jobs := range []int{2, 8} {
+		if doc := metricsJSON(t, jobs); doc != want {
+			t.Errorf("jobs=%d: JSON summary differs from the jobs=1 reference (first diff at line %d)",
+				jobs, firstDiffLine(doc, want))
 		}
 	}
 }
@@ -89,7 +66,7 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 // the corpus. Any drift is a real behavior change in the analyses or
 // the registry; regenerate with UPDATE_GOLDEN=1 go test ./internal/experiments/.
 func TestMetricsGolden(t *testing.T) {
-	_, reg := runMetricsBatch(t, 1, solver.FIFO, nil)
+	_, reg := runMetricsBatch(t, 1, nil)
 	b, err := json.MarshalIndent(obs.MetricsJSON(reg.DeterministicSnapshot()), "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +108,7 @@ func TestTraceTreeShapeDeterministic(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 8} {
 		tr := obs.New(obs.Config{})
-		runMetricsBatch(t, jobs, solver.FIFO, tr)
+		runMetricsBatch(t, jobs, tr)
 		got := scrubTrace(tr)
 		if !strings.Contains(got, "unit=allroots") || !strings.Contains(got, "solve-ci") {
 			t.Fatalf("jobs=%d: trace tree missing expected spans:\n%s", jobs, got)
@@ -149,7 +126,7 @@ func TestTraceTreeShapeDeterministic(t *testing.T) {
 // renders exactly the bytes of one with it on — the JSON metrics block
 // is opt-in at rendering time, not a side effect of collection.
 func TestMetricsUntracedBatchIdentical(t *testing.T) {
-	rs, _ := runMetricsBatch(t, 2, solver.FIFO, nil)
+	rs, _ := runMetricsBatch(t, 2, nil)
 	plain, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)

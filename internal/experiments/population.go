@@ -21,7 +21,6 @@ import (
 	"aliaslab/internal/limits"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -39,9 +38,6 @@ type PopulationOptions struct {
 
 	// Opts is the VDG construction configuration.
 	Opts vdg.Options
-
-	// Strategy selects the worklist discipline for every solve.
-	Strategy solver.Strategy
 }
 
 // PopulationUnit is the measurement of one generated program: how many
@@ -164,11 +160,11 @@ func populationUnit(p corpusgen.Program, po PopulationOptions) PopulationUnit {
 			return err
 		}
 		g := unit.Graph
-		ci := core.AnalyzeInsensitiveEngine(g, po.Budget, po.Strategy)
+		ci := core.AnalyzeInsensitiveBudgeted(g, po.Budget)
 		if ci.Stopped != nil {
 			return fmt.Errorf("%s: context-insensitive analysis stopped early: %w", p.Name, ci.Stopped)
 		}
-		cs := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: MaxCSSteps, Budget: po.Budget, Strategy: po.Strategy})
+		cs := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: MaxCSSteps, Budget: po.Budget})
 		if cs.Aborted {
 			if cs.Stopped != nil {
 				return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", p.Name, cs.Stopped)
@@ -176,7 +172,7 @@ func populationUnit(p corpusgen.Program, po PopulationOptions) PopulationUnit {
 			return fmt.Errorf("%s: context-sensitive analysis exceeded %d steps", p.Name, MaxCSSteps)
 		}
 		csSets := cs.Strip()
-		and := andersen.AnalyzeEngine(g, po.Budget, po.Strategy)
+		and := andersen.AnalyzeBudgeted(g, po.Budget)
 		if and.Stopped != nil {
 			return fmt.Errorf("%s: andersen analysis stopped early: %w", p.Name, and.Stopped)
 		}

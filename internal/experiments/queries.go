@@ -65,11 +65,11 @@ func runQueries(r *ProgramResult, u *driver.Unit, bo BatchOptions, sp *obs.Span)
 	qsp := sp.Child("queries")
 	defer qsp.End()
 	qb := &QueryBench{TotalOutputs: u.Graph.OutputCount()}
-	warm := query.New(u.Graph, query.Options{Budget: bo.Budget, Strategy: bo.Strategy, Registry: bo.Metrics})
+	warm := query.New(u.Graph, query.Options{Budget: bo.Budget, Registry: bo.Metrics})
 	for _, x := range query.VarExprs(u.Graph, maxQueryExprs) {
 		q := query.Query{Kind: query.KindPointsTo, Exprs: []query.Expr{x}}
 
-		cold := query.New(u.Graph, query.Options{Budget: bo.Budget, Strategy: bo.Strategy})
+		cold := query.New(u.Graph, query.Options{Budget: bo.Budget})
 		t0 := time.Now()
 		ans, err := cold.Query(q)
 		qb.DemandTime += time.Since(t0)

@@ -20,11 +20,11 @@
 //
 //   - Every metric declares a Stability class. Deterministic metrics
 //     are pure functions of the analysis results — identical at any
-//     worker-pool width and under any worklist strategy for a batch
-//     that completes without budget cancellation — and are the only
+//     worker-pool width for a batch that completes without budget
+//     cancellation — and are the only
 //     ones rendered into the machine-readable JSON block, which is
 //     therefore byte-identical run to run. Wall-clock durations,
-//     allocation deltas, and visit-order-dependent counters are
+//     allocation deltas, and counters of the solver's visit order are
 //     Volatile: they appear in the human-readable text tree and the
 //     Chrome trace, never in the deterministic JSON.
 package obs

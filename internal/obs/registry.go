@@ -10,15 +10,15 @@ import (
 type Stability int
 
 const (
-	// Volatile metrics depend on wall clock, scheduling, or solver
-	// visit order (durations, allocation deltas, worklist depth,
-	// meet counts). They render in human-readable output only.
+	// Volatile metrics depend on wall clock, scheduling, or how the
+	// solver orders its work (durations, allocation deltas, worklist
+	// depth, meet counts). They render in human-readable output only.
 	Volatile Stability = iota
 
 	// Deterministic metrics are pure functions of the analysis results:
 	// for a batch that completes without budget cancellation they are
-	// identical at every worker-pool width and under every worklist
-	// strategy, so they may appear in byte-stable JSON output.
+	// identical at every worker-pool width, so they may appear in
+	// byte-stable JSON output.
 	Deterministic
 )
 

@@ -38,8 +38,6 @@ import (
 	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/core"
 	"aliaslab/internal/driver"
-	"aliaslab/internal/limits"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -154,61 +152,6 @@ func Check(name string, u *driver.Unit, opts Options) []Violation {
 		if diff := stats.IndirectDiff(u.Graph, ci.Sets, csSets); len(diff) > 0 {
 			add("indirect-agreement", "%d indirect operations have different referent sets under CI and CS (first at %s)",
 				len(diff), diff[0].Pos)
-		}
-	}
-	return vs
-}
-
-// CheckStrategies asserts the solver engine's order-independence
-// invariant on one unit: every worklist strategy (LIFO, priority)
-// reaches exactly the FIFO reference fixpoint — the same pair set on
-// every output, for CI and for stripped CS — and measures the same
-// CI/CS indirect-operation delta. The fixpoint is confluent (monotone
-// transfer functions over a finite domain), so any divergence here is
-// an engine or worklist bug, not a modeling choice.
-func CheckStrategies(name string, u *driver.Unit, opts Options) []Violation {
-	var vs []Violation
-	add := func(invariant, format string, args ...any) {
-		vs = append(vs, Violation{Program: name, Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
-	}
-
-	type solution struct {
-		ci     *core.Result
-		csSets map[*vdg.Output]*core.PairSet
-		diffs  int
-	}
-	solve := func(s solver.Strategy) (solution, bool) {
-		ci := core.AnalyzeInsensitiveEngine(u.Graph, limits.Budget{}, s)
-		cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci, MaxSteps: opts.maxSteps(), Strategy: s})
-		if cs.Aborted {
-			add("strategy-converges", "context-sensitive analysis under %v did not converge within %d steps", s, opts.maxSteps())
-			return solution{}, false
-		}
-		csSets := cs.Strip()
-		return solution{ci: ci, csSets: csSets, diffs: len(stats.IndirectDiff(u.Graph, ci.Sets, csSets))}, true
-	}
-
-	ref, ok := solve(solver.FIFO)
-	if !ok {
-		return vs
-	}
-	for _, s := range solver.Strategies()[1:] {
-		got, ok := solve(s)
-		if !ok {
-			continue
-		}
-		vs = append(vs, EqualPerOutput(name, fmt.Sprintf("strategy-ci(%v=fifo)", s), u.Graph, got.ci.Sets, ref.ci.Sets)...)
-		vs = append(vs, EqualPerOutput(name, fmt.Sprintf("strategy-cs(%v=fifo)", s), u.Graph, got.csSets, ref.csSets)...)
-		if got.diffs != ref.diffs {
-			add("strategy-indirect-agreement", "%v measures %d CI/CS indirect deltas, fifo measures %d", s, got.diffs, ref.diffs)
-		}
-		// Steps and pair inserts are strategy-independent on converged
-		// runs (pair growth is monotone: every strategy inserts each
-		// fixpoint pair exactly once); a divergence means an engine
-		// counter or deduplication bug.
-		if got.ci.Engine.Steps != ref.ci.Engine.Steps || got.ci.Engine.PairInserts != ref.ci.Engine.PairInserts {
-			add("strategy-ci-work", "%v: steps/inserts %d/%d, fifo %d/%d",
-				s, got.ci.Engine.Steps, got.ci.Engine.PairInserts, ref.ci.Engine.Steps, ref.ci.Engine.PairInserts)
 		}
 	}
 	return vs

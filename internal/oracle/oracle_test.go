@@ -60,26 +60,6 @@ func TestCorpusInvariants(t *testing.T) {
 	}
 }
 
-// TestStrategyConfluence is the order-independence oracle for the
-// pluggable solver engine: on every corpus program, the LIFO and
-// priority worklists must reach exactly the FIFO fixpoint — identical
-// pair sets per output for CI and stripped CS, identical
-// indirect-agreement measurements, identical strategy-independent work
-// counters. A worklist or engine bug that leaks visit order into the
-// solution fails here with the program and output named.
-func TestStrategyConfluence(t *testing.T) {
-	for _, name := range corpus.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			u, err := corpus.Load(name, vdg.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report(t, oracle.CheckStrategies(name, u, oracle.Options{}))
-		})
-	}
-}
-
 // TestFixtureInvariants runs the oracle on every fixture under both
 // build modes. Theorem invariants must hold everywhere; the empirical
 // indirect-agreement expectation follows the fixture's declaration.

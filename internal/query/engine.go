@@ -9,7 +9,6 @@ import (
 	"aliaslab/internal/limits"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/paths"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
 
@@ -63,10 +62,6 @@ type Options struct {
 	// Budget bounds each demand solve; a tripped budget yields an
 	// "unknown" verdict and installs nothing in the memo.
 	Budget limits.Budget
-
-	// Strategy selects the demand solver's worklist discipline (zero
-	// value = FIFO, the reference discipline).
-	Strategy solver.Strategy
 
 	// Registry, when non-nil, receives the query counters
 	// (query.slice.{outputs,procedures}, query.memo.{hits,misses}).
@@ -223,9 +218,8 @@ func (e *Engine) ensureCoveredLocked(anchors []*vdg.Output) (SliceStats, *limits
 	}
 	sl := SliceFor(e.g, e.cg, anchors)
 	res := core.AnalyzeDemand(e.g, core.DemandOptions{
-		Slice:    sl.Outputs,
-		Budget:   e.opts.Budget,
-		Strategy: e.opts.Strategy,
+		Slice:  sl.Outputs,
+		Budget: e.opts.Budget,
 	})
 	st := SliceStats{
 		Outputs:         len(sl.Outputs),

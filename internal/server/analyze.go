@@ -24,7 +24,6 @@ import (
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
 	"aliaslab/internal/report"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -72,10 +71,6 @@ type request struct {
 	// steensgaard. Vet accepts ci/andersen/steensgaard only.
 	Backend string `json:"backend,omitempty"`
 
-	// Worklist selects the solver strategy (fifo default); rejected for
-	// steensgaard, which has no worklist.
-	Worklist string `json:"worklist,omitempty"`
-
 	// Checkers filters the vet checker suite (default: all).
 	Checkers []string `json:"checkers,omitempty"`
 
@@ -90,11 +85,10 @@ type request struct {
 // job is a validated request plus its effective (clamped) budget — the
 // exact analysis identity the cache key hashes.
 type job struct {
-	mode     mode
-	req      request
-	kind     backend.Kind
-	strategy solver.Strategy
-	source   string // canonicalized; empty for corpus jobs
+	mode   mode
+	req    request
+	kind   backend.Kind
+	source string // canonicalized; empty for corpus jobs
 
 	maxSteps, maxPairs int
 	timeout            time.Duration
@@ -225,13 +219,6 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 		return nil, errorResponse(http.StatusBadRequest,
 			"vet runs on the ci, andersen, or steensgaard backend, not cs")
 	}
-	if err := backend.ValidateWorklist(kind, req.Worklist); err != nil {
-		return nil, errorResponse(http.StatusBadRequest, "%v", err)
-	}
-	strategy, err := solver.ParseStrategy(req.Worklist)
-	if err != nil {
-		return nil, errorResponse(http.StatusBadRequest, "%v", err)
-	}
 	if m == modeVet {
 		if _, err := checkers.Select(req.Checkers); err != nil {
 			return nil, errorResponse(http.StatusBadRequest, "%v", err)
@@ -258,8 +245,7 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 		return nil, errorResponse(http.StatusBadRequest, "queries apply to /v1/query only")
 	}
 
-	j := &job{mode: m, req: req, kind: kind, strategy: strategy,
-		source: canonicalize(req.Source)}
+	j := &job{mode: m, req: req, kind: kind, source: canonicalize(req.Source)}
 	if j.maxSteps, err = s.headerCap(r, hdrMaxSteps, s.cfg.MaxSteps); err != nil {
 		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
@@ -319,7 +305,6 @@ func (j *job) key() cacheKey {
 	}
 	put(j.mode.String())
 	put(j.kind.String())
-	put(j.strategy.String())
 	put(strings.Join(j.req.Checkers, ","))
 	put(strings.Join(j.req.Queries, "\x00"))
 	put(strconv.Itoa(j.maxSteps))
@@ -448,7 +433,6 @@ func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *respo
 		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
 			Budget:    budget,
 			Sensitive: j.kind == backend.CS,
-			Strategy:  j.strategy,
 		})
 		label = "context-insensitive"
 		if j.kind == backend.CS {
@@ -476,7 +460,7 @@ func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *respo
 	default: // Andersen, Steensgaard
 		var res *core.Result
 		if j.kind == backend.Andersen {
-			res = andersen.AnalyzeEngine(u.Graph, budget, j.strategy)
+			res = andersen.AnalyzeBudgeted(u.Graph, budget)
 			label = "andersen (inclusion-based)"
 		} else {
 			res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
@@ -542,7 +526,7 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 	if err := s.faults.Hit("query"); err != nil {
 		return s.exhaustedIn(err, "query")
 	}
-	e := query.New(u.Graph, query.Options{Budget: budget, Strategy: j.strategy, Registry: s.reg})
+	e := query.New(u.Graph, query.Options{Budget: budget, Registry: s.reg})
 	var answers []query.Answer
 	for _, src := range j.req.Queries {
 		qs, err := query.ParseAll(src) // re-parse; validated in parse()
@@ -587,11 +571,11 @@ func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response 
 	var res *core.Result
 	switch j.kind {
 	case backend.Andersen:
-		res = andersen.AnalyzeEngine(u.Graph, budget, j.strategy)
+		res = andersen.AnalyzeBudgeted(u.Graph, budget)
 	case backend.Steensgaard:
 		res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
 	default: // backend.CI; CS was rejected at parse
-		res = core.AnalyzeInsensitiveEngine(u.Graph, budget, j.strategy)
+		res = core.AnalyzeInsensitiveBudgeted(u.Graph, budget)
 	}
 	sel, err := checkers.Select(j.req.Checkers)
 	if err != nil {

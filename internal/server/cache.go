@@ -6,8 +6,8 @@ import (
 )
 
 // cacheKey is the SHA-256 content hash of one request's analysis
-// identity: mode, unit name, backend, worklist, effective budget, and
-// the canonicalized source bytes. Two requests with equal keys are
+// identity: mode, unit name, backend, checkers, queries, effective
+// budget, and the canonicalized source bytes. Two requests with equal keys are
 // guaranteed byte-identical responses, which is exactly what the cache
 // and the single-flight group exploit.
 type cacheKey [32]byte

@@ -156,14 +156,15 @@ func TestBadRequests(t *testing.T) {
 		"both":            {body: map[string]string{"source": "int main(void){return 0;}", "corpus": "part"}, status: 400, substr: "exactly one"},
 		"unknown corpus":  {body: map[string]string{"corpus": "nosuch"}, status: 400},
 		"unknown backend": {body: map[string]string{"corpus": "part", "backend": "anderson"}, status: 400},
-		"steens worklist": {body: map[string]string{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"}, status: 400, substr: "no worklist to schedule"},
-		"bad worklist":    {body: map[string]string{"corpus": "part", "worklist": "random"}, status: 400},
 		"checkers on analyze": {body: map[string]any{"corpus": "part", "checkers": []string{"uaf"}},
 			status: 400, substr: "vet only"},
 		// The per-procedure summary mode is gone; its request field is
 		// now unknown rather than silently ignored.
 		"removed modular field": {body: map[string]any{"corpus": "part", "modular": true},
 			status: 400, substr: `unknown field "modular"`},
+		// So is the worklist-order field: the solver has one FIFO queue.
+		"removed worklist field": {body: map[string]any{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"},
+			status: 400, substr: `unknown field "worklist"`},
 		"bad header": {body: map[string]string{"corpus": "part"},
 			hdr: map[string]string{"X-Aliaslab-Max-Steps": "lots"}, status: 400, substr: "non-negative"},
 		"oversized": {body: map[string]string{"source": strings.Repeat("/* pad */\n", 1000) + cleanSrc}, status: 413},

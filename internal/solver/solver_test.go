@@ -33,44 +33,18 @@ func eq(a, b []int) bool {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	e := New(Config[int]{Strategy: FIFO})
+	e := New[int](Config{})
 	pushAll(e, 3, 1, 2)
 	if got := drain(e); !eq(got, []int{3, 1, 2}) {
 		t.Errorf("fifo pop order = %v, want [3 1 2]", got)
 	}
 }
 
-func TestLIFOOrder(t *testing.T) {
-	e := New(Config[int]{Strategy: LIFO})
-	pushAll(e, 3, 1, 2)
-	if got := drain(e); !eq(got, []int{2, 1, 3}) {
-		t.Errorf("lifo pop order = %v, want [2 1 3]", got)
-	}
-}
-
-func TestPriorityOrder(t *testing.T) {
-	e := New(Config[int]{Strategy: Priority, Prio: func(x int) int { return x / 10 }})
-	// Priorities: 31→3, 10→1, 11→1, 20→2. Ties (10, 11) break by
-	// arrival sequence.
-	pushAll(e, 31, 10, 20, 11)
-	if got := drain(e); !eq(got, []int{10, 11, 20, 31}) {
-		t.Errorf("priority pop order = %v, want [10 11 20 31]", got)
-	}
-}
-
-func TestPriorityRequiresPrio(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(Priority) without Prio did not panic")
-		}
-	}()
-	New(Config[int]{Strategy: Priority})
-}
-
-// TestFIFOCompaction pushes enough items to trigger the queue's dead-
-// prefix compaction mid-drain and checks no item is lost or reordered.
-func TestFIFOCompaction(t *testing.T) {
-	e := New(Config[int]{Strategy: FIFO})
+// TestFIFOInterleaved pushes 5000 items, keeping ten queued while the
+// drain pops, so the ring wraps many times; no item may be lost or
+// reordered.
+func TestFIFOInterleaved(t *testing.T) {
+	e := New[int](Config{})
 	const n = 5000
 	next := 0 // next value to push; transfer interleaves pushes with pops
 	var got []int
@@ -89,13 +63,47 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 	for i, x := range got {
 		if x != i {
-			t.Fatalf("item %d popped as %d; compaction scrambled the queue", i, x)
+			t.Fatalf("item %d popped as %d; the ring scrambled the queue", i, x)
 		}
 	}
 }
 
+// TestFIFOGrowWhileWrapped fills the ring after its head has moved, so
+// the live items wrap past the end of the buffer when it doubles; the
+// grown buffer must keep them in arrival order.
+func TestFIFOGrowWhileWrapped(t *testing.T) {
+	var f fifo[int]
+	for i := 0; i < 16; i++ {
+		f.push(i)
+	}
+	for i := 0; i < 5; i++ {
+		if got := f.pop(); got != i {
+			t.Fatalf("pop %d = %d", i, got)
+		}
+	}
+	// 11 live items at head 5; five more wrap to slots 0-4, and the
+	// 17th live item forces a grow with head > 0.
+	for i := 16; i < 40; i++ {
+		f.push(i)
+	}
+	if len(f.items) <= 16 {
+		t.Fatalf("ring did not grow: len %d", len(f.items))
+	}
+	for want := 5; want < 40; want++ {
+		if f.n == 0 {
+			t.Fatalf("queue empty before item %d", want)
+		}
+		if got := f.pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+	}
+	if f.n != 0 {
+		t.Errorf("%d items left after the drain", f.n)
+	}
+}
+
 func TestStatsCounting(t *testing.T) {
-	e := New(Config[int]{Strategy: FIFO})
+	e := New[int](Config{})
 	pushAll(e, 1, 2, 3)
 	drained := drain(e)
 	st := e.Stats()
@@ -105,13 +113,10 @@ func TestStatsCounting(t *testing.T) {
 	if st.PeakDepth != 3 {
 		t.Errorf("peak depth = %d, want 3 (all items queued before the drain)", st.PeakDepth)
 	}
-	if st.Strategy != FIFO {
-		t.Errorf("stats strategy = %v, want fifo", st.Strategy)
-	}
 }
 
 func TestMaxStepsAborts(t *testing.T) {
-	e := New(Config[int]{MaxSteps: 2})
+	e := New[int](Config{MaxSteps: 2})
 	pushAll(e, 1, 2, 3)
 	out := e.Run(func(int) {})
 	if !out.Aborted || out.Stopped != nil {
@@ -123,7 +128,7 @@ func TestMaxStepsAborts(t *testing.T) {
 }
 
 func TestBudgetViolationStops(t *testing.T) {
-	e := New(Config[int]{Budget: limits.Budget{MaxSteps: 2}})
+	e := New[int](Config{Budget: limits.Budget{MaxSteps: 2}})
 	pushAll(e, 1, 2, 3)
 	out := e.Run(func(int) {})
 	if !out.Aborted || out.Stopped == nil || out.Stopped.Reason != limits.Steps {
@@ -136,38 +141,12 @@ func TestBudgetViolationStops(t *testing.T) {
 // including the tail items after the loop's last in-flight check.
 func TestLedgerFlush(t *testing.T) {
 	ledger := &limits.Ledger{}
-	e := New(Config[int]{Budget: limits.Budget{}.Share(ledger)})
+	e := New[int](Config{Budget: limits.Budget{}.Share(ledger)})
 	pushAll(e, 1, 2, 3, 4, 5)
 	if out := e.Run(func(int) {}); out.Aborted {
 		t.Fatalf("unexpected abort: %+v", out)
 	}
 	if ledger.Steps() != e.Stats().Steps {
 		t.Errorf("ledger pooled %d steps, engine counted %d", ledger.Steps(), e.Stats().Steps)
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Strategy
-		err  bool
-	}{
-		{"", FIFO, false},
-		{"fifo", FIFO, false},
-		{"lifo", LIFO, false},
-		{"priority", Priority, false},
-		{"topo", Priority, false},
-		{"bogus", FIFO, true},
-	}
-	for _, c := range cases {
-		got, err := ParseStrategy(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseStrategy(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	for _, s := range Strategies() {
-		if got, err := ParseStrategy(s.String()); err != nil || got != s {
-			t.Errorf("ParseStrategy(%v.String()) = %v, %v; want round-trip", s, got, err)
-		}
 	}
 }

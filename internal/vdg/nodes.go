@@ -383,9 +383,6 @@ func (g *Graph) OutputIDs() int { return g.nextOutputID }
 // Input returns the input with the given ID.
 func (g *Graph) Input(id int) *Input { return g.inputs[id] }
 
-// InputIDs returns one past the largest Input.ID ever assigned.
-func (g *Graph) InputIDs() int { return len(g.inputs) }
-
 // OutputCount returns the number of outputs in the whole program.
 func (g *Graph) OutputCount() int {
 	n := 0

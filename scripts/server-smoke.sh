@@ -63,7 +63,7 @@ grep -q '"checker": "uaf"' "$DIR/v1.json" || fail "vet missed the use-after-free
 echo "== invalid request"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/analyze" \
     -d '{"corpus":"part","backend":"steensgaard","worklist":"lifo"}')
-[ "$code" = 400 ] || fail "steensgaard+worklist: HTTP $code, want 400"
+[ "$code" = 400 ] || fail "removed worklist field: HTTP $code, want 400"
 
 echo "== metrics"
 curl -sf "$BASE/metrics" | grep -q 'server.cache.hits' || fail "metrics missing cache counters"
