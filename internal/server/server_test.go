@@ -162,8 +162,11 @@ func TestBadRequests(t *testing.T) {
 		// now unknown rather than silently ignored.
 		"removed modular field": {body: map[string]any{"corpus": "part", "modular": true},
 			status: 400, substr: `unknown field "modular"`},
-		// So is the worklist-order field: the solver has one FIFO queue.
-		"removed worklist field": {body: map[string]any{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"},
+		// So is the worklist-order field: the solver has one FIFO queue,
+		// and any value, once valid or not, is refused the same way.
+		"steens worklist": {body: map[string]string{"corpus": "part", "backend": "steensgaard", "worklist": "lifo"},
+			status: 400, substr: `unknown field "worklist"`},
+		"bad worklist": {body: map[string]string{"corpus": "part", "worklist": "random"},
 			status: 400, substr: `unknown field "worklist"`},
 		"bad header": {body: map[string]string{"corpus": "part"},
 			hdr: map[string]string{"X-Aliaslab-Max-Steps": "lots"}, status: 400, substr: "non-negative"},
