@@ -198,18 +198,13 @@ func (r *Result) Notes() []string { return r.notes }
 // Limits bounds a governed analysis run. Zero values mean unlimited.
 type Limits struct {
 	// Timeout is the wall-clock budget for the whole run (all
-	// degradation tiers together).
+	// degradation rungs together).
 	Timeout time.Duration
 
 	// MaxSteps caps transfer-function applications (flow-ins) per
 	// analysis attempt; MaxPairs caps the points-to pair census.
 	MaxSteps int
 	MaxPairs int
-
-	// WidenAssumptions is the assumption-set bound used by the widened
-	// middle tier of the context-sensitive degradation ladder
-	// (DefaultWidenAssumptions when 0).
-	WidenAssumptions int
 }
 
 func (l Limits) budget(ctx context.Context) (limits.Budget, context.CancelFunc) {
@@ -328,21 +323,16 @@ func (p *Program) AnalyzeLimited(ctx context.Context, lim Limits) (*Result, erro
 
 // AnalyzeContextSensitiveLimited runs the context-sensitive analysis
 // under a resource budget with graceful degradation: exact CS first,
-// then CS with assumption-set widening, then the context-insensitive
-// result. All three tiers are sound over-approximations; Degraded and
-// Notes on the Result say which one answered. The error is non-nil
-// only when even the context-insensitive fallback could not finish
-// (its partial, unsound state is still returned for inspection).
+// then the context-insensitive result. Both rungs are sound
+// over-approximations; Degraded and Notes on the Result say which one
+// answered. The error is non-nil only when even the context-insensitive
+// fallback could not finish (its partial, unsound state is still
+// returned for inspection).
 func (p *Program) AnalyzeContextSensitiveLimited(ctx context.Context, lim Limits) (*Result, error) {
 	budget, cancel := lim.budget(ctx)
 	defer cancel()
 	sp := p.span("solve")
-	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{
-		Budget:           budget,
-		Sensitive:        true,
-		WidenAssumptions: lim.WidenAssumptions,
-		Span:             sp,
-	})
+	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{Budget: budget, Sensitive: true, Span: sp})
 	sp.End()
 	res := resultFromGoverned(p, gr, "context-sensitive")
 	if gr.Tier == core.TierPartialCI {

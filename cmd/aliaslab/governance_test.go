@@ -1,12 +1,13 @@
 package main
 
 // CLI tests for the resource-governance flags: -timeout, -max-steps,
-// -max-pairs, the degraded label in analysis output, and the degraded
-// vet exit status / JSON shape.
+// -max-pairs, the degraded label in analysis output, the degraded vet
+// exit status / JSON shape, and per-file caps in multi-file mode.
 
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -152,5 +153,48 @@ func TestMaxStepsAliasKeepsWorking(t *testing.T) {
 	_, stderr, code := runCLI(t, "-analysis", "ci", "-maxsteps", fmt.Sprint(ciIns/2), "-print", "pointsto", path)
 	if code != 1 || !strings.Contains(stderr, "step budget") {
 		t.Fatalf("-maxsteps alias inert: code=%d stderr:\n%s", code, stderr)
+	}
+}
+
+// TestMultiFileCapsArePerFile: in multi-file mode the step cap bounds
+// each file's attempts separately, so the batch output is the per-file
+// outputs joined under their headers, at any -jobs width. At 3000 steps
+// only the two corpus programs whose CI fixpoint takes more degrade.
+func TestMultiFileCapsArePerFile(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "internal", "corpus", "programs", "*.c"))
+	if err != nil || len(files) != 13 {
+		t.Fatalf("corpus programs: %d files, err %v", len(files), err)
+	}
+	flags := []string{"-max-steps", "3000", "-print", "indirect"}
+
+	var wantOut, wantErr strings.Builder
+	wantCode := 0
+	var degraded []string
+	for _, f := range files {
+		out, stderr, code := runCLI(t, append(flags, f)...)
+		fmt.Fprintf(&wantOut, "== %s ==\n%s", f, out)
+		if stderr != "" {
+			fmt.Fprintf(&wantErr, "== %s ==\n%s", f, stderr)
+		}
+		wantCode = max(wantCode, code)
+		if strings.Contains(out, "(degraded:") {
+			degraded = append(degraded, filepath.Base(f))
+		}
+	}
+	if got := strings.Join(degraded, " "); got != "assembler.c bc.c" {
+		t.Errorf("degraded files: %q, want %q", got, "assembler.c bc.c")
+	}
+
+	for _, jobs := range []string{"1", "4"} {
+		out, stderr, code := runCLI(t, append(append([]string{"-jobs", jobs}, flags...), files...)...)
+		if out != wantOut.String() {
+			t.Errorf("jobs=%s: stdout differs from the per-file runs joined", jobs)
+		}
+		if stderr != wantErr.String() {
+			t.Errorf("jobs=%s: stderr differs from the per-file runs joined:\n%s", jobs, stderr)
+		}
+		if code != wantCode {
+			t.Errorf("jobs=%s: exit %d, want %d", jobs, code, wantCode)
+		}
 	}
 }

@@ -27,11 +27,13 @@
 // highest per-file status.
 //
 // Resource governance: -timeout, -max-steps, and -max-pairs bound the
-// run. In multi-file mode the caps govern the whole batch through one
-// shared ledger, not each file separately. A context-sensitive analysis
-// that blows its budget degrades gracefully (assumption-set widening,
-// then the context-insensitive answer) instead of failing; degraded
-// output is labeled and explained on stderr.
+// run. The step and pair caps apply to each solve attempt separately,
+// in multi-file mode to each file's attempts too, so a file's output
+// does not depend on the other files or on -jobs; the -timeout
+// deadline spans the whole run. A context-sensitive analysis that
+// blows its budget degrades gracefully to the context-insensitive
+// answer instead of failing; degraded output is labeled and explained
+// on stderr.
 package main
 
 import (
@@ -188,9 +190,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Diagnostics:           *vet,
 	}
 
-	// Assemble the resource budget shared by all analysis modes. The
-	// deadline spans the whole run; step/pair caps apply per attempt
-	// (per batch in multi-file mode, via a shared ledger).
+	// Assemble the resource budget of all analysis modes. The deadline
+	// spans the whole run; step/pair caps apply per attempt.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -272,10 +273,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 // output, so interleaved completion cannot scramble the rendering: the
 // bytes are identical at any -jobs value.
 func runMulti(files []string, opts vdg.Options, cfg config, jobs int, tr *obs.Tracer, stdout, stderr io.Writer) int {
-	// One ledger across the batch: the step/pair caps govern the sum of
-	// the workers' work, exactly as in the corpus engine.
-	cfg.budget = cfg.budget.Share(&limits.Ledger{})
-
 	type result struct {
 		out, errOut bytes.Buffer
 		code        int
@@ -341,9 +338,9 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 
 	// Run the selected analysis under the budget, always materializing a
 	// per-output pair map plus a CI result for clients that need the
-	// call graph. Blowing the budget degrades (CS widens, then falls
-	// back to CI) rather than failing; the label carries the tier so the
-	// output cannot be mistaken for the exact answer.
+	// call graph. Blowing the budget degrades (CS falls back to CI)
+	// rather than failing; the label carries the tier so the output
+	// cannot be mistaken for the exact answer.
 	var ci *core.Result
 	var sets map[*vdg.Output]*core.PairSet
 	var label string

@@ -52,8 +52,8 @@ func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 	a.collapse()
 
 	a.sys.Seed()
-	out := a.sys.Eng.Run(a.transfer)
-	return a.sys.Result(out)
+	stopped := a.sys.Eng.Run(a.transfer)
+	return a.sys.Result(stopped)
 }
 
 // analysis carries the Andersen-specific state: the copy-edge

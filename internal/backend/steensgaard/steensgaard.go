@@ -46,10 +46,10 @@ func AnalyzeBudgeted(g *vdg.Graph, budget limits.Budget) *core.Result {
 	}
 
 	s.sys.Seed()
-	out := s.sys.Eng.Run(func(ar backend.Arrival) {
+	stopped := s.sys.Eng.Run(func(ar backend.Arrival) {
 		s.sys.Complex(s.sys.Find(ar.Cell), ar.Key)
 	})
-	return s.sys.Result(out)
+	return s.sys.Result(stopped)
 }
 
 type analysis struct {

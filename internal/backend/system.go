@@ -118,7 +118,7 @@ func NewSystem(cons *Constraints, budget limits.Budget) *System {
 		Callees:       make(map[*vdg.Node][]*vdg.FuncGraph),
 		Callers:       make(map[*vdg.FuncGraph][]*vdg.Node),
 	}
-	s.Eng = solver.New[Arrival](solver.Config{Budget: budget})
+	s.Eng = solver.New[Arrival](budget)
 	s.St = s.Eng.Stats()
 	s.St.Constraints = cons.Count()
 	return s
@@ -349,8 +349,9 @@ func (s *System) addCallEdge(n *vdg.Node, callee *vdg.FuncGraph) {
 // Result materializes the solved state in the shape the CI analysis
 // produces, so checkers, reports, and the oracle consume any backend's
 // solution unchanged. Outputs of one merged cell share one *PairSet,
-// exactly as the Weihl baseline shares its global store set.
-func (s *System) Result(out solver.Outcome) *core.Result {
+// exactly as the Weihl baseline shares its global store set. stopped
+// is the violation the engine's Run returned (nil at the fixpoint).
+func (s *System) Result(stopped *limits.Violation) *core.Result {
 	n := 0
 	s.Cons.Graph.Outputs(func(o *vdg.Output) {
 		if s.Set(s.Cons.CellOf[o.ID]).Len() > 0 {
@@ -362,7 +363,7 @@ func (s *System) Result(out solver.Outcome) *core.Result {
 		Sets:    make(map[*vdg.Output]*core.PairSet, n),
 		Callees: s.Callees,
 		Callers: s.Callers,
-		Stopped: out.Stopped,
+		Stopped: stopped,
 	}
 	s.Cons.Graph.Outputs(func(o *vdg.Output) {
 		if set := s.Set(s.Cons.CellOf[o.ID]); set.Len() > 0 {

@@ -140,27 +140,22 @@ func TestAdversarialFixturesTerminateUnderBudget(t *testing.T) {
 	}
 }
 
-// TestGovernedCIFallbackIsSupersetOfExactCI forces both context-
-// sensitive attempts over budget while the context-insensitive pass
+// TestGovernedCIFallbackIsSupersetOfExactCI forces the context-
+// sensitive attempt over budget while the context-insensitive pass
 // fits, and verifies the fallback answer against an independently
 // computed exact CI result.
 func TestGovernedCIFallbackIsSupersetOfExactCI(t *testing.T) {
 	u := load(t, swapRecSrc(12))
 
 	// Measure the fixture's own work to place the budget between the
-	// CI cost and the cheapest CS attempt.
+	// CI and the CS cost.
 	exactCI := core.AnalyzeInsensitive(u.Graph)
 	exactCS := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: exactCI})
-	widenedCS := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: exactCI, MaxAssumptions: core.DefaultWidenAssumptions})
-	cheapestCS := exactCS.Metrics.FlowIns
-	if widenedCS.Metrics.FlowIns < cheapestCS {
-		cheapestCS = widenedCS.Metrics.FlowIns
+	if exactCS.Metrics.FlowIns <= exactCI.Metrics.FlowIns+2 {
+		t.Fatalf("fixture not adversarial: CI %d flow-ins, CS %d",
+			exactCI.Metrics.FlowIns, exactCS.Metrics.FlowIns)
 	}
-	if cheapestCS <= exactCI.Metrics.FlowIns+2 {
-		t.Fatalf("fixture not adversarial: CI %d flow-ins, cheapest CS %d",
-			exactCI.Metrics.FlowIns, cheapestCS)
-	}
-	budget := limits.Budget{MaxSteps: (exactCI.Metrics.FlowIns + cheapestCS) / 2}
+	budget := limits.Budget{MaxSteps: (exactCI.Metrics.FlowIns + exactCS.Metrics.FlowIns) / 2}
 
 	got := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{Sensitive: true, Budget: budget})
 	if got.Tier != core.TierCIFallback {
@@ -176,38 +171,9 @@ func TestGovernedCIFallbackIsSupersetOfExactCI(t *testing.T) {
 	requireSubset(t, "exact CI ⊆ degraded", exactCI.Sets, got.Sets)
 	// And the exact CS answer (soundness all the way down).
 	requireSubset(t, "exact CS ⊆ degraded", exactCS.Strip(), got.Sets)
-	if len(got.Notes) < 3 {
-		t.Fatalf("expected a three-step degradation trace, got %v", got.Notes)
+	if len(got.Notes) != 2 {
+		t.Fatalf("expected a two-step degradation trace, got %v", got.Notes)
 	}
-}
-
-// TestGovernedWidenedTierRecovers places the budget between the
-// widened and the exact context-sensitive cost, so tier 1 absorbs the
-// blowup without falling all the way back to CI.
-func TestGovernedWidenedTierRecovers(t *testing.T) {
-	u := load(t, swapRecSrc(12))
-	exactCI := core.AnalyzeInsensitive(u.Graph)
-	exactCS := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: exactCI})
-	const widen = 2
-	widenedCS := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: exactCI, MaxAssumptions: widen})
-	if widenedCS.Metrics.FlowIns+2 > exactCS.Metrics.FlowIns {
-		t.Skipf("no widening gap on this fixture: widened %d, exact %d flow-ins",
-			widenedCS.Metrics.FlowIns, exactCS.Metrics.FlowIns)
-	}
-	budget := limits.Budget{MaxSteps: (widenedCS.Metrics.FlowIns + exactCS.Metrics.FlowIns) / 2}
-
-	got := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
-		Sensitive: true, Budget: budget, WidenAssumptions: widen,
-	})
-	if got.Tier != core.TierWidened {
-		t.Fatalf("tier = %v, want widened (notes: %v)", got.Tier, got.Notes)
-	}
-	if !got.Degraded() || got.CS == nil || !got.CS.Widened {
-		t.Fatalf("widened tier not marked: %+v", got)
-	}
-	// Soundness lattice: exact CS ⊆ widened CS ⊆ exact CI.
-	requireSubset(t, "exact CS ⊆ widened", exactCS.Strip(), got.Sets)
-	requireSubset(t, "widened ⊆ exact CI", got.Sets, exactCI.Sets)
 }
 
 // TestGovernedDeadlineStopsCI: with an already-expired deadline even

@@ -113,7 +113,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		eng: solver.New[workItem](solver.Config{Budget: budget}),
+		eng: solver.New[workItem](budget),
 	}
 	a.st = a.eng.Stats()
 
@@ -127,7 +127,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 		}
 	}
 
-	out := a.eng.Run(func(it workItem) { a.flowIn(g.Input(it.in), it.key) })
+	stopped := a.eng.Run(func(it workItem) { a.flowIn(g.Input(it.in), it.key) })
 	n := 0
 	for _, s := range a.sets {
 		if s != nil {
@@ -140,7 +140,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 			a.res.Sets[o] = s
 		}
 	})
-	a.res.Stopped = out.Stopped
+	a.res.Stopped = stopped
 	a.res.Engine = *a.st
 	a.res.Metrics = metricsFrom(a.st)
 	return a.res

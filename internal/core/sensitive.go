@@ -18,7 +18,9 @@ type SensitiveOptions struct {
 
 	// MaxSteps aborts the analysis after this many flow-in applications
 	// (0 = unlimited). The unoptimized algorithm is exponential; the
-	// paper could only run it on the smallest examples.
+	// paper could only run it on the smallest examples. It is folded
+	// into Budget.MaxSteps: the smaller positive cap applies, and a
+	// trip reports a Steps violation either way.
 	MaxSteps int
 
 	// MaxAssumptions, when positive, bounds assumption-set sizes the way
@@ -32,21 +34,19 @@ type SensitiveOptions struct {
 	MaxAssumptions int
 
 	// Budget adds resource limits (step/pair caps, wall-clock deadline)
-	// checked before every flow-in, on top of MaxSteps. When the budget
-	// trips, the analysis stops with Aborted and Stopped set. A
-	// positive Budget.MaxAssumptions also enables widening, as if set
-	// via the MaxAssumptions field above (the larger of the two wins
-	// nothing — the smaller positive bound applies).
+	// checked before every flow-in. When the budget trips, the analysis
+	// stops with Aborted and Stopped set.
 	Budget limits.Budget
 }
 
-// effectiveMaxAssumptions merges the two ways to request widening.
-func (o SensitiveOptions) effectiveMaxAssumptions() int {
-	k := o.MaxAssumptions
-	if b := o.Budget.MaxAssumptions; b > 0 && (k <= 0 || b < k) {
-		k = b
+// budget folds MaxSteps into Budget: the smaller positive step cap
+// applies.
+func (o SensitiveOptions) budget() limits.Budget {
+	b := o.Budget
+	if o.MaxSteps > 0 && (b.MaxSteps <= 0 || o.MaxSteps < b.MaxSteps) {
+		b.MaxSteps = o.MaxSteps
 	}
-	return k
+	return b
 }
 
 // SensitiveResult is the output of the context-sensitive analysis.
@@ -65,14 +65,14 @@ type SensitiveResult struct {
 	// Engine is the solver-engine counter record of the run.
 	Engine solver.Stats
 
-	// Aborted is set when MaxSteps or the budget was exhausted; results
-	// are then an under-approximation of the fixpoint and must not be
-	// used for precision comparisons or as a sound may-alias answer.
+	// Aborted is set when MaxSteps or the budget was exhausted (exactly
+	// when Stopped is non-nil); results are then an under-approximation
+	// of the fixpoint and must not be used for precision comparisons or
+	// as a sound may-alias answer.
 	Aborted bool
 
-	// Stopped identifies the budget limit that aborted the analysis
-	// (nil when the fixpoint converged, or when only the legacy
-	// MaxSteps bound tripped).
+	// Stopped identifies the limit that aborted the analysis (nil when
+	// the fixpoint converged).
 	Stopped *limits.Violation
 
 	// Widened reports that assumption-set widening was active: the
@@ -143,9 +143,6 @@ type sensitive struct {
 	at   *ATable
 	opts SensitiveOptions
 
-	// maxAssumptions is the resolved widening threshold (0 = exact).
-	maxAssumptions int
-
 	eng *solver.Engine[qItem]
 	st  *solver.Stats
 
@@ -190,15 +187,14 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 			Callees: make(map[*vdg.Node][]*vdg.FuncGraph),
 			Callers: make(map[*vdg.FuncGraph][]*vdg.Node),
 		},
-		at:             NewATable(),
-		opts:           opts,
-		maxAssumptions: opts.effectiveMaxAssumptions(),
-		eng:            solver.New[qItem](solver.Config{Budget: opts.Budget, MaxSteps: opts.MaxSteps}),
-		qsets:          make([]*QSet, g.OutputIDs()),
-		retNeeds:       make([]map[Key]retList, g.OutputIDs()),
+		at:       NewATable(),
+		opts:     opts,
+		eng:      solver.New[qItem](opts.budget()),
+		qsets:    make([]*QSet, g.OutputIDs()),
+		retNeeds: make([]map[Key]retList, g.OutputIDs()),
 	}
 	a.st = a.eng.Stats()
-	a.res.Widened = a.maxAssumptions > 0
+	a.res.Widened = opts.MaxAssumptions > 0
 	if opts.CI != nil {
 		a.ciFacts(opts.CI)
 	}
@@ -213,7 +209,7 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 	}
 
 	u := g.Universe
-	out := a.eng.Run(func(it qItem) {
+	stopped := a.eng.Run(func(it qItem) {
 		a.flowIn(g.Input(it.in), QPair{P: Decode(u, it.key), A: it.a})
 	})
 	n := 0
@@ -228,8 +224,8 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 			a.res.QSets[o] = s
 		}
 	})
-	a.res.Aborted = out.Aborted
-	a.res.Stopped = out.Stopped
+	a.res.Aborted = stopped != nil
+	a.res.Stopped = stopped
 	a.res.Engine = *a.st
 	a.res.Metrics = metricsFrom(a.st)
 	return a.res
@@ -268,7 +264,7 @@ func (a *sensitive) ciFacts(ci *Result) {
 // (a sound weakening: fewer assumptions means the pair holds more
 // broadly).
 func (a *sensitive) bound(s *ASet) *ASet {
-	k := a.maxAssumptions
+	k := a.opts.MaxAssumptions
 	if k <= 0 || s.Len() <= k {
 		return s
 	}

@@ -1,7 +1,7 @@
 package experiments_test
 
 // Tests of the parallel batch engine: determinism across worker
-// counts, shared-budget behavior, capped-unit marking, and worker
+// counts, per-unit budget behavior, capped-unit marking, and worker
 // isolation under the race detector.
 
 import (
@@ -110,77 +110,48 @@ func TestBatchParallelIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchSharedBudget: a step cap far below the corpus total is
-// exhausted partway through the batch; the violating unit records the
-// violation, later units are skipped with the violation as their
-// cause, and units analyzed before exhaustion keep their results.
+// TestBatchSharedBudget: the batch budget bounds every unit's solve
+// separately. A step cap below some units' CI cost fails exactly those
+// units, at any worker count, and skips none of the others.
 func TestBatchSharedBudget(t *testing.T) {
+	const maxSteps = 2000
 	names := corpus.Names()
-	rs, err := experiments.RunBatch(names, experiments.BatchOptions{
-		Jobs:   1, // deterministic exhaustion point
-		Budget: limits.Budget{MaxSteps: 2000},
-	})
+	ref, err := experiments.RunBatch(names, experiments.BatchOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var completed, stopped, skipped int
-	seenStop := false
-	for _, r := range rs {
-		switch {
-		case !r.Failed():
-			completed++
-			if seenStop {
-				t.Errorf("%s completed after the shared budget was exhausted", r.Name)
-			}
-		case r.Stopped != nil:
-			stopped++
-			seenStop = true
-			if r.Stopped.Reason != limits.Steps {
-				t.Errorf("%s: stopped for %v, want Steps", r.Name, r.Stopped.Reason)
-			}
-		default:
-			if se, ok := sched.Skipped(r.Err); ok {
-				skipped++
-				var v *limits.Violation
-				if !errors.As(se.Cause, &v) {
-					t.Errorf("%s: skip cause is not the budget violation: %v", r.Name, se.Cause)
-				}
-			} else {
-				t.Errorf("%s: unexpected failure kind: %v", r.Name, r.Err)
-			}
+	over := 0
+	for _, r := range ref {
+		if r.CI.Engine.Steps > maxSteps {
+			over++
 		}
 	}
-	if stopped != 1 {
-		t.Errorf("%d units recorded the violation, want exactly 1", stopped)
+	if over == 0 || over == len(names) {
+		t.Fatalf("%d of %d units exceed %d steps; the cap must split the corpus", over, len(names), maxSteps)
 	}
-	if skipped == 0 {
-		t.Error("no unit was skipped; the cap should not cover the whole corpus")
-	}
-	if completed+stopped+skipped != len(names) {
-		t.Errorf("slots unaccounted: %d+%d+%d != %d", completed, stopped, skipped, len(names))
-	}
-}
 
-// TestBatchSharedBudgetPoolsAcrossWorkers: the same cap trips no matter
-// the worker count — the ledger sums work across workers rather than
-// giving each worker its own allowance.
-func TestBatchSharedBudgetPoolsAcrossWorkers(t *testing.T) {
-	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
-		Jobs:   8,
-		Budget: limits.Budget{MaxSteps: 2000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, r := range rs {
-		if r.Failed() {
-			failed++
+	for _, jobs := range []int{1, 8} {
+		rs, err := experiments.RunBatch(names, experiments.BatchOptions{
+			Jobs:   jobs,
+			Budget: limits.Budget{MaxSteps: maxSteps},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if failed == 0 {
-		t.Fatal("a 2000-step batch budget was never exhausted at jobs=8; workers are not sharing the ledger")
+		for i, r := range rs {
+			if _, ok := sched.Skipped(r.Err); ok {
+				t.Errorf("jobs=%d: %s skipped: %v", jobs, r.Name, r.Err)
+				continue
+			}
+			if wantStop := ref[i].CI.Engine.Steps > maxSteps; r.Failed() != wantStop {
+				t.Errorf("jobs=%d: %s failed=%v, but its CI takes %d steps against a cap of %d (err: %v)",
+					jobs, r.Name, r.Failed(), ref[i].CI.Engine.Steps, maxSteps, r.Err)
+				continue
+			}
+			if r.Failed() && (r.Stopped == nil || r.Stopped.Reason != limits.Steps) {
+				t.Errorf("jobs=%d: %s: stopped by %v, want a Steps violation", jobs, r.Name, r.Stopped)
+			}
+		}
 	}
 }
 
@@ -188,13 +159,21 @@ func TestBatchSharedBudgetPoolsAcrossWorkers(t *testing.T) {
 // the unit Capped (and failed) instead of letting a bounded run
 // masquerade as converged.
 func TestCappedUnitIsMarked(t *testing.T) {
-	// A per-batch budget whose step cap is high enough for CI on the
-	// first units but far below any CS fixpoint.
+	// A step cap between the CI and the CS cost of "part" (measured
+	// here, so the test follows the solver): CI fits, CS does not.
+	full, err := experiments.RunBatch([]string{"part"}, experiments.BatchOptions{WithCS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, cs := full[0].CI.Engine.Steps, full[0].CS.Engine.Steps
+	if cs <= ci+1 {
+		t.Fatalf("part: CS takes %d steps, CI %d; no cap separates them", cs, ci)
+	}
 	// The single-unit batch fails outright (its only unit is capped),
 	// so RunBatch's "all failed" error is expected here.
 	rs, _ := experiments.RunBatch([]string{"part"}, experiments.BatchOptions{
 		WithCS: true,
-		Budget: limits.Budget{MaxSteps: 4000},
+		Budget: limits.Budget{MaxSteps: (ci + cs) / 2},
 	})
 	r := rs[0]
 	if !r.Failed() {

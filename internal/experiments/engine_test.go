@@ -1,7 +1,7 @@
 package experiments_test
 
 // Tests of the solver-engine plumbing through the batch layer: counter
-// determinism, ledger accounting, and the opt-in JSON engine block.
+// determinism and the opt-in JSON engine block.
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/experiments"
-	"aliaslab/internal/limits"
 )
 
 // TestEngineStatsDeterministic: two sequential runs of the same corpus
@@ -33,33 +32,6 @@ func TestEngineStatsDeterministic(t *testing.T) {
 		if a[i].CS.Engine != b[i].CS.Engine {
 			t.Errorf("%s: CS engine stats differ across identical runs:\n  %+v\n  %+v", a[i].Name, a[i].CS.Engine, b[i].CS.Engine)
 		}
-	}
-}
-
-// TestLedgerMatchesEngineSteps: in a batch governed by a cap-less
-// shared ledger, the pooled totals equal the exact sum of the per-run
-// engine counters — the gate's in-loop charging plus the clean-drain
-// flush account every item and every insert, no more, no less.
-func TestLedgerMatchesEngineSteps(t *testing.T) {
-	ledger := &limits.Ledger{}
-	rs, err := experiments.RunBatch(corpus.Names(), experiments.BatchOptions{
-		WithCS: true,
-		Jobs:   1,
-		Budget: limits.Budget{}.Share(ledger),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps, pairs int
-	for _, r := range rs {
-		steps += r.CI.Engine.Steps + r.CS.Engine.Steps
-		pairs += r.CI.Engine.PairInserts + r.CS.Engine.PairInserts
-	}
-	if got := ledger.Steps(); got != steps {
-		t.Errorf("ledger pooled %d steps, per-unit engine counters sum to %d", got, steps)
-	}
-	if got := ledger.Pairs(); got != pairs {
-		t.Errorf("ledger pooled %d pairs, per-unit engine counters sum to %d", got, pairs)
 	}
 }
 

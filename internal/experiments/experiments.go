@@ -67,8 +67,8 @@ type ProgramResult struct {
 	// and must never be presented as a converged result.
 	Capped bool
 
-	// Stopped is the budget violation that halted this unit, when the
-	// batch ran under a shared limits.Budget; nil otherwise.
+	// Stopped is the budget violation that halted this unit's solve;
+	// nil when every solve converged.
 	Stopped *limits.Violation
 
 	// Err records a per-unit failure — front-end diagnostics, a panic
@@ -98,10 +98,10 @@ type BatchOptions struct {
 	// rendered output is identical at every width.
 	Jobs int
 
-	// Budget, when limited, governs the whole batch: its step/pair caps
-	// are shared across workers through one atomic ledger (installed
-	// here if the caller did not provide one), and a violation in any
-	// worker cancels the units that have not started yet.
+	// Budget bounds every solve of every unit separately: its step and
+	// pair caps apply per attempt, so whether a unit trips them does
+	// not depend on the schedule. A deadline in Budget.Ctx spans the
+	// whole batch; units not started when it expires are skipped.
 	Budget limits.Budget
 
 	// Backend additionally runs a constraint backend (Andersen or
@@ -127,7 +127,7 @@ type BatchOptions struct {
 
 	// Metrics, when non-nil, collects batch metrics: unit counts, VDG
 	// sizes, engine counters, pairs-per-procedure and worklist-depth
-	// distributions, ledger charge totals. Workers write it lock-free;
+	// distributions. Workers write it lock-free;
 	// only Deterministic-stability metrics appear in the byte-stable
 	// JSON rendering.
 	Metrics *obs.Registry
@@ -161,11 +161,11 @@ func Run(name string, withCS bool, opts vdg.Options) (*ProgramResult, error) {
 
 // runUnit analyzes one unit under the batch configuration. It is the
 // worker body of RunBatch: everything it touches — universe, VDG,
-// solver state — is created here and owned by this unit alone; the
-// shared objects are the budget's atomic ledger and the lock-free
-// metric registry. The returned span is detached (nil when untraced):
-// it is built entirely on this goroutine and handed to the caller to
-// attach in canonical order.
+// solver state, budget gates — is created here and owned by this unit
+// alone; the one shared object is the lock-free metric registry. The
+// returned span is detached (nil when untraced): it is built entirely
+// on this goroutine and handed to the caller to attach in canonical
+// order.
 func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult, *obs.Span) {
 	r := &ProgramResult{Name: name}
 	sp := bo.Trace.Detached("unit", obs.Str("unit", name))
@@ -221,13 +221,10 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 			r.CS = core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: r.CI, MaxSteps: MaxCSSteps, Budget: bo.Budget})
 			r.CSTime = time.Since(t0)
 			core.AttachEngine(ssp, r.CS.Engine)
-			if r.CS.Aborted {
+			if r.CS.Stopped != nil {
 				r.Capped = true
 				r.Stopped = r.CS.Stopped
-				if r.CS.Stopped != nil {
-					return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", name, r.CS.Stopped)
-				}
-				return fmt.Errorf("%s: context-sensitive analysis exceeded %d steps", name, MaxCSSteps)
+				return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", name, r.CS.Stopped)
 			}
 			r.CSSets = r.CS.Strip()
 		}
@@ -246,11 +243,10 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 // including the sequential Jobs=1 run.
 //
 // A failing unit does not stop the batch: its ProgramResult carries the
-// error and the remaining programs still run. The exception is a
-// tripped shared budget: the violating unit records the violation and
-// the units that have not started are skipped (their results carry the
-// violation as the skip cause). The returned error is non-nil only when
-// every unit failed.
+// error and the remaining programs still run. A unit that trips the
+// budget records the violation like any other failure; only an expired
+// Budget.Ctx skips the units that have not started (their results carry
+// the skip). The returned error is non-nil only when every unit failed.
 func RunBatch(names []string, bo BatchOptions) ([]*ProgramResult, error) {
 	if err := bo.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -258,20 +254,6 @@ func RunBatch(names []string, bo BatchOptions) ([]*ProgramResult, error) {
 	ctx := bo.Budget.Ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	if !bo.Budget.Unlimited() {
-		// Thread the batch context through the budget so in-flight
-		// solvers observe a cancellation at their next gate poll, and
-		// install one ledger for the whole batch: the caps govern the
-		// pooled work of all workers, not each unit separately. An
-		// unlimited budget stays zero — the solvers then run the exact
-		// ungoverned algorithms of the sequential engine.
-		bo.Budget.Ctx = ctx
-		if bo.Budget.Ledger == nil {
-			bo.Budget.Ledger = &limits.Ledger{}
-		}
 	}
 
 	batch := bo.Trace.StartSpan("batch", obs.Int("units", len(names)))
@@ -281,11 +263,6 @@ func RunBatch(names []string, bo BatchOptions) ([]*ProgramResult, error) {
 		r, sp := runUnit(ctx, names[i], bo)
 		rs[i] = r
 		spans[i] = sp
-		if r.Stopped != nil {
-			// The shared budget is spent; analyzing further units could
-			// only spin on an exhausted gate. Stop the batch cleanly.
-			cancel(r.Stopped)
-		}
 		return r.Err
 	})
 	// The merge barrier has passed: adopt the unit spans in input order,
@@ -295,13 +272,12 @@ func RunBatch(names []string, bo BatchOptions) ([]*ProgramResult, error) {
 	for _, sp := range spans {
 		batch.Attach(sp)
 	}
-	recordLedger(bo.Metrics, bo.Budget.Ledger)
 	batch.End()
 
 	failures := 0
 	for i, name := range names {
 		if rs[i] == nil {
-			// The pool skipped (cancelled batch) or guarded a panic that
+			// The pool skipped (expired deadline) or guarded a panic that
 			// escaped runUnit's own guard; keep the slot with the error.
 			rs[i] = &ProgramResult{Name: name, Err: errs[i]}
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"aliaslab/internal/core"
-	"aliaslab/internal/limits"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
@@ -18,7 +17,7 @@ import (
 // work rather than on what it computes — CS counters (subsumption makes
 // even their step counts depend on the visit order), meet counts,
 // worklist depth profiles — and everything that depends on the worker
-// schedule, such as ledger contention, is Volatile. The FIFO engine
+// schedule, such as the count of units a deadline skipped, is Volatile. The FIFO engine
 // repeats the visit order from run to run, but a change to the engine
 // may move these counters with every answer unchanged, so they render
 // only in the text tree and Chrome trace, never in the byte-stable
@@ -99,17 +98,4 @@ func recordPairsPerProc(reg *obs.Registry, g *vdg.Graph, sets map[*vdg.Output]*c
 		}
 		h.Observe(int64(total))
 	}
-}
-
-// recordLedger samples the shared budget ledger after a batch: total
-// charged work and the charge-operation count whose ratio is the mean
-// charge batch size (the contention profile of the shared budget).
-// Charge interleaving is scheduling, hence Volatile.
-func recordLedger(reg *obs.Registry, l *limits.Ledger) {
-	if reg == nil || l == nil {
-		return
-	}
-	reg.Gauge("ledger.steps", obs.Volatile).Set(int64(l.Steps()))
-	reg.Gauge("ledger.pairs", obs.Volatile).Set(int64(l.Pairs()))
-	reg.Gauge("ledger.charges", obs.Volatile).Set(int64(l.Charges()))
 }

@@ -7,7 +7,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -32,8 +31,8 @@ type PopulationOptions struct {
 	// every width.
 	Jobs int
 
-	// Budget, when limited, is shared by the whole population through
-	// one atomic ledger, like RunBatch.
+	// Budget bounds every solve of every unit separately, like
+	// RunBatch's.
 	Budget limits.Budget
 
 	// Opts is the VDG construction configuration.
@@ -165,11 +164,8 @@ func populationUnit(p corpusgen.Program, po PopulationOptions) PopulationUnit {
 			return fmt.Errorf("%s: context-insensitive analysis stopped early: %w", p.Name, ci.Stopped)
 		}
 		cs := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: MaxCSSteps, Budget: po.Budget})
-		if cs.Aborted {
-			if cs.Stopped != nil {
-				return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", p.Name, cs.Stopped)
-			}
-			return fmt.Errorf("%s: context-sensitive analysis exceeded %d steps", p.Name, MaxCSSteps)
+		if cs.Stopped != nil {
+			return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", p.Name, cs.Stopped)
 		}
 		csSets := cs.Strip()
 		and := andersen.AnalyzeBudgeted(g, po.Budget)
@@ -192,7 +188,7 @@ func populationUnit(p corpusgen.Program, po PopulationOptions) PopulationUnit {
 }
 
 // RunPopulation pushes a generated population through the parallel
-// batch machinery — the same bounded pool, shared-budget ledger, and
+// batch machinery — the same bounded pool, per-unit budget, and
 // canonical-order merge RunBatch uses — measuring indirect agreement
 // for CI, Andersen, and Steensgaard against the CS reference on every
 // unit. The returned error is non-nil only when every unit failed.
@@ -201,27 +197,15 @@ func RunPopulation(progs []corpusgen.Program, po PopulationOptions) (*Population
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	if !po.Budget.Unlimited() {
-		po.Budget.Ctx = ctx
-		if po.Budget.Ledger == nil {
-			po.Budget.Ledger = &limits.Ledger{}
-		}
-	}
 
 	units := make([]PopulationUnit, len(progs))
 	errs := sched.Pool{Jobs: po.Jobs}.Map(ctx, len(progs), func(ctx context.Context, i int) error {
 		units[i] = populationUnit(progs[i], po)
-		if v := (*limits.Violation)(nil); errors.As(units[i].Err, &v) {
-			// The shared budget is spent: stop scheduling new units.
-			cancel(units[i].Err)
-		}
 		return units[i].Err
 	})
 	for i := range units {
 		if units[i].Name == "" {
-			// The pool skipped this unit (cancelled batch).
+			// The pool skipped this unit (expired deadline).
 			units[i] = PopulationUnit{Name: progs[i].Name, Knobs: progs[i].Knobs, Err: errs[i]}
 		}
 	}

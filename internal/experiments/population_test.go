@@ -104,8 +104,8 @@ func TestPopulationGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestPopulationBudgetStop: a tiny shared budget halts the population
-// run instead of hanging, and the stopped units surface as failures.
+// TestPopulationBudgetStop: a tiny per-unit budget stops the units
+// that need more instead of hanging, and they surface as failures.
 func TestPopulationBudgetStop(t *testing.T) {
 	res, _ := experiments.RunPopulation(corpusgen.Sweep(42, 8), experiments.PopulationOptions{
 		Jobs:   2,

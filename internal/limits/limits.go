@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -67,40 +66,10 @@ func (v *Violation) Error() string {
 
 func (v *Violation) Unwrap() error { return v.Err }
 
-// Ledger is a batch-wide work counter shared by concurrent solvers.
-// Each Gate charged against a ledger adds its solver's step/pair deltas
-// atomically, so one Budget can govern a whole parallel batch: the caps
-// bound the *sum* of work across workers, and whichever worker pushes a
-// counter over the line observes the Violation first. Readers (reports,
-// tests) may sample the totals at any time.
-type Ledger struct {
-	steps   atomic.Int64
-	pairs   atomic.Int64
-	charges atomic.Int64
-}
-
-// Steps returns the total steps charged so far.
-func (l *Ledger) Steps() int { return int(l.steps.Load()) }
-
-// Pairs returns the total pairs charged so far.
-func (l *Ledger) Pairs() int { return int(l.pairs.Load()) }
-
-// Charges returns how many charge operations (gate polls and flushes)
-// have hit the ledger. Steps/Charges is the mean charge batch size —
-// the contention profile of the shared budget, sampled by the
-// observability layer.
-func (l *Ledger) Charges() int { return int(l.charges.Load()) }
-
-// add charges deltas and returns the new totals.
-func (l *Ledger) add(steps, pairs int) (int, int) {
-	l.charges.Add(1)
-	s := l.steps.Add(int64(steps))
-	p := l.pairs.Add(int64(pairs))
-	return int(s), int(p)
-}
-
 // Budget bounds one analysis attempt. The zero value is unlimited:
 // solvers running under it behave exactly as the ungoverned algorithms.
+// The caps apply to each attempt separately; only the deadline carried
+// by Ctx spans everything that shares it.
 type Budget struct {
 	// Ctx carries the wall-clock deadline and cooperative cancellation;
 	// nil means context.Background().
@@ -111,32 +80,11 @@ type Budget struct {
 
 	// MaxPairs caps pairs added across all outputs (0 = unlimited).
 	MaxPairs int
-
-	// MaxAssumptions, when positive, widens the context-sensitive
-	// analysis by collapsing assumption sets beyond this size (a sound
-	// over-approximation). It is carried here so one Budget describes a
-	// whole attempt; the CI solver ignores it.
-	MaxAssumptions int
-
-	// Ledger, when non-nil, makes the step/pair caps batch-wide: every
-	// solver governed by this budget charges its work to the shared
-	// ledger and the caps apply to the pooled totals, not to each
-	// solver separately. Used by the parallel corpus engine so N
-	// workers share one budget.
-	Ledger *Ledger
 }
 
-// Unlimited reports whether no limit of any kind is configured. A
-// budget with only a Ledger is not "unlimited": it enforces nothing,
-// but the gate still has to meter work into the shared ledger.
+// Unlimited reports whether no limit of any kind is configured.
 func (b Budget) Unlimited() bool {
-	return b.Ctx == nil && b.MaxSteps <= 0 && b.MaxPairs <= 0 && b.Ledger == nil
-}
-
-// Share returns a copy of b charging the given ledger.
-func (b Budget) Share(l *Ledger) Budget {
-	b.Ledger = l
-	return b
+	return b.Ctx == nil && b.MaxSteps <= 0 && b.MaxPairs <= 0
 }
 
 // WithTimeout returns a copy of b whose context enforces the given
@@ -166,14 +114,6 @@ type Gate struct {
 	ctx                context.Context
 	maxSteps, maxPairs int
 	sincePoll          int
-
-	// ledger, when set, makes the caps batch-wide: Step charges the
-	// delta since its previous call to the shared ledger and compares
-	// the caps against the pooled totals. lastSteps/lastPairs remember
-	// the solver counters already charged (a Gate belongs to exactly
-	// one solver, so they need no synchronization).
-	ledger               *Ledger
-	lastSteps, lastPairs int
 }
 
 // Gate materializes the budget's checker. It returns nil for an
@@ -183,26 +123,16 @@ func (b Budget) Gate() *Gate {
 	if b.Unlimited() {
 		return nil
 	}
-	return &Gate{ctx: b.Ctx, maxSteps: b.MaxSteps, maxPairs: b.MaxPairs, ledger: b.Ledger}
+	return &Gate{ctx: b.Ctx, maxSteps: b.MaxSteps, maxPairs: b.MaxPairs}
 }
 
 // Step accounts one unit of solver work. steps and pairs are the
 // solver's running counters (the Gate does not duplicate them). It
 // returns a non-nil Violation when any limit is exceeded; the solver
 // must then stop draining its worklist and annotate its result.
-//
-// Under a shared Ledger the caps apply to the batch-wide totals: the
-// gate first publishes this solver's work since the previous call, then
-// compares the pooled counters. The solver that crosses a cap may not
-// be the one that did most of the work — that is the point.
 func (g *Gate) Step(steps, pairs int) *Violation {
 	if g == nil {
 		return nil
-	}
-	if g.ledger != nil {
-		ds, dp := steps-g.lastSteps, pairs-g.lastPairs
-		g.lastSteps, g.lastPairs = steps, pairs
-		steps, pairs = g.ledger.add(ds, dp)
 	}
 	if g.maxSteps > 0 && steps >= g.maxSteps {
 		return &Violation{Reason: Steps, Limit: g.maxSteps}
@@ -220,21 +150,6 @@ func (g *Gate) Step(steps, pairs int) *Violation {
 		}
 	}
 	return nil
-}
-
-// Flush publishes any work not yet charged to the shared ledger,
-// without enforcing the caps. The in-loop Step runs before each item,
-// so the work of the final items between the last check and convergence
-// is otherwise never pooled; solvers call Flush once after a clean
-// drain so a batch ledger's totals equal the exact sum of the per-run
-// counters. A nil Gate or a ledger-less budget makes it a no-op.
-func (g *Gate) Flush(steps, pairs int) {
-	if g == nil || g.ledger == nil {
-		return
-	}
-	ds, dp := steps-g.lastSteps, pairs-g.lastPairs
-	g.lastSteps, g.lastPairs = steps, pairs
-	g.ledger.add(ds, dp)
 }
 
 // PanicError is a recovered panic converted into a structured error:

@@ -121,83 +121,3 @@ func TestViolationMessages(t *testing.T) {
 		}
 	}
 }
-
-func TestLedgerPoolsWorkAcrossGates(t *testing.T) {
-	// Two gates sharing one ledger under a batch-wide step cap: neither
-	// solver alone reaches the cap, but their pooled work does.
-	var l Ledger
-	b := Budget{MaxSteps: 100}.Share(&l)
-	g1, g2 := b.Gate(), b.Gate()
-	for i := 1; i <= 40; i++ {
-		if v := g1.Step(i, 0); v != nil {
-			t.Fatalf("g1 tripped early at %d: %v", i, v)
-		}
-	}
-	var v *Violation
-	for i := 1; i <= 80 && v == nil; i++ {
-		v = g2.Step(i, 0)
-	}
-	if v == nil || v.Reason != Steps {
-		t.Fatalf("pooled steps never tripped the shared cap: %v", v)
-	}
-	if got := l.Steps(); got < 100 {
-		t.Fatalf("ledger total %d, want >= 100", got)
-	}
-}
-
-func TestLedgerChargesDeltasNotAbsolutes(t *testing.T) {
-	// Step receives the solver's running counters; the ledger must be
-	// charged the increments, not the running totals re-added each call.
-	var l Ledger
-	g := Budget{MaxSteps: 1 << 30}.Share(&l).Gate()
-	for i := 1; i <= 10; i++ {
-		g.Step(i, 2*i)
-	}
-	if l.Steps() != 10 || l.Pairs() != 20 {
-		t.Fatalf("ledger totals steps=%d pairs=%d, want 10/20", l.Steps(), l.Pairs())
-	}
-}
-
-func TestLedgerOnlyBudgetStillMeters(t *testing.T) {
-	// A budget with a ledger but no caps enforces nothing, but it is not
-	// "unlimited": the gate must materialize and meter work.
-	var l Ledger
-	b := Budget{}.Share(&l)
-	if b.Unlimited() {
-		t.Fatal("ledger-only budget reported unlimited")
-	}
-	g := b.Gate()
-	if g == nil {
-		t.Fatal("ledger-only budget produced nil gate")
-	}
-	if v := g.Step(7, 3); v != nil {
-		t.Fatalf("capless gate tripped: %v", v)
-	}
-	if l.Steps() != 7 || l.Pairs() != 3 {
-		t.Fatalf("ledger totals steps=%d pairs=%d, want 7/3", l.Steps(), l.Pairs())
-	}
-}
-
-func TestLedgerConcurrentCharges(t *testing.T) {
-	// N gates charging one ledger concurrently: totals must be exact
-	// (this test is meaningful under -race).
-	var l Ledger
-	b := Budget{}.Share(&l)
-	const workers, perWorker = 8, 1000
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			g := b.Gate()
-			for i := 1; i <= perWorker; i++ {
-				g.Step(i, i)
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if l.Steps() != workers*perWorker || l.Pairs() != workers*perWorker {
-		t.Fatalf("ledger totals steps=%d pairs=%d, want %d each", l.Steps(), l.Pairs(), workers*perWorker)
-	}
-}

@@ -38,6 +38,7 @@ import (
 	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/core"
 	"aliaslab/internal/driver"
+	"aliaslab/internal/limits"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -66,9 +67,8 @@ type Options struct {
 	// on assumption-heavy programs — near the bound, sets keep merging
 	// and re-triggering propagation, so a widened run can cost far more
 	// than the exact one (on the corpus' "part", k=4 is ~700x slower
-	// than exact). Small inputs can afford
-	// {1, core.DefaultWidenAssumptions} to cover the bound the
-	// degradation pipeline actually ships with.
+	// than exact). Small inputs can afford larger bounds too, e.g.
+	// {1, 2, 4}.
 	WidenBounds []int
 
 	// MaxSteps bounds each context-sensitive attempt (0 = a generous
@@ -140,7 +140,7 @@ func Check(name string, u *driver.Unit, opts Options) []Violation {
 
 	// governed-full: the degradation pipeline under no pressure returns
 	// the exact analysis and says so.
-	gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{Sensitive: true, MaxSteps: opts.maxSteps()})
+	gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{Sensitive: true, Budget: limits.Budget{MaxSteps: opts.maxSteps()}})
 	if gr.Tier != core.TierFull {
 		add("governed-full", "unlimited budget degraded to tier %v", gr.Tier)
 	} else {

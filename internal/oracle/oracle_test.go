@@ -74,9 +74,9 @@ func TestFixtureInvariants(t *testing.T) {
 				}
 				report(t, oracle.Check(f.Name, u, oracle.Options{
 					ExpectIndirectAgreement: f.IndirectAgreement && mode.agreement,
-					// Fixtures are tiny: cover the shipped widening
+					// Fixtures are tiny: cover a larger widening
 					// bound too, not just the cheap ones.
-					WidenBounds: []int{1, 2, core.DefaultWidenAssumptions},
+					WidenBounds: []int{1, 2, 4},
 				}))
 			})
 		}

@@ -21,8 +21,8 @@ type Envelope struct {
 	// injected fault, the recovered panic).
 	Reason string `json:"reason"`
 
-	// Tier names the degradation ladder rung that answered: "widened",
-	// "ci-fallback", or "partial-ci" (see core.Tier). Empty when the
+	// Tier names the degradation ladder rung that answered:
+	// "ci-fallback" or "partial-ci" (see core.Tier). Empty when the
 	// producer does not distinguish tiers.
 	Tier string `json:"tier,omitempty"`
 

@@ -81,8 +81,8 @@ func TestDiagsJSONShapesArePinned(t *testing.T) {
 // rides the same schema: the flat fields stay in the same places and
 // consumers of the CLI shape parse it unchanged.
 func TestEnvelopeFullShape(t *testing.T) {
-	env := DegradedEnvelope("limits: step budget exhausted (100)", "widened").WithSound(true)
-	env.Notes = []string{"exact context-sensitive analysis stopped early", "recovered with assumption-set widening (bound 4)"}
+	env := DegradedEnvelope("limits: step budget exhausted (100)", "ci-fallback").WithSound(true)
+	env.Notes = []string{"exact context-sensitive analysis stopped early", "fell back to the context-insensitive result"}
 	var buf bytes.Buffer
 	if err := WriteDiagsEnvelope(&buf, nil, &env); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestEnvelopeFullShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, buf.String())
 	}
-	if !parsed.Degraded || parsed.Tier != "widened" || parsed.Sound == nil || !*parsed.Sound || len(parsed.Notes) != 2 {
+	if !parsed.Degraded || parsed.Tier != "ci-fallback" || parsed.Sound == nil || !*parsed.Sound || len(parsed.Notes) != 2 {
 		t.Fatalf("envelope fields lost in rendering: %+v\n%s", parsed, buf.String())
 	}
 	if !strings.Contains(parsed.Reason, "step budget") {

@@ -9,9 +9,9 @@
 //     from a shared cursor, so items start in canonical order even
 //     though they finish in any order.
 //   - The pool shares NOTHING between items. Each item builds its own
-//     state (for the analysis: its own paths.Universe and VDG); the
-//     only cross-worker object callers are expected to share is a
-//     limits.Ledger, which is atomic by construction.
+//     state (for the analysis: its own paths.Universe and VDG, and its
+//     own budget gate, so a unit's caps never depend on its siblings'
+//     work).
 //   - A panic inside one item is recovered into a *limits.PanicError in
 //     that item's slot; the remaining items keep running.
 //   - Cancelling the context stops the batch cleanly: in-flight items

@@ -99,14 +99,14 @@ func TestMapPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestMapBudgetCancellation models the shared-budget batch: worker k
-// exhausts the pooled budget and cancels the batch; units already done
+// TestMapBudgetCancellation models a batch that stops on a budget
+// violation: every unit runs under its own 100-step cap, unit 2 needs
+// more and cancels the batch when its cap trips; units already done
 // keep their results, units not yet started are skipped with the
-// budget violation as the recorded cause. Run at Jobs=1 so the
-// item order is deterministic: 0 and 1 complete, 2 trips, 3.. skip.
+// violation as the recorded cause. Run at Jobs=1 so the item order is
+// deterministic: 0 and 1 complete, 2 trips, 3.. skip.
 func TestMapBudgetCancellation(t *testing.T) {
-	var ledger limits.Ledger
-	budget := limits.Budget{MaxSteps: 100}.Share(&ledger)
+	budget := limits.Budget{MaxSteps: 100}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 
@@ -114,8 +114,12 @@ func TestMapBudgetCancellation(t *testing.T) {
 	var completed atomic.Int32
 	errs := sched.Pool{Jobs: 1}.Map(ctx, n, func(_ context.Context, i int) error {
 		g := budget.Gate()
-		// Each unit does 40 steps of "work" against the shared budget.
-		for s := 1; s <= 40; s++ {
+		// Each unit does 40 steps of "work", unit 2 does 400.
+		work := 40
+		if i == 2 {
+			work = 400
+		}
+		for s := 1; s <= work; s++ {
 			if v := g.Step(s, 0); v != nil {
 				cancel(v)
 				return v
@@ -126,7 +130,7 @@ func TestMapBudgetCancellation(t *testing.T) {
 	})
 
 	if completed.Load() != 2 {
-		t.Fatalf("%d units completed, want 2 (40+40 steps fit under 100, the third trips)", completed.Load())
+		t.Fatalf("%d units completed, want 2 (units 0 and 1 fit under the cap, unit 2 trips)", completed.Load())
 	}
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("pre-exhaustion units failed: %v %v", errs[0], errs[1])

@@ -3,16 +3,21 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"aliaslab/internal/core"
+	"aliaslab/internal/driver"
 	"aliaslab/internal/faults"
 	"aliaslab/internal/server"
+	"aliaslab/internal/vdg"
 )
 
 // buggySrc trips the uaf checker: read through p after free.
@@ -286,14 +291,56 @@ func TestAnalyzeBudgetExhausted(t *testing.T) {
 	}
 }
 
+// swapRecSrc mirrors the adversarial fixture of the core degradation
+// tests: wide call fan-out into a recursive pointer-swapping procedure,
+// where every formal may denote many locations, so the
+// context-sensitive analysis takes more flow-ins than the insensitive
+// one.
+func swapRecSrc(k int) string {
+	var sb strings.Builder
+	sb.WriteString("int c;\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&sb, "int t%d;\n", i)
+	}
+	sb.WriteString(`
+void fill(int **p, int **q) {
+  int *tmp;
+  if (c) { fill(q, p); }
+  tmp = *p;
+  *p = *q;
+  *q = tmp;
+}
+int main() {
+  int *u; int *v;
+`)
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&sb, "  if (c == %d) { u = &t%d; } else { v = &t%d; }\n", i, i, i)
+	}
+	sb.WriteString("  fill(&u, &v);\n  fill(&v, &u);\n  return **(&u);\n}\n")
+	return sb.String()
+}
+
 func TestAnalyzeDegradedSound(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	// A CS request whose budget lets CI finish but not CS degrades to a
-	// sound coarser answer: 206 with tier and notes.
-	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"corpus": "compress", "backend": "cs"},
-		map[string]string{"X-Aliaslab-Max-Steps": "2000"})
+	// A CS request whose step cap lets CI finish but not CS degrades to
+	// a sound coarser answer: 206 with tier and notes. The cap sits
+	// between the fixture's own CI and CS flow-ins.
+	src := swapRecSrc(12)
+	u, err := driver.LoadString("request.c", src, vdg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := core.AnalyzeInsensitive(u.Graph)
+	cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci})
+	if cs.Metrics.FlowIns <= ci.Metrics.FlowIns+1 {
+		t.Fatalf("fixture not adversarial: CI %d flow-ins, CS %d", ci.Metrics.FlowIns, cs.Metrics.FlowIns)
+	}
+	maxSteps := (ci.Metrics.FlowIns + cs.Metrics.FlowIns) / 2
+
+	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"source": src, "backend": "cs"},
+		map[string]string{"X-Aliaslab-Max-Steps": strconv.Itoa(maxSteps)})
 	if resp.StatusCode != 206 {
-		t.Skipf("budget did not land between CI and CS on this build: %d %s", resp.StatusCode, body)
+		t.Fatalf("status %d, want 206: %s", resp.StatusCode, body)
 	}
 	var ar analyzeResp
 	if err := json.Unmarshal(body, &ar); err != nil {
@@ -302,11 +349,11 @@ func TestAnalyzeDegradedSound(t *testing.T) {
 	if ar.Degradation == nil || !ar.Degradation.Degraded || ar.Degradation.Sound == nil || !*ar.Degradation.Sound {
 		t.Fatalf("206 envelope: %s", body)
 	}
-	if ar.Degradation.Tier != "widened" && ar.Degradation.Tier != "ci-fallback" {
-		t.Errorf("tier %q", ar.Degradation.Tier)
+	if ar.Degradation.Tier != "ci-fallback" {
+		t.Errorf("tier %q, want ci-fallback", ar.Degradation.Tier)
 	}
-	if len(ar.Degradation.Notes) == 0 {
-		t.Error("no degradation notes")
+	if len(ar.Degradation.Notes) != 2 {
+		t.Errorf("notes %q, want the CS stop and the fallback", ar.Degradation.Notes)
 	}
 	if !strings.Contains(ar.Label, "degraded") {
 		t.Errorf("label %q not marked degraded", ar.Label)

@@ -66,31 +66,19 @@ func (s *Stats) MeanDepth() float64 {
 	return float64(s.DepthSum) / float64(s.Steps)
 }
 
-// Config assembles an engine.
-type Config struct {
-	// Budget is materialized into the per-iteration gate; the zero
-	// budget costs nothing in the loop (a nil gate).
-	Budget limits.Budget
-
-	// MaxSteps is the legacy hard step bound of the context-sensitive
-	// analysis: the run aborts without a Violation when it is reached
-	// (0 = unlimited).
-	MaxSteps int
-}
-
 // Engine drives one fixpoint computation: the client seeds it with
 // Push, then Run drains the worklist through the transfer function,
 // which re-enters Push for every new arrival it generates.
 type Engine[T any] struct {
-	wl       fifo[T]
-	gate     *limits.Gate
-	maxSteps int
-	stats    Stats
+	wl    fifo[T]
+	gate  *limits.Gate
+	stats Stats
 }
 
-// New builds an engine for one analysis run.
-func New[T any](cfg Config) *Engine[T] {
-	return &Engine[T]{gate: cfg.Budget.Gate(), maxSteps: cfg.MaxSteps}
+// New builds an engine for one analysis run under the given budget;
+// the zero budget costs nothing in the loop (a nil gate).
+func New[T any](budget limits.Budget) *Engine[T] {
+	return &Engine[T]{gate: budget.Gate()}
 }
 
 // Stats exposes the run counters. The client increments the
@@ -107,38 +95,22 @@ func (e *Engine[T]) Push(item T) {
 	}
 }
 
-// Outcome reports how a Run ended.
-type Outcome struct {
-	// Stopped is the budget violation that halted the drain; nil when
-	// the run reached the fixpoint (or hit only the legacy MaxSteps
-	// bound).
-	Stopped *limits.Violation
-	// Aborted is true when the drain stopped before the fixpoint, for
-	// either reason. The computed state is then an under-approximation.
-	Aborted bool
-}
-
-// Run drains the worklist to the fixpoint (or a tripped limit). The
-// iteration contract matches the analyses' original loops exactly: the
-// legacy step bound and the budget gate are checked before each item,
-// in that order, and the step counter advances before the transfer
-// runs. On a clean drain the gate is flushed so a shared batch ledger
-// accounts the work done since the last in-loop check.
-func (e *Engine[T]) Run(transfer func(T)) Outcome {
+// Run drains the worklist to the fixpoint or a tripped limit, and
+// returns the violation that stopped it (nil at the fixpoint, when the
+// computed state is complete; otherwise it is an under-approximation).
+// The budget gate is checked before each item, and the step counter
+// advances before the transfer runs.
+func (e *Engine[T]) Run(transfer func(T)) *limits.Violation {
 	for e.wl.n > 0 {
-		if e.maxSteps > 0 && e.stats.Steps >= e.maxSteps {
-			return Outcome{Aborted: true}
-		}
 		if v := e.gate.Step(e.stats.Steps, e.stats.PairInserts); v != nil {
-			return Outcome{Stopped: v, Aborted: true}
+			return v
 		}
 		item := e.wl.pop()
 		e.stats.Steps++
 		e.stats.DepthSum += e.wl.n
 		transfer(item)
 	}
-	e.gate.Flush(e.stats.Steps, e.stats.PairInserts)
-	return Outcome{}
+	return nil
 }
 
 // fifo is the queue of the paper's algorithm: a ring buffer that

@@ -33,7 +33,7 @@ func eq(a, b []int) bool {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	e := New[int](Config{})
+	e := New[int](limits.Budget{})
 	pushAll(e, 3, 1, 2)
 	if got := drain(e); !eq(got, []int{3, 1, 2}) {
 		t.Errorf("fifo pop order = %v, want [3 1 2]", got)
@@ -44,7 +44,7 @@ func TestFIFOOrder(t *testing.T) {
 // drain pops, so the ring wraps many times; no item may be lost or
 // reordered.
 func TestFIFOInterleaved(t *testing.T) {
-	e := New[int](Config{})
+	e := New[int](limits.Budget{})
 	const n = 5000
 	next := 0 // next value to push; transfer interleaves pushes with pops
 	var got []int
@@ -103,7 +103,7 @@ func TestFIFOGrowWhileWrapped(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	e := New[int](Config{})
+	e := New[int](limits.Budget{})
 	pushAll(e, 1, 2, 3)
 	drained := drain(e)
 	st := e.Stats()
@@ -115,38 +115,30 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestMaxStepsAborts: a step cap stops the drain exactly at the bound
+// and reports which cap it was.
 func TestMaxStepsAborts(t *testing.T) {
-	e := New[int](Config{MaxSteps: 2})
+	e := New[int](limits.Budget{MaxSteps: 2})
 	pushAll(e, 1, 2, 3)
-	out := e.Run(func(int) {})
-	if !out.Aborted || out.Stopped != nil {
-		t.Errorf("outcome = %+v, want aborted without a violation", out)
+	v := e.Run(func(int) {})
+	if v == nil || *v != (limits.Violation{Reason: limits.Steps, Limit: 2}) {
+		t.Errorf("violation = %v, want a step-budget violation at limit 2", v)
 	}
 	if e.Stats().Steps != 2 {
 		t.Errorf("steps = %d, want exactly the bound 2", e.Stats().Steps)
 	}
 }
 
+// TestBudgetViolationStops: a pair cap, checked against the client's
+// PairInserts counter, stops the drain before the next item.
 func TestBudgetViolationStops(t *testing.T) {
-	e := New[int](Config{Budget: limits.Budget{MaxSteps: 2}})
+	e := New[int](limits.Budget{MaxPairs: 2})
 	pushAll(e, 1, 2, 3)
-	out := e.Run(func(int) {})
-	if !out.Aborted || out.Stopped == nil || out.Stopped.Reason != limits.Steps {
-		t.Errorf("outcome = %+v, want a step-budget violation", out)
+	v := e.Run(func(int) { e.Stats().PairInserts++ })
+	if v == nil || v.Reason != limits.Pairs {
+		t.Errorf("violation = %v, want a pair-budget violation", v)
 	}
-}
-
-// TestLedgerFlush checks the clean-drain contract: a run governed by a
-// ledger-sharing budget charges exactly its step count to the ledger,
-// including the tail items after the loop's last in-flight check.
-func TestLedgerFlush(t *testing.T) {
-	ledger := &limits.Ledger{}
-	e := New[int](Config{Budget: limits.Budget{}.Share(ledger)})
-	pushAll(e, 1, 2, 3, 4, 5)
-	if out := e.Run(func(int) {}); out.Aborted {
-		t.Fatalf("unexpected abort: %+v", out)
-	}
-	if ledger.Steps() != e.Stats().Steps {
-		t.Errorf("ledger pooled %d steps, engine counted %d", ledger.Steps(), e.Stats().Steps)
+	if e.Stats().Steps != 2 {
+		t.Errorf("steps = %d, want 2 (the third item must not run)", e.Stats().Steps)
 	}
 }
