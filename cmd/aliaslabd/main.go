@@ -24,10 +24,6 @@
 //
 // SIGTERM or SIGINT drains: /readyz flips to 503, in-flight requests
 // finish (up to -drain-timeout), then the process exits 0.
-//
-// -faults (or ALIASLAB_FAULTS) arms deterministic fault injection for
-// chaos testing; see internal/faults for the spec grammar. Never set
-// it in production.
 package main
 
 import (
@@ -43,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"aliaslab/internal/faults"
 	"aliaslab/internal/server"
 )
 
@@ -63,23 +58,12 @@ func run(args []string, stderr io.Writer) int {
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "ceiling on the per-request wall-clock budget")
 	defaultTimeout := fs.Duration("default-timeout", 10*time.Second, "wall-clock budget when the request sends none")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
-	faultSpec := fs.String("faults", os.Getenv("ALIASLAB_FAULTS"), "fault-injection spec for chaos testing (default $ALIASLAB_FAULTS)")
-	faultSeed := fs.Int64("faults-seed", 0, "deterministic phase rotation for -faults rules")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintln(stderr, "aliaslabd: unexpected arguments:", fs.Args())
 		return 2
-	}
-
-	inj, err := faults.Parse(*faultSpec, *faultSeed)
-	if err != nil {
-		fmt.Fprintln(stderr, "aliaslabd:", err)
-		return 2
-	}
-	if inj != nil {
-		fmt.Fprintf(stderr, "aliaslabd: fault injection ARMED at stages %v — not for production\n", inj.Stages())
 	}
 
 	srv := server.New(server.Config{
@@ -90,7 +74,6 @@ func run(args []string, stderr io.Writer) int {
 		MaxPairs:       *maxPairs,
 		MaxTimeout:     *maxTimeout,
 		DefaultTimeout: *defaultTimeout,
-		Faults:         inj,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -35,13 +35,6 @@ func IsHeapRef(p *paths.Path) bool {
 	return b != nil && b.Kind == paths.HeapBase
 }
 
-// IsLocalRef reports whether p denotes a local variable or parameter of
-// some function (the storage that dies when its frame is popped).
-func IsLocalRef(p *paths.Path) bool {
-	b := p.Base()
-	return b != nil && b.Kind == paths.VarBase && b.Local
-}
-
 // HeapReferents returns the distinct heap bases among the referents of
 // the ε-path pairs on out, in first-seen order.
 func (r *Result) HeapReferents(out *vdg.Output) []*paths.Base {

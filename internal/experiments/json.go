@@ -134,12 +134,8 @@ func opsJSON(h stats.OpHistogram) OpsJSON {
 	return OpsJSON{Total: h.Total, ByRefs: h.N, Zero: h.Zero, Max: h.Max, SumRefs: h.SumRefs}
 }
 
-// UnitsJSON builds the machine-readable batch summary in batch order.
-func UnitsJSON(rs []*ProgramResult) []UnitJSON {
-	return UnitsJSONWith(rs, JSONOptions{})
-}
-
-// UnitsJSONWith is UnitsJSON with optional blocks enabled.
+// UnitsJSONWith builds the machine-readable batch summary in batch
+// order, with the optional blocks jo enables.
 func UnitsJSONWith(rs []*ProgramResult, jo JSONOptions) []UnitJSON {
 	out := make([]UnitJSON, 0, len(rs))
 	for _, r := range rs {

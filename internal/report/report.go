@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 
-	"aliaslab/internal/paths"
 	"aliaslab/internal/stats"
 )
 
@@ -171,6 +170,3 @@ func Figure7(w io.Writer, all, spurious *stats.TypeMatrix) {
 	render("Figure 7a: All points-to pairs (context-insensitive), by path and referent type", all)
 	render("Figure 7b: Spurious points-to pairs only, by path and referent type", spurious)
 }
-
-// ClassName exposes storage-class names for callers building custom rows.
-func ClassName(c paths.StorageClass) string { return c.String() }

@@ -312,27 +312,6 @@ var builtinSigs = []struct {
 	{"tolower", ctypes.FuncOf([]*ctypes.Type{ctypes.IntType}, false, ctypes.IntType)},
 }
 
-// IsAllocator reports whether name is a heap-allocating library function
-// (one heap base-location per static call site, paper §2).
-func IsAllocator(name string) bool {
-	switch name {
-	case "malloc", "calloc", "realloc", "strdup":
-		return true
-	}
-	return false
-}
-
-// IsBuiltinName reports whether name is one of the modeled library
-// functions.
-func IsBuiltinName(name string) bool {
-	for _, b := range builtinSigs {
-		if b.name == name {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Checker) declareBuiltins() {
 	for _, b := range builtinSigs {
 		o := c.prog.newObject(b.name, BuiltinObj, b.typ, token.Pos{})

@@ -19,7 +19,6 @@ import (
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/driver"
-	"aliaslab/internal/faults"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
@@ -328,20 +327,23 @@ func (s *Server) process(j *job) *response {
 	})
 	if err != nil {
 		s.panics.Add(1)
-		pe, ok := limits.AsPanic(err)
-		if !ok {
-			return errorResponse(http.StatusInternalServerError, "%v", err)
-		}
-		if ip, injected := pe.Value.(faults.InjectedPanic); injected {
-			return errorResponse(http.StatusInternalServerError, "internal error: %s", ip)
-		}
-		return errorResponse(http.StatusInternalServerError, "%v", pe)
+		return errorResponse(http.StatusInternalServerError, "%v", err)
 	}
 	return resp
 }
 
+// hit runs the stage hook, if any, as the request enters stage. A
+// non-nil error is a budget violation the caller serves as 503; the
+// hook may also panic or sleep.
+func (s *Server) hit(stage string) error {
+	if s.stage == nil {
+		return nil
+	}
+	return s.stage(stage)
+}
+
 // run is the analysis pipeline proper: load, solve, render, with a
-// fault probe ahead of each stage.
+// stage probe ahead of each.
 func (s *Server) run(j *job) *response {
 	// The job's budget is wall-clocked from solve start, detached from
 	// the client connection: a single-flight leader's work must not die
@@ -350,7 +352,7 @@ func (s *Server) run(j *job) *response {
 	budget, cancel := budget.WithTimeout(j.timeout)
 	defer cancel()
 
-	if err := s.faults.Hit("load"); err != nil {
+	if err := s.hit("load"); err != nil {
 		return s.exhausted(err)
 	}
 	opts := vdg.Options{Diagnostics: j.mode == modeVet}
@@ -365,7 +367,7 @@ func (s *Server) run(j *job) *response {
 		return errorResponse(http.StatusBadRequest, "%v", err)
 	}
 
-	if err := s.faults.Hit("solve"); err != nil {
+	if err := s.hit("solve"); err != nil {
 		return s.exhausted(err)
 	}
 	switch j.mode {
@@ -474,7 +476,7 @@ func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *respo
 		sets = res.Sets
 	}
 
-	if err := s.faults.Hit("render"); err != nil {
+	if err := s.hit("render"); err != nil {
 		return s.exhausted(err)
 	}
 	body := analyzeBody{Unit: u.Name, Label: label, Degradation: env}
@@ -523,7 +525,7 @@ type queryBody struct {
 // one would be a lie. Semantic unknowns (an expression with no live
 // occurrence) are real answers and serve as 200.
 func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *response {
-	if err := s.faults.Hit("query"); err != nil {
+	if err := s.hit("query"); err != nil {
 		return s.exhaustedIn(err, "query")
 	}
 	e := query.New(u.Graph, query.Options{Budget: budget, Registry: s.reg})
@@ -553,7 +555,7 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 		}
 	}
 
-	if err := s.faults.Hit("render"); err != nil {
+	if err := s.hit("render"); err != nil {
 		return s.exhaustedIn(err, "query")
 	}
 	env := report.Envelope{}.WithMode("query")
@@ -583,7 +585,7 @@ func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response 
 	}
 	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
 
-	if err := s.faults.Hit("render"); err != nil {
+	if err := s.hit("render"); err != nil {
 		return s.exhausted(err)
 	}
 	var env *report.Envelope

@@ -1,7 +1,7 @@
 package server_test
 
-// The chaos suite: deterministic fault injection (internal/faults)
-// drives the failure paths the server promises to survive — panics
+// The chaos suite: deterministic fault injection through the server's
+// stage hook drives the failure paths the server promises to survive — panics
 // isolated to their request, budgets blown mid-flight surfacing as
 // labeled 503s, slow stages tripping deadlines into degradation — and
 // asserts the process never crashes, never leaks goroutines, and keeps
@@ -11,29 +11,150 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"aliaslab/internal/faults"
+	"aliaslab/internal/limits"
 	"aliaslab/internal/server"
 )
+
+// fault is one chaos rule. It fires on hits after, after+every,
+// after+2*every, ... of its stage (1-based; after 0 means every), and
+// then panics, sleeps delay, or returns a budget violation.
+type fault struct {
+	stage        string
+	every, after int64
+	do           action
+	delay        time.Duration
+
+	hits atomic.Int64
+}
+
+type action int
+
+const (
+	panics action = iota
+	slow
+	budget
+)
+
+func (f *fault) fire() bool {
+	n := f.hits.Add(1)
+	first := f.after
+	if first == 0 {
+		first = f.every
+	}
+	return n >= first && (n-first)%f.every == 0
+}
+
+// injector arms a server's stage hook with faults and counts how many
+// fired. Hit counts are atomic, so a concurrent storm fires exactly
+// the same number of faults per K hits on every run.
+type injector struct {
+	faults   []*fault
+	injected atomic.Int64
+}
+
+func inject(faults ...*fault) *injector { return &injector{faults: faults} }
+
+// hit is the stage hook.
+func (in *injector) hit(stage string) error {
+	for _, f := range in.faults {
+		if f.stage != stage || !f.fire() {
+			continue
+		}
+		in.injected.Add(1)
+		switch f.do {
+		case panics:
+			panic(fmt.Sprintf("injected fault: panic at stage %q", stage))
+		case slow:
+			time.Sleep(f.delay)
+		case budget:
+			return &limits.Violation{Reason: limits.Steps}
+		}
+	}
+	return nil
+}
+
+func (in *injector) count() int { return int(in.injected.Load()) }
+
+// stages lists the distinct armed stages, sorted.
+func (in *injector) stages() []string {
+	var out []string
+	for _, f := range in.faults {
+		if !slices.Contains(out, f.stage) {
+			out = append(out, f.stage)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// newStagedServer is newTestServer with the stage hook set.
+func newStagedServer(t *testing.T, cfg server.Config, stage func(string) error) (*server.Server, *httptest.Server) {
+	t.Helper()
+	s := server.NewWithStage(cfg, stage)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// The cadence is exact: every=N with after=K fires on hits K, K+N,
+// K+2N, ... and nowhere else, and each firing is a *limits.Violation.
+func TestCadence(t *testing.T) {
+	in := inject(&fault{stage: "solve", every: 4, after: 2, do: budget})
+	var fired []int
+	for i := 1; i <= 12; i++ {
+		if err := in.hit("solve"); err != nil {
+			var v *limits.Violation
+			if !errors.As(err, &v) {
+				t.Fatalf("hit %d: fault is not a *limits.Violation: %v", i, err)
+			}
+			fired = append(fired, i)
+		}
+	}
+	if !slices.Equal(fired, []int{2, 6, 10}) || in.count() != 3 {
+		t.Fatalf("fired on %v (count %d), want [2 6 10]", fired, in.count())
+	}
+}
+
+// Concurrent hits keep the firing count exact: K hits at every=N fire
+// exactly K/N times.
+func TestConcurrentCadenceExact(t *testing.T) {
+	in := inject(&fault{stage: "solve", every: 5, do: budget})
+	const workers, per = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				in.hit("solve")
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := in.count(), workers*per/5; got != want {
+		t.Fatalf("count() = %d, want %d", got, want)
+	}
+}
 
 // TestChaosPanicIsolation: a panic injected into the solve stage turns
 // into that request's 500 and nothing else — the neighbors succeed and
 // the process keeps serving.
 func TestChaosPanicIsolation(t *testing.T) {
-	inj, err := faults.Parse("panic:solve:every=2", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := inject(&fault{stage: "solve", every: 2, do: panics})
 	// Cache disabled so every request walks the full pipeline.
-	_, ts := newTestServer(t, server.Config{CacheEntries: -1, Faults: inj})
+	_, ts := newStagedServer(t, server.Config{CacheEntries: -1}, inj.hit)
 
 	// every=2 fires on solve hits 2, 4, ...: statuses must alternate.
 	names := []string{"part", "span", "allroots", "anagram"}
@@ -50,19 +171,16 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if resp, _ := http.Get(ts.URL + "/healthz"); resp.StatusCode != 200 {
 		t.Error("server unhealthy after recovered panics")
 	}
-	if inj.Injected() != 2 {
-		t.Errorf("injected %d faults, want 2", inj.Injected())
+	if inj.count() != 2 {
+		t.Errorf("injected %d faults, want 2", inj.count())
 	}
 }
 
 // TestChaosBudgetInjection: a synthetic mid-flight budget violation is
 // served exactly like a real one — 503, Retry-After, unsound envelope.
 func TestChaosBudgetInjection(t *testing.T) {
-	inj, err := faults.Parse("budget:load:every=1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, server.Config{CacheEntries: -1, Faults: inj})
+	inj := inject(&fault{stage: "load", every: 1, do: budget})
+	_, ts := newStagedServer(t, server.Config{CacheEntries: -1}, inj.hit)
 	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"corpus": "part"}, nil)
 	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("status %d, Retry-After %q: %s", resp.StatusCode, resp.Header.Get("Retry-After"), body)
@@ -85,11 +203,8 @@ func TestChaosBudgetInjection(t *testing.T) {
 // deadline must degrade (the CI partial fixpoint is unsound → 503 with
 // the deadline as the reason), not hang the pool.
 func TestChaosSlowTripsDeadline(t *testing.T) {
-	inj, err := faults.Parse("slow:solve:every=1:delay=150ms", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, server.Config{CacheEntries: -1, Faults: inj})
+	inj := inject(&fault{stage: "solve", every: 1, do: slow, delay: 150 * time.Millisecond})
+	_, ts := newStagedServer(t, server.Config{CacheEntries: -1}, inj.hit)
 	start := time.Now()
 	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"corpus": "part"},
 		map[string]string{"X-Aliaslab-Timeout-Ms": "50"})
@@ -109,20 +224,21 @@ func TestChaosSlowTripsDeadline(t *testing.T) {
 // budget, slow), a concurrent request storm mixing valid and invalid
 // traffic over a small admission window. The server must answer every
 // request with one of the contract's statuses, stay healthy, and leak
-// no goroutines.
+// no goroutines. The phases (after = 5, 5, 3, 13) are fixed so every
+// run fires on the same hit numbers.
 func TestChaosStorm(t *testing.T) {
-	inj, err := faults.Parse(
-		"panic:load:every=13:after=4,budget:solve:every=7:after=3,slow:render:every=3:delay=1ms,panic:solve:every=17:after=9",
-		1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inj.Stages(); len(got) < 3 {
-		t.Fatalf("chaos spec covers %d stages (%v), want >= 3", len(got), got)
+	inj := inject(
+		&fault{stage: "load", every: 13, after: 5, do: panics},
+		&fault{stage: "solve", every: 7, after: 5, do: budget},
+		&fault{stage: "render", every: 3, after: 3, do: slow, delay: time.Millisecond},
+		&fault{stage: "solve", every: 17, after: 13, do: panics},
+	)
+	if got := inj.stages(); len(got) < 3 {
+		t.Fatalf("chaos rules cover %d stages (%v), want >= 3", len(got), got)
 	}
 
 	before := runtime.NumGoroutine()
-	s := server.New(server.Config{MaxConcurrent: 4, CacheEntries: 8, Faults: inj})
+	s := server.NewWithStage(server.Config{MaxConcurrent: 4, CacheEntries: 8}, inj.hit)
 	hs := httptest.NewServer(s)
 	ts := hs.URL
 
@@ -174,7 +290,7 @@ func TestChaosStorm(t *testing.T) {
 	if statuses[200] == 0 || statuses[400] == 0 {
 		t.Errorf("storm too uniform to prove anything: %v", statuses)
 	}
-	if inj.Injected() == 0 {
+	if inj.count() == 0 {
 		t.Error("storm fired no faults")
 	}
 	if resp, _ := http.Get(ts + "/healthz"); resp.StatusCode != 200 {
@@ -183,7 +299,7 @@ func TestChaosStorm(t *testing.T) {
 	if s.InFlight() != 0 {
 		t.Errorf("%d admission slots still held after the storm", s.InFlight())
 	}
-	t.Logf("storm statuses: %v, faults injected: %d", statuses, inj.Injected())
+	t.Logf("storm statuses: %v, faults injected: %d", statuses, inj.count())
 
 	// Goroutine hygiene: after the storm settles and the listener
 	// closes, the count returns to the baseline.
@@ -197,11 +313,11 @@ func TestChaosStorm(t *testing.T) {
 // fault-free server — chaos may fail requests, it may never corrupt
 // the ones that succeed.
 func TestChaosCachedBytesMatchCleanServer(t *testing.T) {
-	inj, err := faults.Parse("panic:solve:every=2,slow:render:every=2:delay=1ms", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, chaotic := newTestServer(t, server.Config{Faults: inj})
+	inj := inject(
+		&fault{stage: "solve", every: 2, do: panics},
+		&fault{stage: "render", every: 2, do: slow, delay: time.Millisecond},
+	)
+	_, chaotic := newStagedServer(t, server.Config{}, inj.hit)
 	_, clean := newTestServer(t, server.Config{})
 
 	req := map[string]string{"corpus": "span", "backend": "andersen"}

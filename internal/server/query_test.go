@@ -7,8 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
-	"aliaslab/internal/faults"
 	"aliaslab/internal/server"
 )
 
@@ -142,12 +142,9 @@ func TestQueryBudgetExhaustion(t *testing.T) {
 // request's 500; neighbors and the process survive, and no goroutines
 // leak.
 func TestChaosQueryPanic(t *testing.T) {
-	inj, err := faults.Parse("panic:query:every=2", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := inject(&fault{stage: "query", every: 2, do: panics})
 	before := runtime.NumGoroutine()
-	_, ts := newTestServer(t, server.Config{CacheEntries: -1, Faults: inj})
+	_, ts := newStagedServer(t, server.Config{CacheEntries: -1}, inj.hit)
 	req := map[string]any{"source": querySrc, "queries": []string{"mayalias(p, q)"}}
 	want := []int{200, 500, 200, 500}
 	for i, w := range want {
@@ -169,11 +166,8 @@ func TestChaosQueryPanic(t *testing.T) {
 // TestChaosQueryBudgetInjection: a synthetic budget violation at the
 // query stage maps to the same 503 surface as a real exhaustion.
 func TestChaosQueryBudgetInjection(t *testing.T) {
-	inj, err := faults.Parse("budget:query:every=1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, server.Config{CacheEntries: -1, Faults: inj})
+	inj := inject(&fault{stage: "query", every: 1, do: budget})
+	_, ts := newStagedServer(t, server.Config{CacheEntries: -1}, inj.hit)
 	resp, body := post(t, ts.URL+"/v1/query",
 		map[string]any{"source": querySrc, "queries": []string{"pointsto(p)"}}, nil)
 	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
@@ -188,11 +182,11 @@ func TestChaosQueryBudgetInjection(t *testing.T) {
 // fault injection is byte-identical to the same request on a fault-free
 // server.
 func TestChaosQueryCachedBytesMatchClean(t *testing.T) {
-	inj, err := faults.Parse("panic:query:every=2,slow:render:every=2:delay=1ms", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, chaotic := newTestServer(t, server.Config{Faults: inj})
+	inj := inject(
+		&fault{stage: "query", every: 2, do: panics},
+		&fault{stage: "render", every: 2, do: slow, delay: time.Millisecond},
+	)
+	_, chaotic := newStagedServer(t, server.Config{}, inj.hit)
 	_, clean := newTestServer(t, server.Config{})
 	req := map[string]any{"source": querySrc, "queries": []string{"mayalias(p, q); pointsto(gp)"}}
 

@@ -30,9 +30,9 @@
 //     SHA-256 of the request's analysis identity, and a single-flight
 //     group collapses concurrent identical requests into one solve.
 //
-// Fault injection (internal/faults) hooks the load/solve/render stages
-// so the chaos suite can prove all of the above; it is nil and free in
-// production.
+// An unexported stage hook probes the load, solve, query and render
+// stages so the chaos suite can inject failures there and prove all of
+// the above; only tests set it, and unset it costs one nil check.
 package server
 
 import (
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"aliaslab/internal/corpus"
-	"aliaslab/internal/faults"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/sched"
 )
@@ -79,10 +78,6 @@ type Config struct {
 
 	// Registry receives the server metrics (auto-created when nil).
 	Registry *obs.Registry
-
-	// Faults, when non-nil, arms the chaos probes in the request
-	// pipeline. Nil in production: every probe is a single nil check.
-	Faults *faults.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -119,7 +114,10 @@ type Server struct {
 	cache   *lruCache
 	flights *flightGroup
 	reg     *obs.Registry
-	faults  *faults.Injector
+
+	// stage, when set (by tests only), runs at each pipeline stage the
+	// request reaches; see hit.
+	stage func(stage string) error
 
 	draining atomic.Bool
 
@@ -138,7 +136,6 @@ func New(cfg Config) *Server {
 		cache:   newLRUCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
 		reg:     cfg.Registry,
-		faults:  cfg.Faults,
 	}
 	// Server metrics are Volatile by definition: they count wall-clock
 	// traffic, not analysis facts.
@@ -199,7 +196,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the registry as JSON. The traffic-dependent
-// gauges (cache, dedup, admission, faults) are sampled here rather
+// gauges (cache, dedup, admission) are sampled here rather
 // than written on every request, keeping the hot path to the counters
 // it already pays for.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -211,7 +208,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("server.flight.dedup", obs.Volatile).Set(s.flights.Dedups())
 	s.reg.Gauge("server.admission.rejected", obs.Volatile).Set(int64(s.sem.Rejected()))
 	s.reg.Gauge("server.inflight", obs.Volatile).Set(int64(s.sem.InFlight()))
-	s.reg.Gauge("server.faults.injected", obs.Volatile).Set(int64(s.faults.Injected()))
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -15,7 +15,6 @@ import (
 
 	"aliaslab/internal/core"
 	"aliaslab/internal/driver"
-	"aliaslab/internal/faults"
 	"aliaslab/internal/server"
 	"aliaslab/internal/vdg"
 )
@@ -43,10 +42,7 @@ int main(void) {
 
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
-	s := server.New(cfg)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return s, ts
+	return newStagedServer(t, cfg, nil)
 }
 
 // post sends a JSON body with optional headers and returns the
@@ -360,12 +356,18 @@ func TestAnalyzeDegradedSound(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	inj, err := faults.Parse("slow:solve:every=1:delay=300ms", 0)
-	if err != nil {
-		t.Fatal(err)
+// slowSolve is a stage hook that holds every request 300ms at solve,
+// long enough for a second request to arrive while the first is in
+// flight.
+func slowSolve(stage string) error {
+	if stage == "solve" {
+		time.Sleep(300 * time.Millisecond)
 	}
-	s, ts := newTestServer(t, server.Config{MaxConcurrent: 1, Faults: inj})
+	return nil
+}
+
+func TestAdmissionControl(t *testing.T) {
+	s, ts := newStagedServer(t, server.Config{MaxConcurrent: 1}, slowSolve)
 
 	done := make(chan int, 1)
 	go func() {
@@ -388,11 +390,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestSingleFlightDedup(t *testing.T) {
-	inj, err := faults.Parse("slow:solve:every=1:delay=300ms", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, server.Config{Faults: inj})
+	s, ts := newStagedServer(t, server.Config{}, slowSolve)
 
 	req := map[string]string{"corpus": "part"}
 	type result struct {
