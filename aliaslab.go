@@ -418,7 +418,7 @@ func (r *Result) IndirectOps() []IndirectOp {
 			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
 				continue
 			}
-			op := IndirectOp{Kind: "read", Pos: n.Pos.String(), Function: fg.Fn.Name}
+			op := IndirectOp{Kind: "read", Pos: n.Pos.In(r.prog.unit.Name), Function: fg.Fn.Name}
 			if n.Kind == vdg.KUpdate {
 				op.Kind = "write"
 			}
@@ -557,13 +557,13 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 	out := make([]Diagnostic, 0, len(diags))
 	for _, d := range diags {
 		pub := Diagnostic{
-			Pos:      d.Pos.String(),
+			Pos:      d.Pos.In(d.File),
 			Severity: d.Severity.String(),
 			Checker:  d.Checker,
 			Message:  d.Message,
 		}
 		for _, r := range d.Related {
-			pub.Related = append(pub.Related, RelatedPos{Pos: r.Pos.String(), Message: r.Message})
+			pub.Related = append(pub.Related, RelatedPos{Pos: r.Pos.In(d.File), Message: r.Message})
 		}
 		out = append(out, pub)
 	}

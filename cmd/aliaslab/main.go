@@ -660,7 +660,7 @@ func printIndirect(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairS
 				}
 			}
 			sort.Strings(refs)
-			fmt.Fprintf(w, "  %-5s %-18s in %-12s -> %v\n", kind, n.Pos, fg.Fn.Name, refs)
+			fmt.Fprintf(w, "  %-5s %-18s in %-12s -> %v\n", kind, n.Pos.In(u.Name), fg.Fn.Name, refs)
 		}
 	}
 	ops := stats.CountIndirect(u.Graph, sets)
@@ -753,7 +753,7 @@ func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result) {
 			for _, callee := range ci.Callees[call] {
 				names = append(names, callee.Fn.Name)
 			}
-			fmt.Fprintf(w, "  %s at %s -> %v\n", fg.Fn.Name, call.Pos, names)
+			fmt.Fprintf(w, "  %s at %s -> %v\n", fg.Fn.Name, call.Pos.In(u.Name), names)
 		}
 	}
 	cg := stats.CallGraph(ci)

@@ -62,7 +62,7 @@ func main() {
 			if n.Kind == vdg.KUpdate {
 				kind = "write"
 			}
-			fmt.Printf("  %s at %-16s may touch:", kind, n.Pos)
+			fmt.Printf("  %s at %-16s may touch:", kind, n.Pos.In(unit.Name))
 			for _, r := range res.LocReferents(n) {
 				fmt.Printf(" %s", r)
 			}

@@ -88,7 +88,7 @@ func compare(name, src string) {
 			if s := csSets[n.Loc()]; s != nil {
 				csRefs = len(s.Referents())
 			}
-			fmt.Printf("     %s at %s: CI %d referents, CS %d\n", n.Kind, n.Pos, len(ciRefs), csRefs)
+			fmt.Printf("     %s at %s: CI %d referents, CS %d\n", n.Kind, n.Pos.In(unit.Name), len(ciRefs), csRefs)
 		}
 	}
 	fmt.Println()

@@ -129,8 +129,15 @@ func (d *ParamDecl) Pos() token.Pos { return d.TokPos }
 // Expressions
 
 // Expr is implemented by all expression nodes.
+//
+// ExprID returns the expression's number: the parser numbers the
+// expressions of a file 1, 2, 3, ... as it builds them, so package sema
+// can keep its per-expression facts in slices indexed by the number
+// (ast.File.Exprs is the length of such a table). Each expression
+// node's ID field holds its number; 0 means unnumbered.
 type Expr interface {
 	Node
+	ExprID() int
 	expr()
 }
 
@@ -138,67 +145,81 @@ type Expr interface {
 type Ident struct {
 	Name   string
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Ident) Pos() token.Pos { return e.TokPos }
 func (e *Ident) expr()          {}
+func (e *Ident) ExprID() int    { return e.ID }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Value  int64
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *IntLit) Pos() token.Pos { return e.TokPos }
 func (e *IntLit) expr()          {}
+func (e *IntLit) ExprID() int    { return e.ID }
 
 // FloatLit is a floating literal.
 type FloatLit struct {
 	Value  float64
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *FloatLit) Pos() token.Pos { return e.TokPos }
 func (e *FloatLit) expr()          {}
+func (e *FloatLit) ExprID() int    { return e.ID }
 
 // CharLit is a character constant (value of the single byte).
 type CharLit struct {
 	Value  byte
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *CharLit) Pos() token.Pos { return e.TokPos }
 func (e *CharLit) expr()          {}
+func (e *CharLit) ExprID() int    { return e.ID }
 
 // StringLit is a string literal; it denotes the address of anonymous
 // static storage.
 type StringLit struct {
 	Value  string
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *StringLit) Pos() token.Pos { return e.TokPos }
 func (e *StringLit) expr()          {}
+func (e *StringLit) ExprID() int    { return e.ID }
 
 // Unary is a prefix unary operation: - ! ~ * & ++ -- (prefix).
 type Unary struct {
 	Op     token.Kind // SUB, LNOT, NOT, MUL (deref), AND (addr-of), INC, DEC
 	X      Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Unary) Pos() token.Pos { return e.TokPos }
 func (e *Unary) expr()          {}
+func (e *Unary) ExprID() int    { return e.ID }
 
 // Postfix is a postfix ++ or --.
 type Postfix struct {
 	Op     token.Kind // INC or DEC
 	X      Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Postfix) Pos() token.Pos { return e.TokPos }
 func (e *Postfix) expr()          {}
+func (e *Postfix) ExprID() int    { return e.ID }
 
 // Binary is a binary operation, including && and || (short-circuit) and
 // comparisons.
@@ -206,10 +227,12 @@ type Binary struct {
 	Op     token.Kind
 	X, Y   Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Binary) Pos() token.Pos { return e.TokPos }
 func (e *Binary) expr()          {}
+func (e *Binary) ExprID() int    { return e.ID }
 
 // Assign is an assignment, possibly compound (Op != ASSIGN).
 type Assign struct {
@@ -217,19 +240,23 @@ type Assign struct {
 	LHS    Expr
 	RHS    Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Assign) Pos() token.Pos { return e.TokPos }
 func (e *Assign) expr()          {}
+func (e *Assign) ExprID() int    { return e.ID }
 
 // Cond is the ternary conditional operator.
 type Cond struct {
 	Cond, Then, Else Expr
 	TokPos           token.Pos
+	ID               int
 }
 
 func (e *Cond) Pos() token.Pos { return e.TokPos }
 func (e *Cond) expr()          {}
+func (e *Cond) ExprID() int    { return e.ID }
 
 // Call is a function call; Fun may be an Ident (direct) or any
 // pointer-valued expression (indirect).
@@ -237,19 +264,23 @@ type Call struct {
 	Fun    Expr
 	Args   []Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Call) Pos() token.Pos { return e.TokPos }
 func (e *Call) expr()          {}
+func (e *Call) ExprID() int    { return e.ID }
 
 // Index is array subscripting a[i].
 type Index struct {
 	X, Idx Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Index) Pos() token.Pos { return e.TokPos }
 func (e *Index) expr()          {}
+func (e *Index) ExprID() int    { return e.ID }
 
 // Member is a field selection: X.Name (Arrow false) or X->Name (Arrow true).
 type Member struct {
@@ -257,39 +288,47 @@ type Member struct {
 	Name   string
 	Arrow  bool
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Member) Pos() token.Pos { return e.TokPos }
 func (e *Member) expr()          {}
+func (e *Member) ExprID() int    { return e.ID }
 
 // Cast is an explicit type conversion.
 type Cast struct {
 	Type   TypeExpr
 	X      Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Cast) Pos() token.Pos { return e.TokPos }
 func (e *Cast) expr()          {}
+func (e *Cast) ExprID() int    { return e.ID }
 
 // SizeofExpr is sizeof applied to an expression or a type.
 type SizeofExpr struct {
 	X      Expr     // nil when Type != nil
 	Type   TypeExpr // nil when X != nil
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *SizeofExpr) Pos() token.Pos { return e.TokPos }
 func (e *SizeofExpr) expr()          {}
+func (e *SizeofExpr) ExprID() int    { return e.ID }
 
 // Comma is the comma operator: evaluate X, then Y; value of Y.
 type Comma struct {
 	X, Y   Expr
 	TokPos token.Pos
+	ID     int
 }
 
 func (e *Comma) Pos() token.Pos { return e.TokPos }
 func (e *Comma) expr()          {}
+func (e *Comma) ExprID() int    { return e.ID }
 
 // ---------------------------------------------------------------------------
 // Statements
@@ -472,10 +511,9 @@ type File struct {
 	Name  string
 	Decls []Decl
 
-	// Exprs counts the expression nodes the parser built, and Idents
-	// the identifier uses among them. The checker sizes its per-
-	// expression tables from them.
-	Exprs, Idents int
+	// Exprs is one past the largest expression number the parser
+	// assigned (see Expr): the length of a table indexed by it.
+	Exprs int
 }
 
 // Pos returns the position of the first declaration, or a zero Pos.
@@ -483,5 +521,5 @@ func (f *File) Pos() token.Pos {
 	if len(f.Decls) > 0 {
 		return f.Decls[0].Pos()
 	}
-	return token.Pos{File: f.Name}
+	return token.Pos{}
 }

@@ -42,14 +42,17 @@ func (s Severity) String() string {
 }
 
 // Related is a secondary position attached to a diagnostic (the free
-// site of a use-after-free, the allocation site of a leak, ...).
+// site of a use-after-free, the allocation site of a leak, ...), in the
+// diagnostic's file.
 type Related struct {
 	Pos     token.Pos
 	Message string
 }
 
-// Diag is one diagnostic.
+// Diag is one diagnostic. File is the name of the translation unit
+// the positions are in; Run sets it from the graph's program.
 type Diag struct {
+	File     string
 	Pos      token.Pos
 	Severity Severity
 	Checker  string // the ID of the checker that produced it
@@ -58,7 +61,7 @@ type Diag struct {
 }
 
 func (d Diag) String() string {
-	return fmt.Sprintf("%s: %s: %s [%s]", d.Pos, d.Severity, d.Message, d.Checker)
+	return fmt.Sprintf("%s: %s: %s [%s]", d.Pos.In(d.File), d.Severity, d.Message, d.Checker)
 }
 
 // Context is the input every checker runs against: the instrumented
@@ -164,6 +167,7 @@ func Run(ctx *Context, selected []*Checker) []Diag {
 	var diags []Diag
 	for _, c := range selected {
 		for _, d := range c.Run(ctx) {
+			d.File = ctx.Graph.Prog.Name
 			d.Checker = c.ID
 			diags = append(diags, d)
 		}
@@ -172,13 +176,13 @@ func Run(ctx *Context, selected []*Checker) []Diag {
 	return dedup(diags)
 }
 
-// SortDiags orders diagnostics by source position, then checker ID,
+// SortDiags orders diagnostics by file, source position, checker ID,
 // then message text.
 func SortDiags(diags []Diag) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
-		if a.Pos.File != b.Pos.File {
-			return a.Pos.File < b.Pos.File
+		if a.File != b.File {
+			return a.File < b.File
 		}
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
@@ -198,7 +202,7 @@ func dedup(diags []Diag) []Diag {
 	for i, d := range diags {
 		if i > 0 {
 			prev := diags[i-1]
-			if d.Pos == prev.Pos && d.Checker == prev.Checker && d.Message == prev.Message {
+			if d.File == prev.File && d.Pos == prev.Pos && d.Checker == prev.Checker && d.Message == prev.Message {
 				continue
 			}
 		}

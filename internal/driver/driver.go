@@ -3,7 +3,6 @@
 package driver
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -159,21 +158,36 @@ func countLines(src string) int {
 	return n
 }
 
-func firstN[E error](errs []E, n int) []string {
-	var out []string
+func firstN[E error](errs []E, n int) []error {
+	var out []error
 	for i, e := range errs {
 		if i == n {
 			break
 		}
-		out = append(out, e.Error())
+		out = append(out, e)
 	}
 	return out
 }
 
-func diagError(stage string, count int, msgs []string) error {
+// stageError is a stage's rejection of a unit: its first diagnostics
+// and the total count. Unwrap exposes the diagnostics to errors.Is and
+// errors.As, so a caller can tell, e.g., parser.ErrTooDeep apart.
+type stageError struct {
+	msg  string
+	errs []error
+}
+
+func (e *stageError) Error() string   { return e.msg }
+func (e *stageError) Unwrap() []error { return e.errs }
+
+func diagError(stage string, count int, errs []error) error {
+	msgs := make([]string, len(errs))
+	for i, e := range errs {
+		msgs[i] = e.Error()
+	}
 	suffix := ""
 	if suppressed := count - len(msgs); suppressed > 0 {
 		suffix = fmt.Sprintf("\n  ... and %d more", suppressed)
 	}
-	return errors.New(fmt.Sprintf("%s: %d error(s):\n  %s%s", stage, count, strings.Join(msgs, "\n  "), suffix))
+	return &stageError{fmt.Sprintf("%s: %d error(s):\n  %s%s", stage, count, strings.Join(msgs, "\n  "), suffix), errs}
 }

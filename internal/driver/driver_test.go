@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"aliaslab/internal/driver"
+	"aliaslab/internal/parser"
 	"aliaslab/internal/vdg"
 )
 
@@ -80,5 +82,23 @@ func TestLoadFile(t *testing.T) {
 	}
 	if _, err := driver.LoadFile(filepath.Join(dir, "missing.c"), vdg.Options{}); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestDeepNestingIsADiagnostic: the input nested 520,000 parentheses
+// deep, which overflowed the parser's stack, is rejected with the
+// parser's depth diagnostic, which errors.Is can pick out.
+func TestDeepNestingIsADiagnostic(t *testing.T) {
+	const n = 520000
+	src := "int main(void){int x; x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; return x;}\n"
+	_, err := driver.LoadString("deep.c", src, vdg.Options{})
+	if err == nil {
+		t.Fatal("deep nesting loaded without error")
+	}
+	if !errors.Is(err, parser.ErrTooDeep) {
+		t.Errorf("error does not wrap parser.ErrTooDeep: %v", err)
+	}
+	if want := "parse: 1 error(s):\n  deep.c:1:"; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want prefix %q", err, want)
 	}
 }

@@ -12,13 +12,14 @@ import (
 	"aliaslab/internal/token"
 )
 
-// Error is a lexical error with its source position.
+// Error is a lexical error with its file and source position.
 type Error struct {
-	Pos token.Pos
-	Msg string
+	File string
+	Pos  token.Pos
+	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+func (e *Error) Error() string { return e.Pos.In(e.File) + ": " + e.Msg }
 
 // Lexer scans a mini-C source buffer into tokens.
 type Lexer struct {
@@ -32,7 +33,7 @@ type Lexer struct {
 	errs []*Error
 }
 
-// New returns a Lexer over src. The file name is used only in positions.
+// New returns a Lexer over src. The file name is used only in errors.
 func New(file, src string) *Lexer {
 	return &Lexer{src: src, file: file, line: 1, col: 1}
 }
@@ -41,11 +42,11 @@ func New(file, src string) *Lexer {
 func (l *Lexer) Errors() []*Error { return l.errs }
 
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
-	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	l.errs = append(l.errs, &Error{File: l.file, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 func (l *Lexer) pos() token.Pos {
-	return token.Pos{File: l.file, Line: l.line, Col: l.col}
+	return token.Pos{Line: l.line, Col: l.col}
 }
 
 // peek returns the next byte without consuming it, or 0 at EOF.

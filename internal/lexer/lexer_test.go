@@ -152,8 +152,8 @@ func TestPositions(t *testing.T) {
 	if t2.Pos.Line != 2 || t2.Pos.Col != 3 {
 		t.Errorf("b at %v", t2.Pos)
 	}
-	if t1.Pos.String() != "f.c:1:1" {
-		t.Errorf("pos string %q", t1.Pos.String())
+	if t1.Pos.In("f.c") != "f.c:1:1" {
+		t.Errorf("pos string %q", t1.Pos.In("f.c"))
 	}
 }
 

@@ -1,6 +1,9 @@
 package parser
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse throws arbitrary bytes at the front of the pipeline. The
 // contract under fuzzing: never panic, never loop, always return a
@@ -21,6 +24,8 @@ func FuzzParse(f *testing.F) {
 		"int é;",               // non-ASCII identifier bytes
 		"/* unterminated",      // comment edge
 		"char *s = \"unclosed", // string edge
+		// Nesting 520,000 deep: a stack overflow before MaxDepth.
+		"int main(void){int x; x = " + strings.Repeat("(", 520000) + "1" + strings.Repeat(")", 520000) + "; return x;}\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -7,21 +7,42 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
 	"aliaslab/internal/ast"
 	"aliaslab/internal/lexer"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/token"
 )
 
-// Error is a syntax error with its source position.
+// Error is a syntax error with its file and source position.
 type Error struct {
-	Pos token.Pos
-	Msg string
+	File string
+	Pos  token.Pos
+	Msg  string
+
+	// Err is the diagnostic's class for errors.Is: ErrTooDeep, or nil.
+	Err error
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+func (e *Error) Error() string { return e.Pos.In(e.File) + ": " + e.Msg }
+
+func (e *Error) Unwrap() error { return e.Err }
+
+// MaxDepth bounds how deeply the input may nest: the number of
+// expression, statement, declarator, initializer and struct
+// productions open at once. C requires 63 nested parentheses and 127
+// nested blocks to be accepted; the limit is far above any real
+// program, and it keeps a hostile input from exhausting the stack of
+// this recursive-descent parser (a stack overflow kills the process).
+const MaxDepth = 10000
+
+// ErrTooDeep classifies the diagnostic for input nested deeper than
+// MaxDepth. The parser reports it once and abandons the rest of the
+// file.
+var ErrTooDeep = errors.New("nesting exceeds the parser's depth limit")
 
 // Parser holds parsing state for one translation unit.
 type Parser struct {
@@ -41,9 +62,16 @@ type Parser struct {
 	// lengths may reference them (C requires parse-time constants).
 	enumConsts map[string]int64
 
-	// exprs and idents count the expression nodes built and the
-	// identifier uses among them (ast.File.Exprs, ast.File.Idents).
-	exprs, idents int
+	// exprs is the last expression number assigned (see ast.Expr).
+	exprs int
+
+	// idents holds the chunks identifier nodes are cut from.
+	idents slab.Slab[ast.Ident]
+
+	// depth counts the productions open now (see MaxDepth); tooDeep is
+	// set once the limit is hit, and silences the unwinding.
+	depth   int
+	tooDeep bool
 }
 
 // ParseFile lexes and parses src, returning the file and any errors.
@@ -62,7 +90,7 @@ func ParseFile(name, src string) (*ast.File, []*Error) {
 func ParseTokens(name string, toks []token.Token, lexErrs []*lexer.Error) (*ast.File, []*Error) {
 	p := &Parser{toks: toks, typedefs: make(map[string]bool), enumConsts: make(map[string]int64), fileName: name}
 	for _, le := range lexErrs {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+		p.errs = append(p.errs, &Error{File: name, Pos: le.Pos, Msg: le.Msg})
 	}
 	file := &ast.File{Name: name}
 	for !p.at(token.EOF) {
@@ -88,7 +116,7 @@ func ParseTokens(name string, toks []token.Token, lexErrs []*lexer.Error) (*ast.
 			p.advance()
 		}
 	}
-	file.Exprs, file.Idents = p.exprs, p.idents
+	file.Exprs = p.exprs + 1
 	return file, p.errs
 }
 
@@ -170,8 +198,31 @@ func (p *Parser) expect(k token.Kind) token.Token {
 }
 
 func (p *Parser) errorf(format string, args ...any) {
-	p.errs = append(p.errs, &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)})
+	if p.tooDeep {
+		return // the file is abandoned; the depth error stands alone
+	}
+	p.errs = append(p.errs, &Error{File: p.fileName, Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)})
 }
+
+// enter opens a nested production and reports whether the caller may
+// parse it; leave closes it. Past MaxDepth, enter reports ErrTooDeep,
+// skips to EOF so every open production unwinds at once, and returns
+// false: the caller then returns a placeholder without consuming input.
+func (p *Parser) enter() bool {
+	if p.depth < MaxDepth {
+		p.depth++
+		return true
+	}
+	if !p.tooDeep {
+		p.errs = append(p.errs, &Error{File: p.fileName, Pos: p.cur().Pos,
+			Msg: fmt.Sprintf("input nests too deeply (parser depth limit %d)", MaxDepth), Err: ErrTooDeep})
+		p.tooDeep = true
+		p.off = len(p.toks) - 1
+	}
+	return false
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // isTypeName reports whether the current token begins a type: a builtin
 // type keyword, struct/union/enum, a qualifier, or a known typedef name.
@@ -271,6 +322,10 @@ func (p *Parser) finishVarDecl(name string, typ ast.TypeExpr, static, extern boo
 
 // parseInitList parses a brace initializer, flattening nested braces.
 func (p *Parser) parseInitList() []ast.Expr {
+	if !p.enter() {
+		return nil
+	}
+	defer p.leave()
 	p.expect(token.LBRACE)
 	var elems []ast.Expr
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
@@ -369,6 +424,10 @@ func (p *Parser) parseTypeSpecifier() ast.TypeExpr {
 
 func (p *Parser) parseStructType() ast.TypeExpr {
 	pos := p.cur().Pos
+	if !p.enter() {
+		return &ast.StructType{TokPos: pos}
+	}
+	defer p.leave()
 	union := p.cur().Kind == token.UNION
 	p.advance()
 	tag := ""
@@ -481,6 +540,10 @@ func (p *Parser) parseDeclarator(base ast.TypeExpr) (string, ast.TypeExpr) {
 // Pointers bind more loosely than suffixes, so "*f[3]" is an array of
 // pointers and "(*f)[3]" is a pointer to an array.
 func (p *Parser) parseDeclaratorInner() (string, []declWrap) {
+	if !p.enter() {
+		return "", nil
+	}
+	defer p.leave()
 	var stars []declWrap
 	for p.at(token.MUL) {
 		pos := p.advance().Pos
@@ -529,6 +592,9 @@ func (p *Parser) parseDeclaratorInner() (string, []declWrap) {
 	// slice inward, so stars wrap the base type first ("int *f()" is a
 	// function returning int*), then suffixes, then the enclosing
 	// declarator level ("(*f)(int)" is a pointer to function).
+	if len(inner) == 0 && len(suffixes) == 0 {
+		return name, stars
+	}
 	wraps := make([]declWrap, 0, len(stars)+len(inner)+len(suffixes))
 	wraps = append(wraps, inner...)
 	wraps = append(wraps, suffixes...)
@@ -667,7 +733,7 @@ func (p *Parser) parseBlock() *ast.Block {
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		start := p.off
 		nerrs := len(p.errs)
-		b.Stmts = append(b.Stmts, p.parseStmts()...)
+		b.Stmts = p.appendStmts(b.Stmts)
 		if len(p.errs) > nerrs {
 			// Recover at the next statement boundary so one bad
 			// statement produces one diagnostic, not one per token.
@@ -681,13 +747,13 @@ func (p *Parser) parseBlock() *ast.Block {
 	return b
 }
 
-// parseStmts parses one statement; declarations with several declarators
-// expand to several DeclStmts, hence the slice result.
-func (p *Parser) parseStmts() []ast.Stmt {
+// appendStmts parses one statement and appends it to dst; declarations
+// with several declarators expand to several DeclStmts.
+func (p *Parser) appendStmts(dst []ast.Stmt) []ast.Stmt {
 	if p.at(token.STATIC) || (p.isTypeName(p.cur()) && !p.startsExprDespiteTypeName()) {
-		return p.parseLocalDecl()
+		return p.appendLocalDecl(dst)
 	}
-	return []ast.Stmt{p.parseStmt()}
+	return append(dst, p.parseStmt())
 }
 
 // startsExprDespiteTypeName handles the rare case of an expression
@@ -696,15 +762,16 @@ func (p *Parser) parseStmts() []ast.Stmt {
 // but the hook keeps the decision point explicit.
 func (p *Parser) startsExprDespiteTypeName() bool { return false }
 
-func (p *Parser) parseLocalDecl() []ast.Stmt {
+// appendLocalDecl parses a local declaration and appends a DeclStmt
+// per declarator to out.
+func (p *Parser) appendLocalDecl(out []ast.Stmt) []ast.Stmt {
 	pos := p.cur().Pos
 	static := p.accept(token.STATIC)
 	base := p.parseTypeSpecifier()
 	if base == nil {
 		p.errorf("expected type in declaration, found %s", p.cur())
-		return nil
+		return out
 	}
-	var out []ast.Stmt
 	for {
 		name, typ := p.parseDeclarator(base)
 		vd := p.finishVarDecl(name, typ, static, false, pos)
@@ -719,6 +786,10 @@ func (p *Parser) parseLocalDecl() []ast.Stmt {
 
 func (p *Parser) parseStmt() ast.Stmt {
 	pos := p.cur().Pos
+	if !p.enter() {
+		return &ast.Empty{TokPos: pos}
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.LBRACE:
 		return p.parseBlock()
@@ -758,7 +829,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		var init ast.Stmt
 		if !p.at(token.SEMI) {
 			if p.isTypeName(p.cur()) {
-				decls := p.parseLocalDecl() // consumes the ';'
+				decls := p.appendLocalDecl(nil) // consumes the ';'
 				if len(decls) == 1 {
 					init = decls[0]
 				} else {
@@ -848,7 +919,7 @@ func (p *Parser) parseSwitch() ast.Stmt {
 				cur = &ast.Case{TokPos: p.cur().Pos}
 				sw.Cases = append(sw.Cases, cur)
 			}
-			cur.Body = append(cur.Body, p.parseStmts()...)
+			cur.Body = p.appendStmts(cur.Body)
 		}
 	}
 	p.expect(token.RBRACE)
@@ -858,26 +929,47 @@ func (p *Parser) parseSwitch() ast.Stmt {
 // ---------------------------------------------------------------------------
 // Expressions
 
+// num assigns the next expression number (see ast.Expr).
+func (p *Parser) num() int {
+	p.exprs++
+	return p.exprs
+}
+
+// ident builds the identifier use t. Identifiers are a fifth of the
+// nodes of a parse, so they are cut from shared chunks.
+func (p *Parser) ident(t token.Token) *ast.Ident {
+	id := p.idents.Alloc()
+	*id = ast.Ident{Name: t.Lit, TokPos: t.Pos, ID: p.num()}
+	return id
+}
+
+// placeholder stands in for an expression the parser gave up on.
+func (p *Parser) placeholder() ast.Expr {
+	return &ast.IntLit{TokPos: p.cur().Pos, ID: p.num()}
+}
+
 // parseExpr parses a full expression including the comma operator.
 func (p *Parser) parseExpr() ast.Expr {
 	e := p.parseAssignExpr()
 	for p.at(token.COMMA) {
 		pos := p.advance().Pos
 		y := p.parseAssignExpr()
-		p.exprs++
-		e = &ast.Comma{X: e, Y: y, TokPos: pos}
+		e = &ast.Comma{X: e, Y: y, TokPos: pos, ID: p.num()}
 	}
 	return e
 }
 
 // parseAssignExpr parses an assignment-expression (no top-level comma).
 func (p *Parser) parseAssignExpr() ast.Expr {
+	if !p.enter() {
+		return p.placeholder()
+	}
+	defer p.leave()
 	lhs := p.parseCondExpr()
 	if p.cur().Kind.IsAssign() {
 		op := p.advance()
 		rhs := p.parseAssignExpr()
-		p.exprs++
-		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, TokPos: op.Pos}
+		return &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs, TokPos: op.Pos, ID: p.num()}
 	}
 	return lhs
 }
@@ -889,8 +981,7 @@ func (p *Parser) parseCondExpr() ast.Expr {
 		then := p.parseExpr()
 		p.expect(token.COLON)
 		els := p.parseAssignExpr()
-		p.exprs++
-		return &ast.Cond{Cond: cond, Then: then, Else: els, TokPos: pos}
+		return &ast.Cond{Cond: cond, Then: then, Else: els, TokPos: pos, ID: p.num()}
 	}
 	return cond
 }
@@ -931,39 +1022,34 @@ func (p *Parser) parseBinaryExpr(minPrec int) ast.Expr {
 		}
 		op := p.advance()
 		y := p.parseBinaryExpr(prec + 1)
-		p.exprs++
-		x = &ast.Binary{Op: op.Kind, X: x, Y: y, TokPos: op.Pos}
+		x = &ast.Binary{Op: op.Kind, X: x, Y: y, TokPos: op.Pos, ID: p.num()}
 	}
 }
 
 func (p *Parser) parseUnaryExpr() ast.Expr {
 	pos := p.cur().Pos
+	if !p.enter() {
+		return p.placeholder()
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.ADD:
 		p.advance()
 		return p.parseUnaryExpr() // unary + is a no-op
-	case token.SUB, token.LNOT, token.NOT, token.MUL, token.AND:
+	case token.SUB, token.LNOT, token.NOT, token.MUL, token.AND, token.INC, token.DEC:
 		op := p.advance()
 		x := p.parseUnaryExpr()
-		p.exprs++
-		return &ast.Unary{Op: op.Kind, X: x, TokPos: op.Pos}
-	case token.INC, token.DEC:
-		op := p.advance()
-		x := p.parseUnaryExpr()
-		p.exprs++
-		return &ast.Unary{Op: op.Kind, X: x, TokPos: op.Pos}
+		return &ast.Unary{Op: op.Kind, X: x, TokPos: op.Pos, ID: p.num()}
 	case token.SIZEOF:
 		p.advance()
 		if p.at(token.LPAREN) && p.isTypeName(p.peek(1)) {
 			p.advance()
 			t := p.parseAbstractType()
 			p.expect(token.RPAREN)
-			p.exprs++
-			return &ast.SizeofExpr{Type: t, TokPos: pos}
+			return &ast.SizeofExpr{Type: t, TokPos: pos, ID: p.num()}
 		}
 		x := p.parseUnaryExpr()
-		p.exprs++
-		return &ast.SizeofExpr{X: x, TokPos: pos}
+		return &ast.SizeofExpr{X: x, TokPos: pos, ID: p.num()}
 	case token.LPAREN:
 		if p.isTypeName(p.peek(1)) {
 			// Cast expression.
@@ -971,8 +1057,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			t := p.parseAbstractType()
 			p.expect(token.RPAREN)
 			x := p.parseUnaryExpr()
-			p.exprs++
-			return &ast.Cast{Type: t, X: x, TokPos: pos}
+			return &ast.Cast{Type: t, X: x, TokPos: pos, ID: p.num()}
 		}
 	}
 	return p.parsePostfixExpr()
@@ -1008,40 +1093,35 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 				}
 			}
 			p.expect(token.RPAREN)
-			x = &ast.Call{Fun: x, Args: args, TokPos: pos}
+			x = &ast.Call{Fun: x, Args: args, TokPos: pos, ID: p.num()}
 		case token.LBRACK:
 			p.advance()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.Index{X: x, Idx: idx, TokPos: pos}
+			x = &ast.Index{X: x, Idx: idx, TokPos: pos, ID: p.num()}
 		case token.PERIOD:
 			p.advance()
 			name := p.expect(token.IDENT).Lit
-			x = &ast.Member{X: x, Name: name, TokPos: pos}
+			x = &ast.Member{X: x, Name: name, TokPos: pos, ID: p.num()}
 		case token.ARROW:
 			p.advance()
 			name := p.expect(token.IDENT).Lit
-			x = &ast.Member{X: x, Name: name, Arrow: true, TokPos: pos}
+			x = &ast.Member{X: x, Name: name, Arrow: true, TokPos: pos, ID: p.num()}
 		case token.INC, token.DEC:
 			op := p.advance()
-			x = &ast.Postfix{Op: op.Kind, X: x, TokPos: op.Pos}
+			x = &ast.Postfix{Op: op.Kind, X: x, TokPos: op.Pos, ID: p.num()}
 		default:
 			return x
 		}
-		p.exprs++
 	}
 }
 
 func (p *Parser) parsePrimaryExpr() ast.Expr {
 	t := p.cur()
-	if t.Kind != token.LPAREN {
-		p.exprs++ // every case but a parenthesized expression builds one
-	}
 	switch t.Kind {
 	case token.IDENT:
 		p.advance()
-		p.idents++
-		return &ast.Ident{Name: t.Lit, TokPos: t.Pos}
+		return p.ident(t)
 	case token.INT:
 		p.advance()
 		v, err := strconv.ParseInt(t.Lit, 0, 64)
@@ -1049,18 +1129,18 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 			// Out-of-range literals saturate; the analysis never needs values.
 			v = 0
 		}
-		return &ast.IntLit{Value: v, TokPos: t.Pos}
+		return &ast.IntLit{Value: v, TokPos: t.Pos, ID: p.num()}
 	case token.FLOAT:
 		p.advance()
 		v, _ := strconv.ParseFloat(t.Lit, 64)
-		return &ast.FloatLit{Value: v, TokPos: t.Pos}
+		return &ast.FloatLit{Value: v, TokPos: t.Pos, ID: p.num()}
 	case token.CHAR:
 		p.advance()
 		var b byte
 		if len(t.Lit) > 0 {
 			b = t.Lit[0]
 		}
-		return &ast.CharLit{Value: b, TokPos: t.Pos}
+		return &ast.CharLit{Value: b, TokPos: t.Pos, ID: p.num()}
 	case token.STRING:
 		p.advance()
 		// Adjacent string literals concatenate.
@@ -1068,7 +1148,7 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 		for p.at(token.STRING) {
 			lit += p.advance().Lit
 		}
-		return &ast.StringLit{Value: lit, TokPos: t.Pos}
+		return &ast.StringLit{Value: lit, TokPos: t.Pos, ID: p.num()}
 	case token.LPAREN:
 		p.advance()
 		e := p.parseExpr()
@@ -1077,5 +1157,5 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 	}
 	p.errorf("expected expression, found %s", t)
 	p.advance()
-	return &ast.IntLit{Value: 0, TokPos: t.Pos}
+	return &ast.IntLit{Value: 0, TokPos: t.Pos, ID: p.num()}
 }

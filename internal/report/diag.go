@@ -15,9 +15,9 @@ import (
 //	    prog.c:11:5: freed here
 func WriteDiags(w io.Writer, diags []checkers.Diag) {
 	for _, d := range diags {
-		fmt.Fprintf(w, "%s: %s: %s [%s]\n", d.Pos, d.Severity, d.Message, d.Checker)
+		fmt.Fprintf(w, "%s: %s: %s [%s]\n", d.Pos.In(d.File), d.Severity, d.Message, d.Checker)
 		for _, r := range d.Related {
-			fmt.Fprintf(w, "    %s: %s\n", r.Pos, r.Message)
+			fmt.Fprintf(w, "    %s: %s\n", r.Pos.In(d.File), r.Message)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func buildDiagsJSON(diags []checkers.Diag) []diagJSON {
 	out := make([]diagJSON, 0, len(diags))
 	for _, d := range diags {
 		j := diagJSON{
-			File:     d.Pos.File,
+			File:     d.File,
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Col,
 			Severity: d.Severity.String(),
@@ -88,7 +88,7 @@ func buildDiagsJSON(diags []checkers.Diag) []diagJSON {
 		}
 		for _, r := range d.Related {
 			j.Related = append(j.Related, relatedJSON{
-				File:    r.Pos.File,
+				File:    d.File,
 				Line:    r.Pos.Line,
 				Col:     r.Pos.Col,
 				Message: r.Message,

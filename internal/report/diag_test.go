@@ -17,7 +17,7 @@ import (
 	"aliaslab/internal/token"
 )
 
-func pos(line, col int) token.Pos { return token.Pos{File: "t.c", Line: line, Col: col} }
+func pos(line, col int) token.Pos { return token.Pos{Line: line, Col: col} }
 
 var diagCases = []struct {
 	name  string
@@ -37,7 +37,7 @@ var diagCases = []struct {
 	{
 		name: "single warning",
 		diags: []checkers.Diag{
-			{Pos: pos(4, 9), Severity: checkers.Warning, Checker: "leak", Message: "malloc@4 may leak"},
+			{File: "t.c", Pos: pos(4, 9), Severity: checkers.Warning, Checker: "leak", Message: "malloc@4 may leak"},
 		},
 		wantText: []string{"t.c:4:9: warning: malloc@4 may leak [leak]"},
 		wantJSON: []string{`"line": 4`, `"col": 9`, `"severity": "warning"`, `"checker": "leak"`, `"message": "malloc@4 may leak"`},
@@ -46,7 +46,7 @@ var diagCases = []struct {
 		name: "error with related position",
 		diags: []checkers.Diag{
 			{
-				Pos: pos(12, 5), Severity: checkers.Error, Checker: "uaf", Message: "write after free",
+				File: "t.c", Pos: pos(12, 5), Severity: checkers.Error, Checker: "uaf", Message: "write after free",
 				Related: []checkers.Related{{Pos: pos(11, 5), Message: "freed here"}},
 			},
 		},
@@ -56,8 +56,8 @@ var diagCases = []struct {
 	{
 		name: "multiple diags keep order",
 		diags: []checkers.Diag{
-			{Pos: pos(2, 1), Severity: checkers.Warning, Checker: "uninit", Message: "first"},
-			{Pos: pos(7, 1), Severity: checkers.Warning, Checker: "nullderef", Message: "second"},
+			{File: "t.c", Pos: pos(2, 1), Severity: checkers.Warning, Checker: "uninit", Message: "first"},
+			{File: "t.c", Pos: pos(7, 1), Severity: checkers.Warning, Checker: "nullderef", Message: "second"},
 		},
 		wantText: []string{"first [uninit]", "second [nullderef]"},
 		wantJSON: []string{`"message": "first"`, `"message": "second"`},
@@ -102,7 +102,7 @@ func TestWriteDiagsTextAndJSON(t *testing.T) {
 
 func TestWriteDiagsJSONDegraded(t *testing.T) {
 	diags := []checkers.Diag{
-		{Pos: pos(3, 1), Severity: checkers.Warning, Checker: "leak", Message: "best effort"},
+		{File: "t.c", Pos: pos(3, 1), Severity: checkers.Warning, Checker: "leak", Message: "best effort"},
 	}
 	var buf bytes.Buffer
 	if err := report.WriteDiagsJSONDegraded(&buf, diags, "limits: step budget exhausted (10)"); err != nil {

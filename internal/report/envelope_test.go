@@ -12,12 +12,13 @@ import (
 
 func sampleDiags() []checkers.Diag {
 	return []checkers.Diag{{
-		Pos:      token.Pos{File: "a.c", Line: 3, Col: 5},
+		File:     "a.c",
+		Pos:      token.Pos{Line: 3, Col: 5},
 		Checker:  "uaf",
 		Message:  "write after free",
 		Severity: checkers.Error,
 		Related: []checkers.Related{{
-			Pos:     token.Pos{File: "a.c", Line: 2, Col: 1},
+			Pos:     token.Pos{Line: 2, Col: 1},
 			Message: "freed here",
 		}},
 	}}

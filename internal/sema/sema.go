@@ -14,16 +14,18 @@ import (
 
 	"aliaslab/internal/ast"
 	"aliaslab/internal/ctypes"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/token"
 )
 
-// Error is a semantic error with its source position.
+// Error is a semantic error with its file and source position.
 type Error struct {
-	Pos token.Pos
-	Msg string
+	File string
+	Pos  token.Pos
+	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+func (e *Error) Error() string { return e.Pos.In(e.File) + ": " + e.Msg }
 
 // ObjKind classifies declared objects.
 type ObjKind int
@@ -72,6 +74,12 @@ type Object struct {
 
 	// ID is a unique index within the Program, assigned in creation order.
 	ID int
+
+	// Slot numbers the parameters and non-static block locals of the
+	// owning function 0, 1, 2, ... (below Function.Slots), so the VDG
+	// builder can keep per-variable state in slices. Other objects
+	// have no slot and leave it 0.
+	Slot int
 }
 
 func (o *Object) String() string {
@@ -88,6 +96,7 @@ type Function struct {
 	Type   *ctypes.Type // Kind Func
 	Params []*Object
 	Locals []*Object // all block-scoped locals, in declaration order
+	Slots  int       // the number of slots given to Params and Locals
 	Body   *ast.Block
 	Decl   *ast.FuncDecl
 
@@ -104,29 +113,59 @@ type Program struct {
 	Funcs   []*Function
 	FuncMap map[string]*Function
 
-	// ExprTypes records the checked type of every expression.
-	ExprTypes map[ast.Expr]*ctypes.Type
-
-	// IdentObj maps identifier uses to their objects.
-	IdentObj map[*ast.Ident]*Object
-
-	// IdentConst maps identifier uses of enum constants to their values.
-	IdentConst map[*ast.Ident]int64
+	// types, objs and consts are indexed by expression number (see
+	// ast.Expr) and read through TypeOf, ObjOf and ConstOf: the checked
+	// type of every expression, the object each identifier use denotes,
+	// and the value of each enum constant use, whose objs entry is
+	// enumConst. consts is allocated at the first enum constant use.
+	types  []*ctypes.Type
+	objs   []*Object
+	consts []int64
 
 	// DeclObj maps variable declarations to their objects.
 	DeclObj map[*ast.VarDecl]*Object
 
-	// Builtins holds the predeclared library functions that were
-	// referenced by the program.
-	Builtins map[string]*Object
-
 	nextID int
 }
 
+// enumConst marks the objs entry of an enum constant use.
+var enumConst = new(Object)
+
+// TypeOf returns the checked (decayed) type of e, or nil when e was
+// not checked.
+func (p *Program) TypeOf(e ast.Expr) *ctypes.Type { return p.types[e.ExprID()] }
+
+// ObjOf returns the object the identifier use id denotes, or nil for
+// an enum constant or an unresolved name.
+func (p *Program) ObjOf(id *ast.Ident) *Object {
+	if o := p.objs[id.ID]; o != enumConst {
+		return o
+	}
+	return nil
+}
+
+// ConstOf returns the value of the enum constant id names, and whether
+// it names one.
+func (p *Program) ConstOf(id *ast.Ident) (int64, bool) {
+	if p.objs[id.ID] != enumConst {
+		return 0, false
+	}
+	return p.consts[id.ID], true
+}
+
+// Exprs returns the length of the per-expression tables: one past the
+// largest expression number of the checked file.
+func (p *Program) Exprs() int { return len(p.types) }
+
+// ObjectIDs returns one past the largest Object.ID: the length of a
+// table indexed by object ID.
+func (p *Program) ObjectIDs() int { return p.nextID }
+
 // newObject allocates an object with a fresh ID.
-func (p *Program) newObject(name string, kind ObjKind, typ *ctypes.Type, pos token.Pos) *Object {
-	o := &Object{Name: name, Kind: kind, Type: typ, Pos: pos, ID: p.nextID}
-	p.nextID++
+func (c *Checker) newObject(name string, kind ObjKind, typ *ctypes.Type, pos token.Pos) *Object {
+	o := c.objs.Alloc()
+	*o = Object{Name: name, Kind: kind, Type: typ, Pos: pos, ID: c.prog.nextID}
+	c.prog.nextID++
 	return o
 }
 
@@ -143,8 +182,9 @@ type Checker struct {
 	prog *Program
 	errs []*Error
 
-	scopes  []map[string]*scopeEntry
+	scopes  []map[string]scopeEntry
 	structs map[string]*ctypes.Type // tag -> type (file scope)
+	objs    slab.Slab[Object]       // newObject's chunks
 
 	curFunc   *Function
 	callGraph map[*Function][]*Function // direct calls, for recursion marking
@@ -157,18 +197,16 @@ type Checker struct {
 func Check(file *ast.File) (*Program, []*Error) {
 	c := &Checker{
 		prog: &Program{
-			Name:       file.Name,
-			FuncMap:    make(map[string]*Function),
-			ExprTypes:  make(map[ast.Expr]*ctypes.Type, file.Exprs),
-			IdentObj:   make(map[*ast.Ident]*Object, file.Idents),
-			IdentConst: make(map[*ast.Ident]int64),
-			DeclObj:    make(map[*ast.VarDecl]*Object),
-			Builtins:   make(map[string]*Object),
+			Name:    file.Name,
+			FuncMap: make(map[string]*Function),
+			types:   make([]*ctypes.Type, max(file.Exprs, 1)),
+			objs:    make([]*Object, max(file.Exprs, 1)),
+			DeclObj: make(map[*ast.VarDecl]*Object),
 		},
 		structs: make(map[string]*ctypes.Type),
 		ptrs:    make(ctypes.PointerCache),
 	}
-	c.pushScope()
+	c.scopes = append(c.scopes, make(map[string]scopeEntry, len(builtinSigs)+len(file.Decls)))
 	c.declareBuiltins()
 
 	// Pass 1: collect file-scope declarations so forward references work.
@@ -190,7 +228,7 @@ func Check(file *ast.File) (*Program, []*Error) {
 }
 
 func (c *Checker) errorf(pos token.Pos, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	c.errs = append(c.errs, &Error{File: c.prog.Name, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +242,7 @@ func (c *Checker) pushScope() {
 		c.scopes = c.scopes[:n+1]
 		return
 	}
-	c.scopes = append(c.scopes, make(map[string]*scopeEntry))
+	c.scopes = append(c.scopes, make(map[string]scopeEntry))
 }
 
 func (c *Checker) popScope() {
@@ -212,7 +250,7 @@ func (c *Checker) popScope() {
 	c.scopes = c.scopes[:len(c.scopes)-1]
 }
 
-func (c *Checker) declare(name string, e *scopeEntry, pos token.Pos) {
+func (c *Checker) declare(name string, e scopeEntry, pos token.Pos) {
 	top := c.scopes[len(c.scopes)-1]
 	if prev, ok := top[name]; ok {
 		// Redeclaring a prototype with a definition is fine; anything
@@ -227,13 +265,13 @@ func (c *Checker) declare(name string, e *scopeEntry, pos token.Pos) {
 	top[name] = e
 }
 
-func (c *Checker) lookup(name string) *scopeEntry {
+func (c *Checker) lookup(name string) (scopeEntry, bool) {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
 		if e, ok := c.scopes[i][name]; ok {
-			return e
+			return e, true
 		}
 	}
-	return nil
+	return scopeEntry{}, false
 }
 
 // ---------------------------------------------------------------------------
@@ -314,9 +352,8 @@ var builtinSigs = []struct {
 
 func (c *Checker) declareBuiltins() {
 	for _, b := range builtinSigs {
-		o := c.prog.newObject(b.name, BuiltinObj, b.typ, token.Pos{})
-		c.declare(b.name, &scopeEntry{obj: o}, token.Pos{})
-		c.prog.Builtins[b.name] = o
+		o := c.newObject(b.name, BuiltinObj, b.typ, token.Pos{})
+		c.declare(b.name, scopeEntry{obj: o}, token.Pos{})
 	}
 }
 
@@ -339,7 +376,7 @@ func (c *Checker) resolveType(te ast.TypeExpr) *ctypes.Type {
 		}
 		return bt
 	case *ast.NamedType:
-		if e := c.lookup(te.Name); e != nil && e.typedef != nil {
+		if e, ok := c.lookup(te.Name); ok && e.typedef != nil {
 			return e.typedef
 		}
 		c.errorf(te.Pos(), "undefined type %s", te.Name)
@@ -411,7 +448,7 @@ func (c *Checker) resolveEnum(te *ast.EnumType) {
 				c.errorf(m.TokPos, "enum value must be constant")
 			}
 		}
-		c.declare(m.Name, &scopeEntry{enumVal: next, isEnum: true}, m.TokPos)
+		c.declare(m.Name, scopeEntry{enumVal: next, isEnum: true}, m.TokPos)
 		next++
 	}
 }
@@ -425,7 +462,7 @@ func constFold(e ast.Expr, prog *Program) (int64, bool) {
 	case *ast.CharLit:
 		return int64(e.Value), true
 	case *ast.Ident:
-		if v, ok := prog.IdentConst[e]; ok {
+		if v, ok := prog.ConstOf(e); ok {
 			return v, true
 		}
 	case *ast.Unary:
@@ -480,7 +517,7 @@ func (c *Checker) collectTopDecl(d ast.Decl) {
 	switch d := d.(type) {
 	case *ast.TypedefDecl:
 		t := c.resolveType(d.Type)
-		c.declare(d.Name, &scopeEntry{typedef: t}, d.TokPos)
+		c.declare(d.Name, scopeEntry{typedef: t}, d.TokPos)
 	case *ast.TagDecl:
 		c.resolveType(d.Type)
 	case *ast.VarDecl:
@@ -493,21 +530,21 @@ func (c *Checker) collectTopDecl(d ast.Decl) {
 		if at := t; at.Kind == ctypes.Array && at.Len < 0 && d.InitList != nil {
 			t = ctypes.ArrayOf(at.Elem, len(d.InitList))
 		}
-		o := c.prog.newObject(d.Name, GlobalVar, t, d.TokPos)
+		o := c.newObject(d.Name, GlobalVar, t, d.TokPos)
 		o.Decl = d
 		o.AddrTaken = t.IsAggregate() // aggregates are store-resident
-		c.declare(d.Name, &scopeEntry{obj: o}, d.TokPos)
+		c.declare(d.Name, scopeEntry{obj: o}, d.TokPos)
 		c.prog.Globals = append(c.prog.Globals, o)
 		c.prog.DeclObj[d] = o
 	case *ast.FuncDecl:
 		ft := c.resolveType(d.Type)
 		fn := c.prog.FuncMap[d.Name]
 		if fn == nil {
-			o := c.prog.newObject(d.Name, FuncObj, ft, d.TokPos)
+			o := c.newObject(d.Name, FuncObj, ft, d.TokPos)
 			fn = &Function{Name: d.Name, Object: o, Type: ft}
 			c.prog.FuncMap[d.Name] = fn
 			c.prog.Funcs = append(c.prog.Funcs, fn)
-			c.declare(d.Name, &scopeEntry{obj: o}, d.TokPos)
+			c.declare(d.Name, scopeEntry{obj: o}, d.TokPos)
 		}
 		if d.Body != nil {
 			if fn.Body != nil {
@@ -523,8 +560,8 @@ func (c *Checker) collectTopDecl(d ast.Decl) {
 }
 
 func (c *Checker) checkGlobalInit(vd *ast.VarDecl) {
-	e := c.lookup(vd.Name)
-	if e == nil || e.obj == nil {
+	e, ok := c.lookup(vd.Name)
+	if !ok || e.obj == nil {
 		return
 	}
 	if vd.Init != nil {
@@ -545,12 +582,14 @@ func (c *Checker) checkFuncBody(fd *ast.FuncDecl) {
 	c.pushScope()
 	for _, pd := range fd.Type.Params {
 		pt := c.resolveType(pd.Type)
-		o := c.prog.newObject(pd.Name, ParamVar, pt, pd.TokPos)
+		o := c.newObject(pd.Name, ParamVar, pt, pd.TokPos)
 		o.Owner = fn
 		o.AddrTaken = pt.IsAggregate()
+		o.Slot = fn.Slots
+		fn.Slots++
 		fn.Params = append(fn.Params, o)
 		if pd.Name != "" {
-			c.declare(pd.Name, &scopeEntry{obj: o}, pd.TokPos)
+			c.declare(pd.Name, scopeEntry{obj: o}, pd.TokPos)
 		}
 	}
 	c.checkBlock(fd.Body)
@@ -637,7 +676,7 @@ func (c *Checker) checkLocalDecl(vd *ast.VarDecl) {
 	if at := t; at.Kind == ctypes.Array && at.Len < 0 && vd.InitList != nil {
 		t = ctypes.ArrayOf(at.Elem, len(vd.InitList))
 	}
-	o := c.prog.newObject(vd.Name, LocalVar, t, vd.TokPos)
+	o := c.newObject(vd.Name, LocalVar, t, vd.TokPos)
 	o.Owner = c.curFunc
 	o.Decl = vd
 	o.AddrTaken = t.IsAggregate()
@@ -648,10 +687,12 @@ func (c *Checker) checkLocalDecl(vd *ast.VarDecl) {
 		o.Kind = GlobalVar
 		o.Owner = nil
 		c.prog.Globals = append(c.prog.Globals, o)
-	} else if c.curFunc != nil {
-		c.curFunc.Locals = append(c.curFunc.Locals, o)
+	} else if fn := c.curFunc; fn != nil {
+		o.Slot = fn.Slots
+		fn.Slots++
+		fn.Locals = append(fn.Locals, o)
 	}
-	c.declare(vd.Name, &scopeEntry{obj: o}, vd.TokPos)
+	c.declare(vd.Name, scopeEntry{obj: o}, vd.TokPos)
 	if vd.Init != nil {
 		it := c.checkExpr(vd.Init)
 		c.checkAssignable(t, it, vd.Init)
@@ -666,7 +707,7 @@ func (c *Checker) checkLocalDecl(vd *ast.VarDecl) {
 
 // setType records and returns the type of e.
 func (c *Checker) setType(e ast.Expr, t *ctypes.Type) *ctypes.Type {
-	c.prog.ExprTypes[e] = t
+	c.prog.types[e.ExprID()] = t
 	return t
 }
 
@@ -687,7 +728,7 @@ func (c *Checker) checkExpr(e ast.Expr) *ctypes.Type {
 	t := c.checkExprNoDecay(e)
 	d := c.decay(t)
 	if d != t {
-		c.prog.ExprTypes[e] = d
+		c.prog.types[e.ExprID()] = d
 	}
 	return d
 }
@@ -761,20 +802,24 @@ func (c *Checker) checkExprNoDecay(e ast.Expr) *ctypes.Type {
 }
 
 func (c *Checker) checkIdent(e *ast.Ident) *ctypes.Type {
-	ent := c.lookup(e.Name)
-	if ent == nil {
+	ent, ok := c.lookup(e.Name)
+	if !ok {
 		c.errorf(e.TokPos, "undefined: %s", e.Name)
 		return c.setType(e, ctypes.IntType)
 	}
 	if ent.isEnum {
-		c.prog.IdentConst[e] = ent.enumVal
+		if c.prog.consts == nil {
+			c.prog.consts = make([]int64, len(c.prog.objs))
+		}
+		c.prog.objs[e.ID] = enumConst
+		c.prog.consts[e.ID] = ent.enumVal
 		return c.setType(e, ctypes.IntType)
 	}
 	if ent.typedef != nil {
 		c.errorf(e.TokPos, "type %s used as value", e.Name)
 		return c.setType(e, ctypes.IntType)
 	}
-	c.prog.IdentObj[e] = ent.obj
+	c.prog.objs[e.ID] = ent.obj
 	return c.setType(e, ent.obj.Type)
 }
 
@@ -785,7 +830,7 @@ func (c *Checker) checkUnary(e *ast.Unary) *ctypes.Type {
 		if t.Kind == ctypes.Func {
 			// &f on a function designator yields a function pointer.
 			if id, ok := e.X.(*ast.Ident); ok {
-				if o := c.prog.IdentObj[id]; o != nil && o.Kind == BuiltinObj {
+				if o := c.prog.ObjOf(id); o != nil && o.Kind == BuiltinObj {
 					c.errorf(e.TokPos, "cannot take the address of library function %s", id.Name)
 				}
 			}
@@ -949,11 +994,11 @@ func (c *Checker) checkMember(e *ast.Member) *ctypes.Type {
 func (c *Checker) requireLvalue(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if _, isConst := c.prog.IdentConst[e]; isConst {
+		if _, isConst := c.prog.ConstOf(e); isConst {
 			c.errorf(e.Pos(), "enum constant %s is not an lvalue", e.Name)
 			return false
 		}
-		if o := c.prog.IdentObj[e]; o != nil && (o.Kind == FuncObj || o.Kind == BuiltinObj) {
+		if o := c.prog.ObjOf(e); o != nil && (o.Kind == FuncObj || o.Kind == BuiltinObj) {
 			c.errorf(e.Pos(), "function %s is not an lvalue", e.Name)
 			return false
 		}
@@ -973,7 +1018,7 @@ func (c *Checker) requireLvalue(e ast.Expr) bool {
 func (c *Checker) markAddrTaken(e ast.Expr) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if o := c.prog.IdentObj[e]; o != nil {
+		if o := c.prog.ObjOf(e); o != nil {
 			o.AddrTaken = true
 		}
 	case *ast.Member:
@@ -983,7 +1028,7 @@ func (c *Checker) markAddrTaken(e ast.Expr) {
 	case *ast.Index:
 		// The array object is already store-resident; if the base is a
 		// pointer, the pointee is heap/other storage and needs no mark.
-		if t, ok := c.prog.ExprTypes[e.X]; ok && t.Kind == ctypes.Array {
+		if t := c.prog.TypeOf(e.X); t != nil && t.Kind == ctypes.Array {
 			c.markAddrTaken(e.X)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aliaslab/internal/ast"
 	"aliaslab/internal/ctypes"
 	"aliaslab/internal/parser"
 	"aliaslab/internal/sema"
@@ -114,10 +115,13 @@ func TestEnumConstants(t *testing.T) {
 enum { A, B = 5, C };
 int f(void) { return A + B + C; }
 `)
+	// The return value parses as (A + B) + C.
+	ret := prog.FuncMap["f"].Body.Stmts[0].(*ast.Return).Value.(*ast.Binary)
+	uses := []ast.Expr{ret.X.(*ast.Binary).X, ret.X.(*ast.Binary).Y, ret.Y}
 	found := 0
-	for _, v := range prog.IdentConst {
-		switch v {
-		case 0, 5, 6:
+	for i, want := range []int64{0, 5, 6} {
+		id := uses[i].(*ast.Ident)
+		if v, ok := prog.ConstOf(id); ok && v == want && prog.ObjOf(id) == nil {
 			found++
 		}
 	}

@@ -207,6 +207,35 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestDeepNestingKeepsServerUp: the 1,040,054-byte request nesting an
+// expression 520,000 parentheses deep, under the default 1 MiB source
+// limit, overflowed the parser's stack and killed the process. It now
+// gets an error status and the server stays live.
+func TestDeepNestingKeepsServerUp(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{}))
+	t.Cleanup(ts.Close)
+	const n = 520000
+	src := "int main(void){int x; x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; return x;}\n"
+	if raw, _ := json.Marshal(map[string]string{"source": src}); len(raw) != 1040054 {
+		t.Fatalf("request body is %d bytes, want 1040054", len(raw))
+	}
+	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"source": src}, nil)
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("status %d, want a 4xx error: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte("nests too deeply")) {
+		t.Errorf("body does not name the depth limit: %s", body)
+	}
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != 200 {
+		t.Errorf("healthz after the deep request: %d", hz.StatusCode)
+	}
+}
+
 func TestVet(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	resp, body := post(t, ts.URL+"/v1/vet", map[string]string{"source": buggySrc}, nil)

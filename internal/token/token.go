@@ -7,7 +7,10 @@
 // handlers, or casts between pointer and non-pointer types.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
@@ -217,20 +220,70 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords map[string]Kind
-
-func init() {
-	keywords = make(map[string]Kind)
-	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		keywords[kindNames[k]] = k
-	}
-}
-
 // Lookup maps an identifier to its keyword kind, or IDENT if it is not a
-// keyword.
+// keyword. The switch compiles to a search on the length and bytes of
+// ident, which is cheaper than hashing every identifier the lexer
+// scans.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	switch ident {
+	case "break":
+		return BREAK
+	case "case":
+		return CASE
+	case "const":
+		return CONST
+	case "continue":
+		return CONTINUE
+	case "default":
+		return DEFAULT
+	case "do":
+		return DO
+	case "else":
+		return ELSE
+	case "enum":
+		return ENUM
+	case "extern":
+		return EXTERN
+	case "for":
+		return FOR
+	case "goto":
+		return GOTO
+	case "if":
+		return IF
+	case "return":
+		return RETURN
+	case "sizeof":
+		return SIZEOF
+	case "static":
+		return STATIC
+	case "struct":
+		return STRUCT
+	case "switch":
+		return SWITCH
+	case "typedef":
+		return TYPEDEF
+	case "union":
+		return UNION
+	case "unsigned":
+		return UNSIGNED
+	case "signed":
+		return SIGNED
+	case "void":
+		return VOID
+	case "while":
+		return WHILE
+	case "char":
+		return CHAR_KW
+	case "int":
+		return INT_KW
+	case "long":
+		return LONG_KW
+	case "short":
+		return SHORT_KW
+	case "float":
+		return FLOAT_KW
+	case "double":
+		return DOUBLE_KW
 	}
 	return IDENT
 }
@@ -291,19 +344,31 @@ func (k Kind) IsTypeStart() bool {
 	return false
 }
 
-// Pos is a source position: 1-based line and column plus the file name.
+// Pos is a source position: 1-based line and column. It carries no
+// file name: every position in a translation unit belongs to the same
+// file, so the unit's name is added only where a position is printed
+// (see In), which keeps Pos at two words in every token, AST node and
+// graph node.
 type Pos struct {
-	File string
 	Line int
 	Col  int
 }
 
-// String renders the position as file:line:col, omitting empty parts.
-func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+// String renders the position as line:col.
+func (p Pos) String() string { return p.In("") }
+
+// In renders the position inside file as file:line:col, or as line:col
+// when file is empty.
+func (p Pos) In(file string) string {
+	b := make([]byte, 0, len(file)+16)
+	if file != "" {
+		b = append(b, file...)
+		b = append(b, ':')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(p.Col), 10)
+	return string(b)
 }
 
 // IsValid reports whether the position has been set.

@@ -1,6 +1,9 @@
 package token
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestLookup(t *testing.T) {
 	cases := []struct {
@@ -17,6 +20,16 @@ func TestLookup(t *testing.T) {
 	for _, c := range cases {
 		if got := Lookup(c.ident); got != c.want {
 			t.Errorf("Lookup(%q) = %v, want %v", c.ident, got, c.want)
+		}
+	}
+	// Every keyword's spelling, and only a keyword's, looks up to it.
+	for k := ILLEGAL; k <= keywordEnd; k++ {
+		want := k
+		if !k.IsKeyword() {
+			want = IDENT
+		}
+		if got := Lookup(k.String()); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", k.String(), got, want)
 		}
 	}
 }
@@ -59,17 +72,29 @@ func TestStringForms(t *testing.T) {
 	if ARROW.String() != "->" || ELLIPSIS.String() != "..." || WHILE.String() != "while" {
 		t.Error("operator/keyword spellings wrong")
 	}
-	tok := Token{Kind: IDENT, Lit: "x", Pos: Pos{File: "f.c", Line: 3, Col: 7}}
+	tok := Token{Kind: IDENT, Lit: "x", Pos: Pos{Line: 3, Col: 7}}
 	if tok.String() != `IDENT("x")` {
 		t.Errorf("token renders as %q", tok.String())
 	}
-	if tok.Pos.String() != "f.c:3:7" {
-		t.Errorf("pos renders as %q", tok.Pos.String())
+	if tok.Pos.In("f.c") != "f.c:3:7" {
+		t.Errorf("pos renders as %q", tok.Pos.In("f.c"))
 	}
-	if (Pos{Line: 2, Col: 1}).String() != "2:1" {
+	if (Pos{Line: 2, Col: 1}).String() != "2:1" || (Pos{Line: 2, Col: 1}).In("") != "2:1" {
 		t.Error("file-less pos format wrong")
 	}
 	if !tok.Pos.IsValid() || (Pos{}).IsValid() {
 		t.Error("IsValid wrong")
+	}
+}
+
+// TestSizes pins the layout of positions and tokens: a Pos is a line
+// and a column, no file name, and a lexed file holds a Token per 3-5
+// source bytes.
+func TestSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Pos{}); got != 16 {
+		t.Errorf("Pos is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Token{}); got != 40 {
+		t.Errorf("Token is %d bytes, want 40", got)
 	}
 }

@@ -1,13 +1,16 @@
 package vdg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"aliaslab/internal/ast"
 	"aliaslab/internal/ctypes"
 	"aliaslab/internal/paths"
 	"aliaslab/internal/sema"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/token"
 )
 
@@ -44,11 +47,12 @@ type Options struct {
 
 // BuildError is a construction-time error (unsupported construct).
 type BuildError struct {
-	Pos token.Pos
-	Msg string
+	File string
+	Pos  token.Pos
+	Msg  string
 }
 
-func (e *BuildError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+func (e *BuildError) Error() string { return e.Pos.In(e.File) + ": " + e.Msg }
 
 // Build constructs the whole-program VDG for a checked program.
 func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
@@ -59,15 +63,17 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 			FuncOf:     make(map[*sema.Function]*FuncGraph),
 			FuncByBase: make(map[*paths.Base]*FuncGraph),
 			BaseOf:     make(map[*sema.Object]*paths.Base),
-			VarValues:  make(map[*sema.Object][]*Output),
 			// A build creates 1.0-1.4 inputs per checked expression
 			// on the corpus.
-			inputs: make([]*Input, 0, len(prog.ExprTypes)*3/2),
+			inputs: make([]*Input, 0, prog.Exprs()*3/2),
 		},
 		prog:      prog,
 		opts:      opts,
 		funcBases: make(map[*sema.Function]*paths.Base),
 		strBases:  make(map[*ast.StringLit]*paths.Base),
+		refs:      make([]*Output, prog.ObjectIDs()),
+		vals:      make([][]*Output, prog.ObjectIDs()),
+		envs:      slab.Slab[*Output]{Size: 1024},
 		ptrs:      make(ctypes.PointerCache),
 	}
 	// Create function graphs and bases up front so calls can refer to
@@ -87,6 +93,10 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 	}
 	if mainFn := prog.FuncMap["main"]; mainFn != nil {
 		b.g.Entry = b.g.FuncOf[mainFn]
+	}
+	b.g.VarValues = make(map[*sema.Object][]*Output, len(b.valObjs))
+	for _, obj := range b.valObjs {
+		b.g.VarValues[obj] = b.vals[obj.ID]
 	}
 	// A recovered per-procedure panic leaves that function half-built;
 	// the unit is already doomed (errs is non-empty), so don't run the
@@ -135,13 +145,26 @@ type builder struct {
 	heapBase  *paths.Base // when SingleHeapBase
 	heapSeq   int
 
+	// refs caches, by sema.Object.ID, the KAddr output of each variable
+	// and function the function being built refers to; buildFunc clears
+	// it.
+	refs []*Output
+
+	// vals collects Graph.VarValues by sema.Object.ID, and valObjs the
+	// objects with values, until Build fills the map.
+	vals    [][]*Output
+	valObjs []*sema.Object
+
+	// envs is the chunked store of flow-state environments.
+	envs slab.Slab[*Output]
+
 	// panicked records that a per-procedure panic was recovered; the
 	// graph may then contain a half-built function.
 	panicked bool
 }
 
 func (b *builder) errorf(pos token.Pos, format string, args ...any) {
-	b.errs = append(b.errs, &BuildError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	b.errs = append(b.errs, &BuildError{File: b.prog.Name, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 // storeResident reports whether obj lives in the store (has a base
@@ -197,18 +220,18 @@ func (b *builder) heapBaseFor(callName string, pos token.Pos) *paths.Base {
 // Flow state
 
 // flowState is the builder's abstract machine state at a program point:
-// the current SSA value of each dataflow variable, and the current store.
+// the current SSA value of each dataflow variable, indexed by its
+// sema.Object.Slot (nil: no value yet), and the current store.
 type flowState struct {
-	env       map[*sema.Object]*Output
+	env       []*Output
 	store     *Output
 	reachable bool
 }
 
-func (s *flowState) clone() flowState {
-	env := make(map[*sema.Object]*Output, len(s.env))
-	for k, v := range s.env {
-		env[k] = v
-	}
+// clone copies s; the copy's environment is carved from envs.
+func (s *flowState) clone(envs *slab.Slab[*Output]) flowState {
+	env := envs.Carve(len(s.env))[:len(s.env)]
+	copy(env, s.env)
 	return flowState{env: env, store: s.store, reachable: s.reachable}
 }
 
@@ -235,25 +258,48 @@ type fnBuilder struct {
 	loopIsSwitch []bool // parallels loops; switches take breaks only
 	rets         []retSnap
 
-	addrCache map[*sema.Object]*Output // KAddr per object
-	funcRefs  map[*sema.Function]*Output
+	// vars maps each slot of the function to its object, and order
+	// lists the slots of the dataflow (not store-resident) variables in
+	// declaration order: position, then name. Merge points and loop
+	// headers create gamma nodes walking order, so node creation, and
+	// with it the path-intern order that fixes the rendering order of
+	// every output, is the same from build to build.
+	vars  []*sema.Object
+	order []int
 
-	// markerRefs caches the KAddr outputs of the diagnostics marker
-	// locations (<null>, <uninit>) per function.
-	markerRefs map[*paths.Path]*Output
+	// nullRef and uninitRef cache the KAddr outputs of the diagnostics
+	// marker locations (<null>, <uninit>).
+	nullRef, uninitRef *Output
 }
 
 func (b *builder) buildFunc(fn *sema.Function) {
 	fg := b.g.FuncOf[fn]
-	fb := &fnBuilder{
-		b:          b,
-		g:          b.g,
-		fg:         fg,
-		addrCache:  make(map[*sema.Object]*Output),
-		funcRefs:   make(map[*sema.Function]*Output),
-		markerRefs: make(map[*paths.Path]*Output),
+	fb := &fnBuilder{b: b, g: b.g, fg: fg}
+	clear(b.refs)
+	fb.vars = make([]*sema.Object, fn.Slots)
+	for _, o := range fn.Params {
+		fb.vars[o.Slot] = o
 	}
-	fb.cur = flowState{env: make(map[*sema.Object]*Output), reachable: true}
+	for _, o := range fn.Locals {
+		fb.vars[o.Slot] = o
+	}
+	fb.order = make([]int, 0, fn.Slots)
+	for slot, o := range fb.vars {
+		if o != nil && !b.storeResident(o) {
+			fb.order = append(fb.order, slot)
+		}
+	}
+	slices.SortFunc(fb.order, func(i, j int) int {
+		x, y := fb.vars[i], fb.vars[j]
+		if c := cmp.Compare(x.Pos.Line, y.Pos.Line); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Pos.Col, y.Pos.Col); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Name, y.Name)
+	})
+	fb.cur = fb.emptyState(true)
 
 	// Store formal.
 	sp := b.g.NewNode(fg, KStoreParam, fn.Object.Pos)
@@ -266,12 +312,15 @@ func (b *builder) buildFunc(fn *sema.Function) {
 		pn := b.g.NewNode(fg, KParam, p.Pos)
 		pn.Obj = p
 		out := b.g.AddOutput(pn, p.Type, false)
+		if fg.ParamOuts == nil {
+			fg.ParamOuts = make([]*Output, 0, len(fn.Params))
+		}
 		fg.ParamOuts = append(fg.ParamOuts, out)
 		if b.storeResident(p) {
 			addr := fb.addrOfObj(p, p.Pos)
 			fb.update(addr, out, p.Pos)
 		} else {
-			fb.cur.env[p] = out
+			fb.cur.env[p.Slot] = out
 		}
 		fb.recordVar(p, out)
 	}
@@ -410,28 +459,9 @@ func (fb *fnBuilder) initAggregate(addr *Output, typ *ctypes.Type, elems []ast.E
 // ---------------------------------------------------------------------------
 // State merging
 
-// orderedEnv returns env's keys in declaration order (position, then
-// name). Merge points and loop headers create gamma nodes while
-// walking the environment; iterating the map directly would make node
-// creation order vary between builds of the same source, and with it
-// the path-intern order that fixes the rendering order of every
-// output — the sort keeps that output byte-identical from run to run.
-func orderedEnv(env map[*sema.Object]*Output) []*sema.Object {
-	objs := make([]*sema.Object, 0, len(env))
-	for obj := range env {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool {
-		a, b := objs[i].Pos, objs[j].Pos
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return objs[i].Name < objs[j].Name
-	})
-	return objs
+// emptyState returns a state with no variable values and no store.
+func (fb *fnBuilder) emptyState(reachable bool) flowState {
+	return flowState{env: fb.b.envs.Carve(len(fb.vars))[:len(fb.vars)], reachable: reachable}
 }
 
 // merge combines alternative flow states at a join point, creating
@@ -445,12 +475,12 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 	}
 	switch len(live) {
 	case 0:
-		return flowState{env: make(map[*sema.Object]*Output), reachable: false}
+		return fb.emptyState(false)
 	case 1:
-		return live[0].clone()
+		return live[0].clone(&fb.b.envs)
 	}
 
-	out := flowState{env: make(map[*sema.Object]*Output), reachable: true}
+	out := fb.emptyState(true)
 
 	// Store.
 	same := true
@@ -471,13 +501,16 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 	}
 
 	// Environment: keep variables present in every live state.
-	for _, obj := range orderedEnv(live[0].env) {
-		v0 := live[0].env[obj]
+	for _, slot := range fb.order {
+		v0 := live[0].env[slot]
+		if v0 == nil {
+			continue
+		}
 		inAll := true
 		allSame := true
 		for _, s := range live[1:] {
-			v, ok := s.env[obj]
-			if !ok {
+			v := s.env[slot]
+			if v == nil {
 				inAll = false
 				break
 			}
@@ -489,51 +522,57 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 			continue
 		}
 		if allSame {
-			out.env[obj] = v0
+			out.env[slot] = v0
 			continue
 		}
 		gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-		gout := fb.g.AddOutput(gamma, obj.Type, false)
+		gout := fb.g.AddOutput(gamma, fb.vars[slot].Type, false)
 		for _, s := range live {
-			fb.g.Connect(gamma, s.env[obj])
+			fb.g.Connect(gamma, s.env[slot])
 		}
-		out.env[obj] = gout
+		out.env[slot] = gout
 	}
 	return out
 }
 
 // loopHeader replaces the current state with gamma placeholders (one per
-// store and env variable) whose back edges are filled in by loopClose.
+// store and env variable, the latter by slot) whose back edges are
+// filled in by closeLoop.
 type loopHeader struct {
 	storeGamma *Node
-	envGammas  map[*sema.Object]*Node
+	envGammas  []*Node
 }
 
 func (fb *fnBuilder) openLoop(pos token.Pos) *loopHeader {
-	h := &loopHeader{envGammas: make(map[*sema.Object]*Node)}
+	h := &loopHeader{envGammas: make([]*Node, len(fb.vars))}
 	gamma := fb.g.NewNode(fb.fg, KGamma, pos)
 	out := fb.g.AddOutput(gamma, nil, true)
 	fb.g.Connect(gamma, fb.cur.store)
 	h.storeGamma = gamma
 	fb.cur.store = out
-	for _, obj := range orderedEnv(fb.cur.env) {
+	for _, slot := range fb.order {
+		v := fb.cur.env[slot]
+		if v == nil {
+			continue
+		}
 		gn := fb.g.NewNode(fb.fg, KGamma, pos)
-		gout := fb.g.AddOutput(gn, obj.Type, false)
-		fb.g.Connect(gn, fb.cur.env[obj])
-		h.envGammas[obj] = gn
-		fb.cur.env[obj] = gout
+		gout := fb.g.AddOutput(gn, fb.vars[slot].Type, false)
+		fb.g.Connect(gn, v)
+		h.envGammas[slot] = gn
+		fb.cur.env[slot] = gout
 	}
 	return h
 }
 
-// closeLoop wires the back-edge state into the header gammas.
+// closeLoop wires the back-edge state into the header gammas, in the
+// order openLoop created them.
 func (fb *fnBuilder) closeLoop(h *loopHeader, back flowState) {
 	if !back.reachable {
 		return // loop body never reaches the back edge
 	}
 	fb.g.Connect(h.storeGamma, back.store)
-	for obj, gn := range h.envGammas {
-		if v, ok := back.env[obj]; ok {
+	for _, slot := range fb.order {
+		if gn, v := h.envGammas[slot], back.env[slot]; gn != nil && v != nil {
 			fb.g.Connect(gn, v)
 		}
 	}
@@ -577,7 +616,7 @@ func (fb *fnBuilder) stmt(s ast.Stmt) {
 			fb.b.errorf(s.TokPos, "break outside loop or switch")
 		} else {
 			lc := fb.loops[len(fb.loops)-1]
-			lc.breaks = append(lc.breaks, fb.cur.clone())
+			lc.breaks = append(lc.breaks, fb.cur.clone(&fb.b.envs))
 		}
 		fb.cur.reachable = false
 	case *ast.Continue:
@@ -586,7 +625,7 @@ func (fb *fnBuilder) stmt(s ast.Stmt) {
 		found := false
 		for i := len(fb.loops) - 1; i >= 0; i-- {
 			if !fb.loopIsSwitch[i] {
-				fb.loops[i].continues = append(fb.loops[i].continues, fb.cur.clone())
+				fb.loops[i].continues = append(fb.loops[i].continues, fb.cur.clone(&fb.b.envs))
 				found = true
 				break
 			}
@@ -630,19 +669,19 @@ func (fb *fnBuilder) declStmt(s *ast.DeclStmt) {
 	if d.Init != nil {
 		if v := fb.expr(d.Init); v != nil {
 			nv := fb.maybeNull(v, d.Init, obj.Type, d.TokPos)
-			fb.cur.env[obj] = nv
+			fb.cur.env[obj.Slot] = nv
 			fb.recordVar(obj, nv)
 			return
 		}
 	}
 	// Uninitialized (or void-initialized) dataflow variable: an opaque
 	// undefined value (the <uninit> marker under diagnostics).
-	fb.cur.env[obj] = fb.uninitValue(obj, d.TokPos)
+	fb.cur.env[obj.Slot] = fb.uninitValue(obj, d.TokPos)
 }
 
 func (fb *fnBuilder) ifStmt(s *ast.If) {
 	fb.expr(s.Cond)
-	pre := fb.cur.clone()
+	pre := fb.cur.clone(&fb.b.envs)
 
 	fb.refineGuard(s.Cond, true, s.TokPos)
 	fb.stmt(s.Then)
@@ -662,7 +701,7 @@ func (fb *fnBuilder) whileStmt(s *ast.While) {
 	// do-while is modeled with the same (sound) may-skip shape.
 	h := fb.openLoop(s.TokPos)
 	fb.expr(s.Cond)
-	condState := fb.cur.clone()
+	condState := fb.cur.clone(&fb.b.envs)
 
 	lc := &loopCtx{}
 	fb.pushLoop(lc, false)
@@ -685,7 +724,7 @@ func (fb *fnBuilder) forStmt(s *ast.For) {
 	if s.Cond != nil {
 		fb.expr(s.Cond)
 	}
-	condState := fb.cur.clone()
+	condState := fb.cur.clone(&fb.b.envs)
 
 	lc := &loopCtx{}
 	fb.pushLoop(lc, false)
@@ -711,7 +750,7 @@ func (fb *fnBuilder) forStmt(s *ast.For) {
 
 func (fb *fnBuilder) switchStmt(s *ast.Switch) {
 	fb.expr(s.Tag)
-	entry := fb.cur.clone()
+	entry := fb.cur.clone(&fb.b.envs)
 
 	lc := &loopCtx{}
 	fb.pushLoop(lc, true)

@@ -14,13 +14,13 @@ import (
 // points-to pairs.
 func (fb *fnBuilder) call(e *ast.Call) *Output {
 	if id, ok := e.Fun.(*ast.Ident); ok {
-		if obj := fb.b.prog.IdentObj[id]; obj != nil && obj.Kind == sema.BuiltinObj {
+		if obj := fb.b.prog.ObjOf(id); obj != nil && obj.Kind == sema.BuiltinObj {
 			return fb.builtinCall(obj.Name, e)
 		}
 	}
 
 	fv := fb.expr(e.Fun)
-	var args []*Output
+	args := make([]*Output, 0, len(e.Args))
 	for _, a := range e.Args {
 		v := fb.expr(a)
 		if v == nil {
@@ -69,7 +69,7 @@ func CallResultOut(n *Node) *Output {
 // builtinCall models one library call.
 func (fb *fnBuilder) builtinCall(name string, e *ast.Call) *Output {
 	// Evaluate the arguments left to right for their effects.
-	var args []*Output
+	args := make([]*Output, 0, len(e.Args))
 	for _, a := range e.Args {
 		args = append(args, fb.expr(a))
 	}

@@ -16,14 +16,16 @@ import (
 // markerRef returns the (cached) address constant of a marker root
 // (Universe.NullRoot or UninitRoot).
 func (fb *fnBuilder) markerRef(root *paths.Path, typ *ctypes.Type, pos token.Pos) *Output {
-	if o, ok := fb.markerRefs[root]; ok {
-		return o
+	ref := &fb.uninitRef
+	if root.Base().Kind == paths.NullBase {
+		ref = &fb.nullRef
 	}
-	n := fb.g.NewNode(fb.fg, KAddr, pos)
-	n.Path = root
-	out := fb.g.AddOutput(n, typ, false)
-	fb.markerRefs[root] = out
-	return out
+	if *ref == nil {
+		n := fb.g.NewNode(fb.fg, KAddr, pos)
+		n.Path = root
+		*ref = fb.g.AddOutput(n, typ, false)
+	}
+	return *ref
 }
 
 // isNullConst reports whether e is a null pointer constant: the integer
@@ -136,7 +138,7 @@ func (fb *fnBuilder) nullTest(e ast.Expr) (obj *sema.Object, nonNullWhen bool, o
 		if !isIdent {
 			return nil
 		}
-		o := fb.b.prog.IdentObj[id]
+		o := fb.b.prog.ObjOf(id)
 		if o == nil || o.Type == nil || o.Type.Kind != ctypes.Pointer {
 			return nil
 		}
@@ -187,16 +189,16 @@ func (fb *fnBuilder) refineGuard(cond ast.Expr, condValue bool, pos token.Pos) {
 		return
 	}
 	obj, nonNullWhen, ok := fb.nullTest(cond)
-	if !ok || nonNullWhen != condValue {
-		return
+	if !ok || nonNullWhen != condValue || fb.b.storeResident(obj) {
+		return // only dataflow variables have a value in the env
 	}
-	v, live := fb.cur.env[obj]
-	if !live {
+	v := fb.cur.env[obj.Slot]
+	if v == nil {
 		return
 	}
 	n := fb.g.NewNode(fb.fg, KPrimop, pos)
 	n.Op = OpChecked
 	n.Transparent = true
 	fb.g.Connect(n, v)
-	fb.cur.env[obj] = fb.g.AddOutput(n, obj.Type, false)
+	fb.cur.env[obj.Slot] = fb.g.AddOutput(n, obj.Type, false)
 }

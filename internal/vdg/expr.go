@@ -14,7 +14,7 @@ import (
 // addrOfObj returns the (cached) address constant of a store-resident
 // object.
 func (fb *fnBuilder) addrOfObj(obj *sema.Object, pos token.Pos) *Output {
-	if o, ok := fb.addrCache[obj]; ok {
+	if o := fb.b.refs[obj.ID]; o != nil {
 		return o
 	}
 	base := fb.b.baseOf(obj)
@@ -22,20 +22,20 @@ func (fb *fnBuilder) addrOfObj(obj *sema.Object, pos token.Pos) *Output {
 	n.Obj = obj
 	n.Path = fb.g.Universe.Root(base)
 	out := fb.g.AddOutput(n, fb.b.ptrs.To(obj.Type), false)
-	fb.addrCache[obj] = out
+	fb.b.refs[obj.ID] = out
 	return out
 }
 
 // funcRef returns the (cached) address constant of a function.
 func (fb *fnBuilder) funcRef(fn *sema.Function, pos token.Pos) *Output {
-	if o, ok := fb.funcRefs[fn]; ok {
+	if o := fb.b.refs[fn.Object.ID]; o != nil {
 		return o
 	}
 	base := fb.b.funcBases[fn]
 	n := fb.g.NewNode(fb.fg, KAddr, pos)
 	n.Path = fb.g.Universe.Root(base)
 	out := fb.g.AddOutput(n, fb.b.ptrs.To(fn.Type), false)
-	fb.funcRefs[fn] = out
+	fb.b.refs[fn.Object.ID] = out
 	return out
 }
 
@@ -107,7 +107,7 @@ func (fb *fnBuilder) primop(op string, transparent bool, typ *ctypes.Type, pos t
 
 // typeOf returns the checked type of an expression (decayed).
 func (fb *fnBuilder) typeOf(e ast.Expr) *ctypes.Type {
-	if t, ok := fb.b.prog.ExprTypes[e]; ok {
+	if t := fb.b.prog.TypeOf(e); t != nil {
 		return t
 	}
 	return ctypes.IntType
@@ -144,7 +144,7 @@ func (fb *fnBuilder) addr(e ast.Expr) *Output {
 func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		obj := fb.b.prog.IdentObj[e]
+		obj := fb.b.prog.ObjOf(e)
 		if obj == nil {
 			fb.b.errorf(e.TokPos, "cannot address unresolved identifier %s", e.Name)
 			return fb.unknown(fb.b.ptrs.To(ctypes.IntType), e.TokPos), ctypes.IntType
@@ -243,7 +243,7 @@ func (fb *fnBuilder) expr(e ast.Expr) *Output {
 func (fb *fnBuilder) stringRef(e *ast.StringLit) *Output {
 	base, ok := fb.b.strBases[e]
 	if !ok {
-		base = fb.g.Universe.NewBase(paths.StrBase, "str@"+e.TokPos.String(), false, false)
+		base = fb.g.Universe.NewBase(paths.StrBase, "str@"+e.TokPos.In(fb.b.prog.Name), false, false)
 		fb.b.strBases[e] = base
 	}
 	n := fb.g.NewNode(fb.fg, KAddr, e.TokPos)
@@ -254,22 +254,22 @@ func (fb *fnBuilder) stringRef(e *ast.StringLit) *Output {
 // recordVar registers v as a value occurrence of obj for the demand
 // query layer (Graph.VarValues).
 func (fb *fnBuilder) recordVar(obj *sema.Object, v *Output) {
-	if obj == nil || v == nil || fb.g.VarValues == nil {
+	if obj == nil || v == nil {
 		return
 	}
-	outs := fb.g.VarValues[obj]
-	if outs == nil {
-		// Most variables have a handful of occurrences; more copy out.
-		outs = fb.g.outEdges.carve(4)
+	b := fb.b
+	if b.vals[obj.ID] == nil {
+		b.valObjs = append(b.valObjs, obj)
 	}
-	fb.g.VarValues[obj] = append(outs, v)
+	// Most variables have a handful of occurrences.
+	b.vals[obj.ID] = append(fb.g.outEdges.Grow(b.vals[obj.ID], 4), v)
 }
 
 func (fb *fnBuilder) identValue(e *ast.Ident) *Output {
-	if _, isConst := fb.b.prog.IdentConst[e]; isConst {
+	if _, isConst := fb.b.prog.ConstOf(e); isConst {
 		return fb.konst(ctypes.IntType, e.TokPos)
 	}
-	obj := fb.b.prog.IdentObj[e]
+	obj := fb.b.prog.ObjOf(e)
 	if obj == nil {
 		return fb.unknown(ctypes.IntType, e.TokPos)
 	}
@@ -288,13 +288,13 @@ func (fb *fnBuilder) identValue(e *ast.Ident) *Output {
 		return fb.unknown(fb.typeOf(e), e.TokPos)
 	}
 	if !fb.b.storeResident(obj) {
-		if v, ok := fb.cur.env[obj]; ok {
+		if v := fb.cur.env[obj.Slot]; v != nil {
 			fb.recordVar(obj, v)
 			return v
 		}
 		// Use before any assignment: undefined scalar value.
 		v := fb.unknown(obj.Type, e.TokPos)
-		fb.cur.env[obj] = v
+		fb.cur.env[obj.Slot] = v
 		fb.recordVar(obj, v)
 		return v
 	}
@@ -336,7 +336,7 @@ func (fb *fnBuilder) unary(e *ast.Unary) *Output {
 	case token.AND:
 		// &function is a funcRef; &lvalue is its address.
 		if id, ok := e.X.(*ast.Ident); ok {
-			if obj := fb.b.prog.IdentObj[id]; obj != nil && obj.Kind == sema.FuncObj {
+			if obj := fb.b.prog.ObjOf(id); obj != nil && obj.Kind == sema.FuncObj {
 				return fb.funcRef(fb.b.prog.FuncMap[obj.Name], e.TokPos)
 			}
 		}
@@ -369,10 +369,10 @@ func (fb *fnBuilder) incDec(lv ast.Expr, op token.Kind, prefix bool, pos token.P
 	t := fb.typeOf(lv)
 	transparent := t.Kind == ctypes.Pointer
 	if id, ok := lv.(*ast.Ident); ok {
-		if obj := fb.b.prog.IdentObj[id]; obj != nil && !fb.b.storeResident(obj) && obj.Kind != sema.GlobalVar {
+		if obj := fb.b.prog.ObjOf(id); obj != nil && !fb.b.storeResident(obj) && obj.Kind != sema.GlobalVar {
 			old := fb.identValue(id)
 			nv := fb.primop(op.String(), transparent, t, pos, old)
-			fb.cur.env[obj] = nv
+			fb.cur.env[obj.Slot] = nv
 			if prefix {
 				return nv
 			}
@@ -396,7 +396,7 @@ func (fb *fnBuilder) binary(e *ast.Binary) *Output {
 		// as a branch. The left operand guards it: in `p && *p` the
 		// dereference only runs when p tested non-null.
 		x := fb.expr(e.X)
-		pre := fb.cur.clone()
+		pre := fb.cur.clone(&fb.b.envs)
 		fb.refineGuard(e.X, e.Op == token.LAND, e.TokPos)
 		y := fb.expr(e.Y)
 		branch := fb.cur
@@ -428,11 +428,11 @@ func (fb *fnBuilder) assign(e *ast.Assign) *Output {
 	t := fb.typeOf(e.LHS)
 	transparent := t.Kind == ctypes.Pointer && (op == token.ADD || op == token.SUB)
 	if id, ok := e.LHS.(*ast.Ident); ok {
-		if obj := fb.b.prog.IdentObj[id]; obj != nil && !fb.b.storeResident(obj) {
+		if obj := fb.b.prog.ObjOf(id); obj != nil && !fb.b.storeResident(obj) {
 			old := fb.identValue(id)
 			rhs := fb.expr(e.RHS)
 			nv := fb.primop(op.String(), transparent, t, e.TokPos, old, rhs)
-			fb.cur.env[obj] = nv
+			fb.cur.env[obj.Slot] = nv
 			return nv
 		}
 	}
@@ -450,10 +450,10 @@ func (fb *fnBuilder) store(lhs ast.Expr, v *Output, pos token.Pos) {
 		v = fb.unknown(fb.typeOf(lhs), pos)
 	}
 	if id, ok := lhs.(*ast.Ident); ok {
-		if obj := fb.b.prog.IdentObj[id]; obj != nil {
+		if obj := fb.b.prog.ObjOf(id); obj != nil {
 			if !fb.b.storeResident(obj) &&
 				(obj.Kind == sema.LocalVar || obj.Kind == sema.ParamVar) {
-				fb.cur.env[obj] = v
+				fb.cur.env[obj.Slot] = v
 				fb.recordVar(obj, v)
 				return
 			}
@@ -468,13 +468,13 @@ func (fb *fnBuilder) store(lhs ast.Expr, v *Output, pos token.Pos) {
 
 func (fb *fnBuilder) cond(e *ast.Cond) *Output {
 	fb.expr(e.Cond)
-	pre := fb.cur.clone()
+	pre := fb.cur.clone(&fb.b.envs)
 
 	fb.refineGuard(e.Cond, true, e.TokPos)
 	tv := fb.expr(e.Then)
 	thenState := fb.cur
 
-	fb.cur = pre.clone()
+	fb.cur = pre.clone(&fb.b.envs)
 	fb.refineGuard(e.Cond, false, e.TokPos)
 	ev := fb.expr(e.Else)
 	elseState := fb.cur

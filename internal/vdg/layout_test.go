@@ -3,6 +3,7 @@ package vdg_test
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/corpusgen"
@@ -136,5 +137,73 @@ func TestBuildAllocsPerNode(t *testing.T) {
 		if perNode > maxPerNode {
 			t.Errorf("%s: %.2f allocations per created node, want at most %d", o.name, perNode, maxPerNode)
 		}
+	}
+}
+
+// edgeOrder renders a graph's edge numbering: for every live node in
+// creation order, the ID and source of each input, then the input IDs
+// of each output's consumers, in order.
+func edgeOrder(g *vdg.Graph) []int {
+	var out []int
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			out = append(out, -1, n.ID)
+			for _, in := range n.Inputs {
+				out = append(out, in.ID, in.Src.ID)
+			}
+			for _, o := range n.Outputs {
+				out = append(out, -2, o.ID)
+				for _, c := range o.Consumers {
+					out = append(out, c.ID)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestBuildIsDeterministic builds every corpus program twice under each
+// layout option and requires the same node, output and input IDs and
+// the same consumer order. Loop headers once wired their back edges
+// ranging over a map, which numbered the inputs differently from build
+// to build.
+func TestBuildIsDeterministic(t *testing.T) {
+	build := func(name, src string, opts vdg.Options) []int {
+		f, perrs := parser.ParseFile(name, src)
+		if len(perrs) > 0 {
+			t.Fatalf("%s: %v", name, perrs[0])
+		}
+		prog, serrs := sema.Check(f)
+		if len(serrs) > 0 {
+			t.Fatalf("%s: %v", name, serrs[0])
+		}
+		g, berrs := vdg.Build(prog, opts)
+		if len(berrs) > 0 {
+			t.Fatalf("%s: %v", name, berrs[0])
+		}
+		return edgeOrder(g)
+	}
+	for _, o := range layoutOptions {
+		for _, p := range corpus.All() {
+			a, b := build(p.Name, p.Source, o.opts), build(p.Name, p.Source, o.opts)
+			if len(a) != len(b) {
+				t.Errorf("%s/%s: %d vs %d edge entries", p.Name, o.name, len(a), len(b))
+				continue
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("%s/%s: builds differ at edge entry %d (%d vs %d)", p.Name, o.name, i, a[i], b[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestNodeSize pins the size of a graph node, built by the thousand
+// per unit (a token.Pos without a file name is two words).
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(vdg.Node{}); got > 144 {
+		t.Errorf("vdg.Node is %d bytes, want at most 144", got)
 	}
 }

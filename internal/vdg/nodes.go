@@ -17,11 +17,12 @@ import (
 	"aliaslab/internal/ctypes"
 	"aliaslab/internal/paths"
 	"aliaslab/internal/sema"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/token"
 )
 
 // NodeKind discriminates VDG node types.
-type NodeKind int
+type NodeKind uint8
 
 const (
 	// KParam is a formal parameter of a function; one output.
@@ -159,12 +160,12 @@ func (o *Output) String() string {
 	return fmt.Sprintf("%s#%d.%d", o.Node.Kind, o.Node.ID, o.Index)
 }
 
-// Node is one VDG operation.
+// Node is one VDG operation. Kind sits with the flags at the end, so a
+// node is 136 bytes.
 type Node struct {
-	Kind NodeKind
-	ID   int
-	Fn   *FuncGraph
-	Pos  token.Pos
+	ID  int
+	Fn  *FuncGraph
+	Pos token.Pos
 
 	Inputs  []*Input
 	Outputs []*Output
@@ -192,6 +193,8 @@ type Node struct {
 	// (the paper's compress and span keep dead library results, which is
 	// where their only spurious pointer pairs live).
 	Effectful bool
+
+	Kind NodeKind
 }
 
 // Loc returns the location input of a lookup/update node.
@@ -267,19 +270,22 @@ type Graph struct {
 	inputs       []*Input // by Input.ID
 
 	// Construction slabs (DESIGN.md §16): nodes, outputs and inputs
-	// come from per-graph chunks, and each Inputs, Consumers, Outputs
-	// and VarValues slice starts as a carve from inEdges or outEdges.
-	nodeSlab slab[Node]
-	outSlab  slab[Output]
-	inSlab   slab[Input]
-	inEdges  slab[*Input]
-	outEdges slab[*Output]
+	// come from per-graph chunks, and each Nodes, Inputs, Consumers,
+	// Outputs and VarValues slice is a carve from nodeLists, inEdges or
+	// outEdges, moving to a larger carve when it fills.
+	nodeSlab  slab.Slab[Node]
+	outSlab   slab.Slab[Output]
+	inSlab    slab.Slab[Input]
+	inEdges   slab.Slab[*Input]
+	outEdges  slab.Slab[*Output]
+	nodeLists slab.Slab[*Node]
 }
 
 // inputCap is the capacity carved for a node's Inputs at its first
 // Connect: the kind's arity, or the common case for the variadic kinds
 // (two-way gammas, calls with up to two arguments). A longer list
-// copies out on the append that overflows it.
+// moves to a carve of twice the capacity on the append that overflows
+// it.
 func inputCap(k NodeKind) int {
 	switch k {
 	case KUpdate:
@@ -294,45 +300,36 @@ func inputCap(k NodeKind) int {
 
 // NewNode allocates a node in fg.
 func (g *Graph) NewNode(fg *FuncGraph, kind NodeKind, pos token.Pos) *Node {
-	n := g.nodeSlab.alloc()
+	n := g.nodeSlab.Alloc()
 	*n = Node{Kind: kind, ID: g.nextNodeID, Fn: fg, Pos: pos}
 	g.nextNodeID++
-	fg.Nodes = append(fg.Nodes, n)
+	fg.Nodes = append(g.nodeLists.Grow(fg.Nodes, 16), n)
 	return n
 }
 
 // AddOutput appends an output to n. typ nil + isStore=true makes a store
 // output.
 func (g *Graph) AddOutput(n *Node, typ *ctypes.Type, isStore bool) *Output {
-	o := g.outSlab.alloc()
+	o := g.outSlab.Alloc()
 	*o = Output{Node: n, Index: len(n.Outputs), Type: typ, IsStore: isStore, ID: g.nextOutputID}
 	g.nextOutputID++
-	if n.Outputs == nil {
-		// A call has a store and a result output; every other kind one.
-		k := 1
-		if n.Kind == KCall {
-			k = 2
-		}
-		n.Outputs = g.outEdges.carve(k)
+	// A call has a store and a result output; every other kind one.
+	k := 1
+	if n.Kind == KCall {
+		k = 2
 	}
-	n.Outputs = append(n.Outputs, o)
+	n.Outputs = append(g.outEdges.Grow(n.Outputs, k), o)
 	return o
 }
 
 // Connect appends an input to n fed by src.
 func (g *Graph) Connect(n *Node, src *Output) *Input {
-	in := g.inSlab.alloc()
+	in := g.inSlab.Alloc()
 	*in = Input{Node: n, Index: len(n.Inputs), Src: src, ID: len(g.inputs)}
 	g.inputs = append(g.inputs, in)
-	if n.Inputs == nil {
-		n.Inputs = g.inEdges.carve(inputCap(n.Kind))
-	}
-	n.Inputs = append(n.Inputs, in)
-	if src.Consumers == nil {
-		// Most outputs feed one input; fan-out copies out.
-		src.Consumers = g.inEdges.carve(1)
-	}
-	src.Consumers = append(src.Consumers, in)
+	n.Inputs = append(g.inEdges.Grow(n.Inputs, inputCap(n.Kind)), in)
+	// Most outputs feed one input.
+	src.Consumers = append(g.inEdges.Grow(src.Consumers, 1), in)
 	return in
 }
 
@@ -349,7 +346,8 @@ func Rewire(in *Input, newSrc *Output) {
 		}
 	}
 	in.Src = newSrc
-	newSrc.Consumers = append(newSrc.Consumers, in)
+	g := in.Node.Fn.Graph
+	newSrc.Consumers = append(g.inEdges.Grow(newSrc.Consumers, 1), in)
 }
 
 // NodeCount returns the number of nodes in the whole program.
