@@ -85,13 +85,14 @@ golden:
 	UPDATE_GOLDEN=1 $(GO) test ./internal/experiments -run MetricsGolden
 
 # Statement-coverage floor for the observability layer, the report
-# renderers, the corpus generator, and the demand-query engine — the
-# packages behind every number the CLIs print, every generated test
-# program, and every query answer. Each package prints its headroom
+# renderers, the corpus generator, the demand-query engine, and the
+# solve dispatch — the packages behind every number the CLIs print,
+# every generated test program, every query answer, and the tier and
+# soundness verdict of every solve. Each package prints its headroom
 # over the floor so a shrinking margin is visible before it becomes a
 # failure. CI runs the same check.
 COVER_FLOOR ?= 70.0
-COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query
+COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query ./internal/solve
 
 cover:
 	@set -e; \

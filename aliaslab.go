@@ -25,8 +25,6 @@ import (
 	"time"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -35,6 +33,7 @@ import (
 	"aliaslab/internal/modref"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
@@ -220,14 +219,7 @@ func (l Limits) budget(ctx context.Context) (limits.Budget, context.CancelFunc) 
 
 // Analyze runs the context-insensitive analysis (paper Figure 1).
 func (p *Program) Analyze() (*Result, error) {
-	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitive(p.unit.Graph)
-	core.AttachEngine(sp, ci.Engine)
-	return &Result{
-		prog: p, ci: ci, sets: ci.Sets, label: "context-insensitive",
-		TransferFns: ci.Metrics.FlowIns, MeetOps: ci.Metrics.FlowOuts,
-		Engine: engineStats(ci.Engine),
-	}, nil
+	return p.result(p.analyze(p.unit.Graph, backend.CI, limits.Budget{})), nil
 }
 
 // Backends lists the selectable points-to backends in precision order,
@@ -256,51 +248,23 @@ func (p *Program) AnalyzeWithBackend(name string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aliaslab: %w", err)
 	}
-	switch kind {
-	case backend.CI:
-		return p.Analyze()
-	case backend.CS:
+	if kind == backend.CS {
 		return p.AnalyzeContextSensitive(0)
-	case backend.Andersen:
-		sp := p.span("solve-andersen")
-		res := andersen.Analyze(p.unit.Graph)
-		core.AttachEngine(sp, res.Engine)
-		return &Result{
-			prog: p, ci: res, sets: res.Sets, label: "andersen (inclusion-based)",
-			TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
-			Engine: engineStats(res.Engine),
-		}, nil
-	default: // backend.Steensgaard
-		sp := p.span("solve-steensgaard")
-		res := steensgaard.Analyze(p.unit.Graph)
-		core.AttachEngine(sp, res.Engine)
-		return &Result{
-			prog: p, ci: res, sets: res.Sets, label: "steensgaard (unification-based)",
-			TransferFns: res.Metrics.FlowIns, MeetOps: res.Metrics.FlowOuts,
-			Engine: engineStats(res.Engine),
-		}, nil
 	}
+	return p.result(p.analyze(p.unit.Graph, kind, limits.Budget{})), nil
 }
 
 // AnalyzeContextSensitive runs the maximally context-sensitive analysis
 // (paper Figure 5) with the §4.2 optimizations, then strips assumption
-// sets. maxSteps bounds the work (0 = unlimited); the analysis is
-// exponential in the worst case.
+// sets. maxSteps bounds the work of each attempt, the
+// context-insensitive pre-pass and the context-sensitive solve (0 =
+// unlimited); the analysis is exponential in the worst case.
 func (p *Program) AnalyzeContextSensitive(maxSteps int) (*Result, error) {
-	sp := p.span("solve-ci")
-	ci := core.AnalyzeInsensitive(p.unit.Graph)
-	core.AttachEngine(sp, ci.Engine)
-	sp = p.span("solve-cs")
-	cs := core.AnalyzeSensitive(p.unit.Graph, core.SensitiveOptions{CI: ci, MaxSteps: maxSteps})
-	core.AttachEngine(sp, cs.Engine)
-	if cs.Aborted {
+	o := p.analyze(p.unit.Graph, backend.CS, limits.Budget{MaxSteps: maxSteps})
+	if o.Degraded() {
 		return nil, fmt.Errorf("aliaslab: context-sensitive analysis exceeded %d steps", maxSteps)
 	}
-	return &Result{
-		prog: p, ci: ci, sets: cs.Strip(), label: "context-sensitive",
-		TransferFns: cs.Metrics.FlowIns, MeetOps: cs.Metrics.FlowOuts,
-		Engine: engineStats(cs.Engine),
-	}, nil
+	return p.result(o), nil
 }
 
 // AnalyzeLimited runs the context-insensitive analysis under a
@@ -311,14 +275,11 @@ func (p *Program) AnalyzeContextSensitive(maxSteps int) (*Result, error) {
 func (p *Program) AnalyzeLimited(ctx context.Context, lim Limits) (*Result, error) {
 	budget, cancel := lim.budget(ctx)
 	defer cancel()
-	sp := p.span("solve")
-	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{Budget: budget, Span: sp})
-	sp.End()
-	res := resultFromGoverned(p, gr, "context-insensitive")
-	if gr.Tier == core.TierPartialCI {
-		return res, fmt.Errorf("aliaslab: context-insensitive analysis stopped early (%v); partial result is not sound", gr.Stopped)
+	o := p.analyze(p.unit.Graph, backend.CI, budget)
+	if !o.Sound {
+		return p.result(o), fmt.Errorf("aliaslab: context-insensitive analysis stopped early (%v); partial result is not sound", o.Stopped)
 	}
-	return res, nil
+	return p.result(o), nil
 }
 
 // AnalyzeContextSensitiveLimited runs the context-sensitive analysis
@@ -331,34 +292,11 @@ func (p *Program) AnalyzeLimited(ctx context.Context, lim Limits) (*Result, erro
 func (p *Program) AnalyzeContextSensitiveLimited(ctx context.Context, lim Limits) (*Result, error) {
 	budget, cancel := lim.budget(ctx)
 	defer cancel()
-	sp := p.span("solve")
-	gr := core.AnalyzeGoverned(p.unit.Graph, core.GovernedOptions{Budget: budget, Sensitive: true, Span: sp})
-	sp.End()
-	res := resultFromGoverned(p, gr, "context-sensitive")
-	if gr.Tier == core.TierPartialCI {
-		return res, fmt.Errorf("aliaslab: analysis stopped early (%v); partial result is not sound", gr.Stopped)
+	o := p.analyze(p.unit.Graph, backend.CS, budget)
+	if !o.Sound {
+		return p.result(o), fmt.Errorf("aliaslab: analysis stopped early (%v); partial result is not sound", o.Stopped)
 	}
-	return res, nil
-}
-
-// resultFromGoverned adapts a degradation-pipeline outcome to the
-// public Result shape.
-func resultFromGoverned(p *Program, gr *core.GovernedResult, requested string) *Result {
-	res := &Result{
-		prog: p, ci: gr.CI, sets: gr.Sets, label: requested,
-		Degraded: gr.Degraded(), notes: gr.Notes,
-		TransferFns: gr.CI.Metrics.FlowIns, MeetOps: gr.CI.Metrics.FlowOuts,
-		Engine: engineStats(gr.CI.Engine),
-	}
-	if gr.CS != nil {
-		res.TransferFns = gr.CS.Metrics.FlowIns
-		res.MeetOps = gr.CS.Metrics.FlowOuts
-		res.Engine = engineStats(gr.CS.Engine)
-	}
-	if gr.Degraded() {
-		res.label = fmt.Sprintf("%s (degraded: %s)", requested, gr.Tier)
-	}
-	return res
+	return p.result(o), nil
 }
 
 // AnalyzeBaseline runs the Weihl-style program-wide, flow-insensitive
@@ -368,12 +306,35 @@ func resultFromGoverned(p *Program, gr *core.GovernedResult, requested string) *
 // The result keeps the baseline's shape otherwise: it carries no call
 // graph, so ModRef and CallGraph report an error.
 func (p *Program) AnalyzeBaseline() (*Result, error) {
-	b := andersen.Analyze(p.unit.Graph)
-	return &Result{
-		prog: p, sets: b.Sets, label: "program-wide baseline",
-		TransferFns: b.Metrics.FlowIns, MeetOps: b.Metrics.FlowOuts,
-		Engine: engineStats(b.Engine),
-	}, nil
+	res := p.result(p.analyze(p.unit.Graph, backend.Andersen, limits.Budget{}))
+	res.ci, res.label = nil, "program-wide baseline"
+	return res, nil
+}
+
+// analyze runs one analysis of g under a "solve" span that holds the
+// attempts' spans.
+func (p *Program) analyze(g *vdg.Graph, kind backend.Kind, budget limits.Budget) *solve.Outcome {
+	sp := p.span("solve")
+	defer sp.End()
+	return solve.Solve(kind, g, budget, sp)
+}
+
+// result adapts an outcome to the public Result shape. The counters
+// are the context-sensitive attempt's when CS answered and the
+// CI-shaped result's otherwise.
+func (p *Program) result(o *solve.Outcome) *Result {
+	res := &Result{
+		prog: p, ci: o.CI, sets: o.Sets, label: o.Label,
+		Degraded: o.Degraded(), notes: o.Notes,
+		TransferFns: o.CI.Metrics.FlowIns, MeetOps: o.CI.Metrics.FlowOuts,
+		Engine: engineStats(o.CI.Engine),
+	}
+	if o.CS != nil {
+		res.TransferFns = o.CS.Metrics.FlowIns
+		res.MeetOps = o.CS.Metrics.FlowOuts
+		res.Engine = engineStats(o.CS.Engine)
+	}
+	return res
 }
 
 // Label names the analysis that produced this result.
@@ -547,11 +508,9 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 	if err != nil {
 		return nil, false, fmt.Errorf("aliaslab: rebuilding for vet: %w", err)
 	}
-	sp := p.span("solve-ci")
-	res := core.AnalyzeInsensitiveBudgeted(u.Graph, budget)
-	core.AttachEngine(sp, res.Engine)
-	sp = p.span("checkers")
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
+	o := p.analyze(u.Graph, backend.CI, budget)
+	sp := p.span("checkers")
+	diags := checkers.Run(checkers.NewContext(u.Graph, o.CI), sel)
 	sp.SetAttr(obs.Int("diags", len(diags)))
 	sp.End()
 	out := make([]Diagnostic, 0, len(diags))
@@ -567,7 +526,7 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 		}
 		out = append(out, pub)
 	}
-	return out, res.Stopped != nil, nil
+	return out, o.Stopped != nil, nil
 }
 
 // Compare reports how two results differ: the number of pairs in a but

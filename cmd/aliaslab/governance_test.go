@@ -96,6 +96,25 @@ func TestPartialCIExitsNonzeroAndWarns(t *testing.T) {
 	}
 }
 
+// TestBaselineHonoursBudget: the baseline's two solves (CI for the
+// call graph, Andersen for the sets) run under the same per-attempt
+// caps as every other analysis; a tripped one warns and exits 1
+// instead of running unbounded.
+func TestBaselineHonoursBudget(t *testing.T) {
+	_, stderr, code := runCLI(t, "-analysis", "baseline", "-max-steps", "10", "-print", "sizes", "-corpus", "bc")
+	if code != 1 {
+		t.Fatalf("tripped baseline must exit 1, got %d, stderr: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"aliaslab: warning: ci solve stopped early (limits: step budget exhausted (10))",
+		"aliaslab: warning: andersen solve stopped early (limits: step budget exhausted (10))",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
 func TestMaxPairsFlagTripsBudget(t *testing.T) {
 	path := writeTemp(t, swapRecCLISrc(12))
 	_, stderr, code := runCLI(t, "-analysis", "ci", "-max-pairs", "3", "-print", "pointsto", path)

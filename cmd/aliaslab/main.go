@@ -48,8 +48,6 @@ import (
 	"strings"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
@@ -60,7 +58,7 @@ import (
 	"aliaslab/internal/query"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
-	"aliaslab/internal/solver"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -341,75 +339,44 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	// call graph. Blowing the budget degrades (CS falls back to CI)
 	// rather than failing; the label carries the tier so the output
 	// cannot be mistaken for the exact answer.
-	var ci *core.Result
+	var o *solve.Outcome
 	var sets map[*vdg.Output]*core.PairSet
 	var label string
 	unsound := false
-	switch cfg.analysis {
-	case "ci", "cs":
-		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
-			Budget:    cfg.budget,
-			Sensitive: cfg.analysis == "cs",
-			Span:      cfg.span,
-		})
-		ci, sets = gr.CI, gr.Sets
-		if cfg.stats {
-			printEngineStats(stderr, "ci", gr.CI.Engine)
-			if gr.CS != nil {
-				printEngineStats(stderr, "cs", gr.CS.Engine)
+	if cfg.analysis == "baseline" {
+		// The CI solve feeds -print modref|callgraph. The Weihl baseline
+		// (one program-wide store, no kills) computes exactly Andersen's
+		// per-output sets (DESIGN §12), so Andersen serves it under the
+		// historical label. Neither has a ladder rung to fall back on.
+		o = solve.Solve(backend.CI, u.Graph, cfg.budget, cfg.span)
+		printAttempts(stderr, cfg, o)
+		sp := cfg.span.Child("solve-baseline")
+		base := solve.Solve(backend.Andersen, u.Graph, cfg.budget, sp)
+		sp.End()
+		sets, label = base.Sets, "program-wide (Weihl baseline)"
+		for _, b := range []*solve.Outcome{o, base} {
+			if b.Stopped != nil {
+				unsound = true
+				warnStopped(stderr, b)
 			}
 		}
-		label = "context-insensitive"
-		if cfg.analysis == "cs" {
-			label = "context-sensitive"
+	} else {
+		kind, err := backend.ParseKind(cfg.analysis)
+		if err != nil || cfg.analysis == "" {
+			fmt.Fprintln(stderr, "aliaslab: unknown analysis", cfg.analysis)
+			return 2
 		}
-		if gr.Degraded() {
-			for _, n := range gr.Notes {
-				fmt.Fprintln(stderr, "aliaslab:", n)
-			}
-			label += " (degraded: " + gr.Tier.String() + ")"
+		o = solve.Solve(kind, u.Graph, cfg.budget, cfg.span)
+		printAttempts(stderr, cfg, o)
+		for _, n := range o.Notes {
+			fmt.Fprintln(stderr, "aliaslab:", n)
 		}
-		if !gr.Tier.Sound() {
-			unsound = true
+		sets, label, unsound = o.Sets, o.Label, !o.Sound
+		if o.Tier == solve.PartialCI {
 			fmt.Fprintln(stderr, "aliaslab: warning: partial context-insensitive fixpoint; the result under-approximates and is NOT a sound may-alias answer")
+		} else if unsound {
+			warnStopped(stderr, o)
 		}
-	case "andersen", "steensgaard":
-		sp := cfg.span.Child("solve-" + cfg.analysis)
-		var res *core.Result
-		if cfg.analysis == "andersen" {
-			res = andersen.AnalyzeBudgeted(u.Graph, cfg.budget)
-			label = "andersen (inclusion-based)"
-		} else {
-			res = steensgaard.AnalyzeBudgeted(u.Graph, cfg.budget)
-			label = "steensgaard (unification-based)"
-		}
-		core.AttachEngine(sp, res.Engine)
-		sp.End()
-		ci, sets = res, res.Sets
-		if cfg.stats {
-			printEngineStats(stderr, cfg.analysis, res.Engine)
-		}
-		if res.Stopped != nil {
-			unsound = true
-			fmt.Fprintf(stderr, "aliaslab: warning: %s solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", cfg.analysis, res.Stopped)
-		}
-	case "baseline":
-		sp := cfg.span.Child("solve-ci")
-		ci = core.AnalyzeInsensitive(u.Graph)
-		core.AttachEngine(sp, ci.Engine)
-		sp = cfg.span.Child("solve-baseline")
-		// The Weihl baseline (one program-wide store, no kills) computes
-		// exactly Andersen's per-output sets (DESIGN §12), so Andersen
-		// serves it under the historical label.
-		sets = andersen.Analyze(u.Graph).Sets
-		sp.End()
-		label = "program-wide (Weihl baseline)"
-		if cfg.stats {
-			printEngineStats(stderr, "ci", ci.Engine)
-		}
-	default:
-		fmt.Fprintln(stderr, "aliaslab: unknown analysis", cfg.analysis)
-		return 2
 	}
 
 	rsp := cfg.span.Child("report", obs.Str("print", cfg.print))
@@ -429,9 +396,9 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case "modref":
-		printModRef(stdout, u, ci)
+		printModRef(stdout, u, o.CI)
 	case "callgraph":
-		printCallGraph(stdout, u, ci)
+		printCallGraph(stdout, u, o.CI)
 	case "dot":
 		fg := u.Graph.FuncOf[u.Prog.FuncMap[cfg.fn]]
 		if fg == nil {
@@ -470,37 +437,21 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	}
 	// The checkers interpret any CI-shaped points-to solution, so the
 	// flow-insensitive backends plug straight in (coarser referent sets
-	// mean more may-findings, never fewer). The context-sensitive and
-	// baseline results lack the call-graph shape vet needs.
-	var res *core.Result
-	statsName := cfg.analysis
-	switch cfg.analysis {
-	case "ci":
-		sp := cfg.span.Child("solve-ci")
-		res = core.AnalyzeInsensitiveBudgeted(u.Graph, cfg.budget)
-		core.AttachEngine(sp, res.Engine)
-	case "andersen":
-		sp := cfg.span.Child("solve-andersen")
-		res = andersen.AnalyzeBudgeted(u.Graph, cfg.budget)
-		core.AttachEngine(sp, res.Engine)
-	case "steensgaard":
-		sp := cfg.span.Child("solve-steensgaard")
-		res = steensgaard.AnalyzeBudgeted(u.Graph, cfg.budget)
-		core.AttachEngine(sp, res.Engine)
-	default:
-		fmt.Fprintf(stderr, "aliaslab: -vet runs on the ci, andersen, or steensgaard backend, not %s\n", cfg.analysis)
+	// mean more may-findings, never fewer).
+	kind, err := solve.VetKind(cfg.analysis)
+	if err != nil {
+		fmt.Fprintln(stderr, "aliaslab: -"+err.Error())
 		return 2
 	}
-	if cfg.stats {
-		printEngineStats(stderr, statsName, res.Engine)
-	}
+	o := solve.Solve(kind, u.Graph, cfg.budget, cfg.span)
+	printAttempts(stderr, cfg, o)
 	sp := cfg.span.Child("checkers")
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
+	diags := checkers.Run(checkers.NewContext(u.Graph, o.CI), sel)
 	sp.SetAttr(obs.Int("diags", len(diags)))
 	sp.End()
 	degradedReason := ""
-	if res.Stopped != nil {
-		degradedReason = res.Stopped.Error()
+	if o.Stopped != nil {
+		degradedReason = o.Stopped.Error()
 		fmt.Fprintf(stderr, "aliaslab: warning: vet ran on a partial points-to solution (%s); findings may be missing\n", degradedReason)
 	}
 	rsp := cfg.span.Child("report", obs.Str("format", cfg.format))
@@ -601,18 +552,31 @@ func renderAnswer(a query.Answer) string {
 	}
 }
 
-// printEngineStats renders one analysis run's solver counters on
-// stderr (it is diagnostics, not part of the result rendering).
-func printEngineStats(w io.Writer, analysis string, st solver.Stats) {
-	fmt.Fprintf(w, "aliaslab: %s engine: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
-		analysis, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
-	if st.Constraints > 0 {
-		// Constraint-backend runs carry their own counters; CI/CS lines
-		// stay byte-identical to the pre-backend output.
-		fmt.Fprintf(w, ", constraints %d, edges %d, sccs collapsed %d, unions %d",
-			st.Constraints, st.EdgesAdded, st.SCCsCollapsed, st.Unions)
+// printAttempts renders, under -stats, each solve attempt's solver
+// counters on stderr (it is diagnostics, not part of the result
+// rendering).
+func printAttempts(w io.Writer, cfg config, o *solve.Outcome) {
+	if !cfg.stats {
+		return
 	}
-	fmt.Fprintln(w)
+	for _, a := range o.Attempts {
+		st := a.Stats
+		fmt.Fprintf(w, "aliaslab: %s engine: steps %d, meets %d, pair inserts %d, subsume hits %d, subsume drops %d, enqueued %d, peak depth %d",
+			a.Kind, st.Steps, st.Meets, st.PairInserts, st.SubsumeHits, st.SubsumeDrops, st.Enqueued, st.PeakDepth)
+		if st.Constraints > 0 {
+			// Constraint-backend runs carry their own counters; CI/CS lines
+			// stay byte-identical to the pre-backend output.
+			fmt.Fprintf(w, ", constraints %d, edges %d, sccs collapsed %d, unions %d",
+				st.Constraints, st.EdgesAdded, st.SCCsCollapsed, st.Unions)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// warnStopped reports a solve that stopped on its budget with no
+// ladder rung to answer for it.
+func warnStopped(w io.Writer, o *solve.Outcome) {
+	fmt.Fprintf(w, "aliaslab: warning: %s solve stopped early (%v); the partial result under-approximates and is NOT a sound may-alias answer\n", o.Kind, o.Stopped)
 }
 
 // printPointsTo dumps the final store at main's return: the pairs a

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/driver"
@@ -19,14 +17,26 @@ import (
 	"aliaslab/internal/obs"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
 
-// MaxCSSteps bounds the context-sensitive analysis on any one corpus
-// program; the corpus converges well below this.
+// MaxCSSteps bounds each solve attempt on any one unit when the caller
+// set no step cap. It was sized for the context-sensitive analysis; the
+// corpus converges well below it, and the context-insensitive and
+// constraint-backend solves far below that.
 const MaxCSSteps = 100_000_000
+
+// capSteps is b with MaxCSSteps as its per-attempt step cap when b sets
+// none.
+func capSteps(b limits.Budget) limits.Budget {
+	if b.MaxSteps <= 0 {
+		b.MaxSteps = MaxCSSteps
+	}
+	return b
+}
 
 // ProgramResult bundles everything measured for one corpus program.
 type ProgramResult struct {
@@ -36,6 +46,8 @@ type ProgramResult struct {
 	CI     *core.Result
 	CITime time.Duration
 
+	// CS is the converged context-sensitive result, nil when the unit
+	// did not run CS or CS did not converge (see Capped).
 	CS     *core.SensitiveResult
 	CSTime time.Duration
 
@@ -180,15 +192,19 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 		}
 		r.Unit = u
 
-		ssp := sp.Child("solve-ci")
-		t0 := time.Now()
-		r.CI = core.AnalyzeInsensitiveBudgeted(u.Graph, bo.Budget)
-		r.CITime = time.Since(t0)
-		core.AttachEngine(ssp, r.CI.Engine)
-		r.CISets = r.CI.Sets
-		if r.CI.Stopped != nil {
-			r.Stopped = r.CI.Stopped
-			return fmt.Errorf("%s: context-insensitive analysis stopped early: %w", name, r.CI.Stopped)
+		// One solve runs CI and, with WithCS, CS. A CS stop is reported
+		// last, after the queries and the constraint backend, so a
+		// capped unit still carries them.
+		budget := capSteps(bo.Budget)
+		kind := backend.CI
+		if bo.WithCS {
+			kind = backend.CS
+		}
+		o := solve.Solve(kind, u.Graph, budget, sp)
+		r.CI, r.CISets, r.CITime = o.CI, o.CI.Sets, o.Attempts[0].Wall
+		if o.Tier == solve.PartialCI {
+			r.Stopped = o.Stopped
+			return fmt.Errorf("%s: %w", name, o.Err())
 		}
 
 		if bo.Queries {
@@ -197,36 +213,23 @@ func runUnit(ctx context.Context, name string, bo BatchOptions) (*ProgramResult,
 			}
 		}
 
-		switch bo.Backend {
-		case backend.Andersen, backend.Steensgaard:
-			ssp := sp.Child("solve-" + bo.Backend.String())
-			t0 := time.Now()
-			if bo.Backend == backend.Andersen {
-				r.BE = andersen.AnalyzeBudgeted(u.Graph, bo.Budget)
-			} else {
-				r.BE = steensgaard.AnalyzeBudgeted(u.Graph, bo.Budget)
-			}
-			r.BETime = time.Since(t0)
-			r.BEKind = bo.Backend
-			core.AttachEngine(ssp, r.BE.Engine)
-			if r.BE.Stopped != nil {
-				r.Stopped = r.BE.Stopped
-				return fmt.Errorf("%s: %s analysis stopped early: %w", name, bo.Backend, r.BE.Stopped)
+		if bo.Backend != backend.CI {
+			be := solve.Solve(bo.Backend, u.Graph, budget, sp)
+			r.BE, r.BEKind, r.BETime = be.CI, bo.Backend, be.Attempts[0].Wall
+			if be.Stopped != nil {
+				r.Stopped = be.Stopped
+				return fmt.Errorf("%s: %w", name, be.Err())
 			}
 		}
 
 		if bo.WithCS {
-			ssp = sp.Child("solve-cs")
-			t0 = time.Now()
-			r.CS = core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: r.CI, MaxSteps: MaxCSSteps, Budget: bo.Budget})
-			r.CSTime = time.Since(t0)
-			core.AttachEngine(ssp, r.CS.Engine)
-			if r.CS.Stopped != nil {
+			r.CSTime = o.Attempts[1].Wall
+			if o.CS == nil {
 				r.Capped = true
-				r.Stopped = r.CS.Stopped
-				return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", name, r.CS.Stopped)
+				r.Stopped = o.Stopped
+				return fmt.Errorf("%s: %w", name, o.Err())
 			}
-			r.CSSets = r.CS.Strip()
+			r.CS, r.CSSets = o.CS, o.Sets
 		}
 		return nil
 	})

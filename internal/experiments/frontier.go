@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/core"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/report"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
@@ -86,6 +85,7 @@ func RunFrontier(names []string, bo BatchOptions) (map[backend.Kind]*FrontierRow
 	for _, k := range backend.Kinds() {
 		rows[k] = &FrontierRow{Backend: k}
 	}
+	budget := capSteps(bo.Budget)
 	fsp := bo.Trace.StartSpan("frontier", obs.Int("units", len(rs)))
 	defer fsp.End()
 	var skipped []string
@@ -98,21 +98,15 @@ func RunFrontier(names []string, bo BatchOptions) (map[backend.Kind]*FrontierRow
 		rows[backend.CS].add(g, r.CSSets, r.CSSets, r.CSTime, r.CS.Engine)
 		rows[backend.CI].add(g, r.CISets, r.CSSets, r.CITime, r.CI.Engine)
 
-		sp := fsp.Child("solve-andersen", obs.Str("unit", r.Name))
-		t0 := time.Now()
-		and := andersen.AnalyzeBudgeted(g, bo.Budget)
-		andTime := time.Since(t0)
-		sp.End()
-		sp = fsp.Child("solve-steensgaard", obs.Str("unit", r.Name))
-		t0 = time.Now()
-		st := steensgaard.AnalyzeBudgeted(g, bo.Budget)
-		stTime := time.Since(t0)
-		sp.End()
+		usp := fsp.Child("unit", obs.Str("unit", r.Name))
+		and := solve.Solve(backend.Andersen, g, budget, usp)
+		st := solve.Solve(backend.Steensgaard, g, budget, usp)
+		usp.End()
 		if and.Stopped != nil || st.Stopped != nil {
 			return nil, nil, fmt.Errorf("experiments: %s: constraint backend stopped early (%v/%v)", r.Name, and.Stopped, st.Stopped)
 		}
-		rows[backend.Andersen].add(g, and.Sets, r.CSSets, andTime, and.Engine)
-		rows[backend.Steensgaard].add(g, st.Sets, r.CSSets, stTime, st.Engine)
+		rows[backend.Andersen].add(g, and.Sets, r.CSSets, and.Attempts[0].Wall, and.CI.Engine)
+		rows[backend.Steensgaard].add(g, st.Sets, r.CSSets, st.Attempts[0].Wall, st.CI.Engine)
 	}
 	return rows, skipped, nil
 }

@@ -13,13 +13,11 @@ import (
 	"sort"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
-	"aliaslab/internal/core"
 	"aliaslab/internal/corpusgen"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -159,23 +157,16 @@ func populationUnit(p corpusgen.Program, po PopulationOptions) PopulationUnit {
 			return err
 		}
 		g := unit.Graph
-		ci := core.AnalyzeInsensitiveBudgeted(g, po.Budget)
-		if ci.Stopped != nil {
-			return fmt.Errorf("%s: context-insensitive analysis stopped early: %w", p.Name, ci.Stopped)
+		budget := capSteps(po.Budget)
+		var sol []*solve.Outcome
+		for _, k := range []backend.Kind{backend.CS, backend.Andersen, backend.Steensgaard} {
+			o := solve.Solve(k, g, budget, nil)
+			if o.Stopped != nil {
+				return fmt.Errorf("%s: %w", p.Name, o.Err())
+			}
+			sol = append(sol, o)
 		}
-		cs := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: MaxCSSteps, Budget: po.Budget})
-		if cs.Stopped != nil {
-			return fmt.Errorf("%s: context-sensitive analysis stopped early: %w", p.Name, cs.Stopped)
-		}
-		csSets := cs.Strip()
-		and := andersen.AnalyzeBudgeted(g, po.Budget)
-		if and.Stopped != nil {
-			return fmt.Errorf("%s: andersen analysis stopped early: %w", p.Name, and.Stopped)
-		}
-		st := steensgaard.AnalyzeBudgeted(g, po.Budget)
-		if st.Stopped != nil {
-			return fmt.Errorf("%s: steensgaard analysis stopped early: %w", p.Name, st.Stopped)
-		}
+		ci, csSets, and, st := sol[0].CI, sol[0].Sets, sol[1], sol[2]
 
 		io := stats.CountIndirect(g, ci.Sets)
 		u.Ops = io.Reads.Total + io.Writes.Total

@@ -7,7 +7,7 @@
 // and a wall-clock deadline carried by a context.Context — and stops
 // cleanly with a Violation instead of hanging or exhausting memory.
 // The degradation policy built on top of these primitives lives in
-// internal/core (AnalyzeGoverned); this package only knows how to
+// internal/solve (Solve); this package only knows how to
 // meter work and how to turn panics into structured errors.
 package limits
 

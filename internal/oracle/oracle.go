@@ -20,8 +20,8 @@
 //   - widened-lattice (theorem): exact CS ⊆ widened CS ⊆ CI, per
 //     output. Assumption-set widening only weakens qualified pairs, so
 //     the widened fixpoint sits between the exact one and CI.
-//   - governed-full (implementation contract): AnalyzeGoverned under an
-//     unlimited budget reports TierFull and returns exactly the
+//   - governed-full (implementation contract): solve.Solve under no
+//     budget pressure reports solve.Full and returns exactly the
 //     requested analysis' solution.
 //   - indirect-agreement (the paper's empirical headline): CI and CS
 //     compute identical referent sets at the location input of every
@@ -34,11 +34,11 @@ package oracle
 import (
 	"fmt"
 
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
+	"aliaslab/internal/backend"
 	"aliaslab/internal/core"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -99,26 +99,31 @@ func Check(name string, u *driver.Unit, opts Options) []Violation {
 		vs = append(vs, Violation{Program: name, Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	ci := core.AnalyzeInsensitive(u.Graph)
-	cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci, MaxSteps: opts.maxSteps()})
-	if cs.Aborted {
+	// Every backend through the one dispatch the surfaces use, each
+	// attempt under the oracle's step cap.
+	budget := limits.Budget{MaxSteps: opts.maxSteps()}
+	out := make(map[backend.Kind]*solve.Outcome)
+	for _, k := range backend.Kinds() {
+		out[k] = solve.Solve(k, u.Graph, budget, nil)
+	}
+	ci, cs := out[backend.CI].CI, out[backend.CS]
+	if cs.Degraded() {
 		add("cs-converges", "context-sensitive analysis did not converge within %d steps", opts.maxSteps())
 		return vs
 	}
-	csSets := cs.Strip()
+	csSets := cs.Sets
 
-	// cs-subset-ci: every stripped CS pair exists in the CI solution.
-	vs = append(vs, SubsetPerOutput(name, "cs-subset-ci", u.Graph, csSets, ci.Sets)...)
-
-	// backend-lattice: the flow-insensitive constraint backends bound CI
-	// from above, completing CS ⊆ CI ⊆ Andersen ⊆ Steensgaard.
-	and := andersen.Analyze(u.Graph)
-	st := steensgaard.Analyze(u.Graph)
-	if and.Stopped != nil || st.Stopped != nil {
-		add("backend-lattice", "unbudgeted constraint backend stopped early (%v/%v)", and.Stopped, st.Stopped)
-	} else {
-		vs = append(vs, SubsetPerOutput(name, "ci-subset-andersen", u.Graph, ci.Sets, and.Sets)...)
-		vs = append(vs, SubsetPerOutput(name, "andersen-subset-steensgaard", u.Graph, and.Sets, st.Sets)...)
+	// The lattice, adjacent kinds in precision order: cs-subset-ci is
+	// the paper's CI ⊇ CS; the flow-insensitive constraint backends
+	// bound CI from above, completing CS ⊆ CI ⊆ Andersen ⊆ Steensgaard.
+	ks := backend.Kinds()
+	for i := 1; i < len(ks); i++ {
+		sub, super := out[ks[i-1]], out[ks[i]]
+		if super.Degraded() {
+			add("backend-lattice", "%s stopped early: %v", ks[i], super.Stopped)
+			continue
+		}
+		vs = append(vs, SubsetPerOutput(name, fmt.Sprintf("%s-subset-%s", ks[i-1], ks[i]), u.Graph, sub.Sets, super.Sets)...)
 	}
 
 	// widened-lattice: exact ⊆ widened ⊆ CI at every tested bound.
@@ -138,13 +143,13 @@ func Check(name string, u *driver.Unit, opts Options) []Violation {
 		vs = append(vs, SubsetPerOutput(name, fmt.Sprintf("widened(k=%d)-subset-ci", k), u.Graph, wSets, ci.Sets)...)
 	}
 
-	// governed-full: the degradation pipeline under no pressure returns
-	// the exact analysis and says so.
-	gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{Sensitive: true, Budget: limits.Budget{MaxSteps: opts.maxSteps()}})
-	if gr.Tier != core.TierFull {
-		add("governed-full", "unlimited budget degraded to tier %v", gr.Tier)
+	// governed-full: the dispatch under no budget pressure returns
+	// exactly the context-sensitive solver's own answer.
+	ref := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci, MaxSteps: opts.maxSteps()})
+	if ref.Aborted {
+		add("governed-full", "reference context-sensitive analysis did not converge within %d steps", opts.maxSteps())
 	} else {
-		vs = append(vs, EqualPerOutput(name, "governed-full", u.Graph, gr.Sets, csSets)...)
+		vs = append(vs, EqualPerOutput(name, "governed-full", u.Graph, csSets, ref.Strip())...)
 	}
 
 	// indirect-agreement: the paper's headline, where expected.

@@ -9,7 +9,7 @@ package report
 //
 // Field discipline: Degraded and Reason are always set on a degraded
 // result. Tier and Notes are optional refinements (the server fills
-// them from the core degradation ladder; the CLI's vet path predates
+// them from the solve dispatch's ladder; the CLI's vet path predates
 // tiers and leaves them empty, which keeps its historical bytes
 // identical via omitempty).
 type Envelope struct {
@@ -22,7 +22,7 @@ type Envelope struct {
 	Reason string `json:"reason"`
 
 	// Tier names the degradation ladder rung that answered:
-	// "ci-fallback" or "partial-ci" (see core.Tier). Empty when the
+	// "ci-fallback" or "partial-ci" (see solve.Tier.Rung). Empty when the
 	// producer does not distinguish tiers.
 	Tier string `json:"tier,omitempty"`
 

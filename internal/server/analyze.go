@@ -13,16 +13,14 @@ import (
 	"time"
 
 	"aliaslab/internal/backend"
-	"aliaslab/internal/backend/andersen"
-	"aliaslab/internal/backend/steensgaard"
 	"aliaslab/internal/checkers"
-	"aliaslab/internal/core"
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
 	"aliaslab/internal/report"
+	"aliaslab/internal/solve"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -213,12 +211,10 @@ func (s *Server) parse(r *http.Request, m mode) (*job, *response) {
 	if err != nil {
 		return nil, errorResponse(http.StatusBadRequest, "%v", err)
 	}
-	if m == modeVet && kind == backend.CS {
-		// Mirrors the CLI: the checkers interpret CI-shaped solutions.
-		return nil, errorResponse(http.StatusBadRequest,
-			"vet runs on the ci, andersen, or steensgaard backend, not cs")
-	}
 	if m == modeVet {
+		if _, err := solve.VetKind(kind.String()); err != nil {
+			return nil, errorResponse(http.StatusBadRequest, "%v", err)
+		}
 		if _, err := checkers.Select(req.Checkers); err != nil {
 			return nil, errorResponse(http.StatusBadRequest, "%v", err)
 		}
@@ -425,61 +421,32 @@ type pairJSON struct {
 
 // runAnalyze solves the requested backend and renders the solution.
 func (s *Server) runAnalyze(j *job, u *driver.Unit, budget limits.Budget) *response {
-	var sets map[*vdg.Output]*core.PairSet
-	var label string
+	o := solve.Solve(j.kind, u.Graph, budget, nil)
 	var env *report.Envelope
 	status := http.StatusOK
-
-	switch j.kind {
-	case backend.CI, backend.CS:
-		gr := core.AnalyzeGoverned(u.Graph, core.GovernedOptions{
-			Budget:    budget,
-			Sensitive: j.kind == backend.CS,
-		})
-		label = "context-insensitive"
-		if j.kind == backend.CS {
-			label = "context-sensitive"
+	if o.Degraded() {
+		s.degraded.Add(1)
+		e := report.DegradedEnvelope(o.Stopped.Error(), o.Tier.Rung()).WithSound(o.Sound)
+		e.Notes = o.Notes
+		env = &e
+		if !o.Sound {
+			// A partial fixpoint under-approximates; serving its sets as
+			// a may-alias answer would be a lie.
+			resp := jsonResponse(http.StatusServiceUnavailable, errorBody{
+				Error:       "analysis budget exhausted: " + o.Stopped.Error(),
+				Degradation: env,
+			})
+			resp.retryAfter = 1
+			return resp
 		}
-		if gr.Degraded() {
-			s.degraded.Add(1)
-			label += " (degraded: " + gr.Tier.String() + ")"
-			e := report.DegradedEnvelope(gr.Stopped.Error(), gr.Tier.String()).WithSound(gr.Tier.Sound())
-			e.Notes = gr.Notes
-			env = &e
-			if !gr.Tier.Sound() {
-				// A partial CI fixpoint under-approximates; serving its
-				// sets as a may-alias answer would be a lie.
-				resp := jsonResponse(http.StatusServiceUnavailable, errorBody{
-					Error:       "analysis budget exhausted: " + gr.Stopped.Error(),
-					Degradation: env,
-				})
-				resp.retryAfter = 1
-				return resp
-			}
-			status = http.StatusPartialContent
-		}
-		sets = gr.Sets
-	default: // Andersen, Steensgaard
-		var res *core.Result
-		if j.kind == backend.Andersen {
-			res = andersen.AnalyzeBudgeted(u.Graph, budget)
-			label = "andersen (inclusion-based)"
-		} else {
-			res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
-			label = "steensgaard (unification-based)"
-		}
-		if res.Stopped != nil {
-			// The flow-insensitive backends have no degradation ladder: a
-			// tripped budget leaves only an unsound partial solution.
-			return s.exhausted(res.Stopped)
-		}
-		sets = res.Sets
+		status = http.StatusPartialContent
 	}
+	sets := o.Sets
 
 	if err := s.hit("render"); err != nil {
 		return s.exhausted(err)
 	}
-	body := analyzeBody{Unit: u.Name, Label: label, Degradation: env}
+	body := analyzeBody{Unit: u.Name, Label: o.Label, Degradation: env}
 	census := stats.Census(u.Graph, sets)
 	body.Census.Total = census.Total
 	body.Census.Pointer = census.Pointer
@@ -570,30 +537,22 @@ func (s *Server) runQuery(j *job, u *driver.Unit, budget limits.Budget) *respons
 // JSON uses: findings may be missing, a clean report certifies
 // nothing.
 func (s *Server) runVet(j *job, u *driver.Unit, budget limits.Budget) *response {
-	var res *core.Result
-	switch j.kind {
-	case backend.Andersen:
-		res = andersen.AnalyzeBudgeted(u.Graph, budget)
-	case backend.Steensgaard:
-		res = steensgaard.AnalyzeBudgeted(u.Graph, budget)
-	default: // backend.CI; CS was rejected at parse
-		res = core.AnalyzeInsensitiveBudgeted(u.Graph, budget)
-	}
+	o := solve.Solve(j.kind, u.Graph, budget, nil)
 	sel, err := checkers.Select(j.req.Checkers)
 	if err != nil {
 		return errorResponse(http.StatusBadRequest, "%v", err)
 	}
-	diags := checkers.Run(checkers.NewContext(u.Graph, res), sel)
+	diags := checkers.Run(checkers.NewContext(u.Graph, o.CI), sel)
 
 	if err := s.hit("render"); err != nil {
 		return s.exhausted(err)
 	}
 	var env *report.Envelope
 	status := http.StatusOK
-	if res.Stopped != nil {
+	if o.Stopped != nil {
 		s.degraded.Add(1)
 		status = http.StatusPartialContent
-		e := report.DegradedEnvelope(res.Stopped.Error(), "")
+		e := report.DegradedEnvelope(o.Stopped.Error(), "")
 		e.Notes = []string{"vet ran on a partial points-to solution; findings may be missing"}
 		env = &e
 	}

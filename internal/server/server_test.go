@@ -263,6 +263,18 @@ func TestVet(t *testing.T) {
 	}
 }
 
+// TestVetRejectsCSBody pins the whole 400 body for a vet request on
+// the cs backend: the rule and its wording are the one the CLI's -vet
+// uses.
+func TestVetRejectsCSBody(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	resp, body := post(t, ts.URL+"/v1/vet", map[string]string{"corpus": "part", "backend": "cs"}, nil)
+	const want = "{\n  \"error\": \"vet runs on the ci, andersen, or steensgaard backend, not cs\"\n}\n"
+	if resp.StatusCode != 400 || string(body) != want {
+		t.Fatalf("status %d body %q, want 400 %q", resp.StatusCode, body, want)
+	}
+}
+
 func TestVetDegraded(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	// A pair budget far below what the corpus program needs forces a

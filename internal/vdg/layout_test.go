@@ -113,8 +113,10 @@ func TestGraphWellFormed(t *testing.T) {
 
 // TestBuildAllocsPerNode bounds the heap allocations of one VDG build
 // of bc per node it creates. With one allocation per node, output,
-// input and edge-slice growth the figure was about 9; the slabs bring
-// it to about 2, and 4 leaves room for toolchain drift.
+// input and edge-slice growth the figure was about 9; the slabs and the
+// slot-indexed environment bring it to 0.87 (plain) and 0.88
+// (diagnostics), and 1.2 (about +36%) leaves room for toolchain drift
+// while a regression to the earlier 2 per node still fails.
 func TestBuildAllocsPerNode(t *testing.T) {
 	p, err := corpus.Get("bc")
 	if err != nil {
@@ -128,14 +130,14 @@ func TestBuildAllocsPerNode(t *testing.T) {
 	if len(serrs) > 0 {
 		t.Fatal(serrs[0])
 	}
-	const maxPerNode = 4
+	const maxPerNode = 1.2
 	for _, o := range layoutOptions[:2] {
 		var g *vdg.Graph
 		allocs := testing.AllocsPerRun(5, func() { g, _ = vdg.Build(prog, o.opts) })
 		perNode := allocs / float64(g.NodeIDs())
 		t.Logf("%s: %.0f allocations for %d created nodes (%.2f per node)", o.name, allocs, g.NodeIDs(), perNode)
 		if perNode > maxPerNode {
-			t.Errorf("%s: %.2f allocations per created node, want at most %d", o.name, perNode, maxPerNode)
+			t.Errorf("%s: %.2f allocations per created node, want at most %.1f", o.name, perNode, maxPerNode)
 		}
 	}
 }
