@@ -167,10 +167,11 @@ func digestBackend(g *vdg.Graph, res *core.Result) string {
 	return d.sum()
 }
 
-// TestSolversPinned pins the CS solver and both constraint backends to
-// exact counters and iteration orders: a digest of every solver.Stats
-// field, every qualified set in QSet.All order and every backend set in
-// Keys order, per unit, must match the recorded golden. Layout work on
+// TestSolversPinned pins the CI and CS solvers and both constraint
+// backends to exact counters and iteration orders: a digest of every
+// solver.Stats field, every qualified set in QSet.All order and every
+// CI or backend set in Keys order, per unit, must match the recorded
+// golden. Layout work on
 // these solvers (dense tables, hoisted scans) may change how they
 // store and scan, never what they do or in which order; -update
 // rewrites the golden when a change means to alter either.
@@ -181,8 +182,8 @@ func TestSolversPinned(t *testing.T) {
 		ci := core.AnalyzeInsensitive(g)
 		cs := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: experiments.MaxCSSteps})
 		wide := core.AnalyzeSensitive(g, core.SensitiveOptions{CI: ci, MaxSteps: experiments.MaxCSSteps, MaxAssumptions: 1})
-		fmt.Fprintf(&sb, "%s cs=%s cs-widened=%s andersen=%s steensgaard=%s\n", names[i],
-			digestSensitive(g, cs), digestSensitive(g, wide),
+		fmt.Fprintf(&sb, "%s ci=%s cs=%s cs-widened=%s andersen=%s steensgaard=%s\n", names[i],
+			digestBackend(g, ci), digestSensitive(g, cs), digestSensitive(g, wide),
 			digestBackend(g, andersen.Analyze(g)), digestBackend(g, steensgaard.Analyze(g)))
 	}
 	path := filepath.Join("testdata", "solve_pin.golden")
