@@ -183,6 +183,22 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
+// TestLongDeclaratorIsADiagnostic: 4,000,000 pointer stars (4 MB)
+// ended in a fatal stack overflow in sema's type resolution, since the
+// parser built the chain in a loop. The parser now counts each star
+// against its depth limit, so the run exits 1 with one depth
+// diagnostic.
+func TestLongDeclaratorIsADiagnostic(t *testing.T) {
+	path := writeTemp(t, "int main(void){ int "+strings.Repeat("*", 4000000)+"x; return 0; }\n")
+	out, errOut, code := runCLI(t, "-print", "sizes", path)
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if out != "" || !strings.Contains(errOut, "parse: 1 error(s)") || !strings.Contains(errOut, "input nests too deeply") {
+		t.Errorf("stdout %q, stderr %q: want one depth diagnostic", out, errOut)
+	}
+}
+
 // TestModularFlagRemoved: the per-procedure summary mode is gone, so
 // -modular is an unknown flag (a usage error), not a silent no-op.
 func TestModularFlagRemoved(t *testing.T) {

@@ -33,10 +33,15 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // MaxDepth bounds how deeply the input may nest: the number of
 // expression, statement, declarator, initializer and struct
-// productions open at once. C requires 63 nested parentheses and 127
-// nested blocks to be accepted; the limit is far above any real
-// program, and it keeps a hostile input from exhausting the stack of
-// this recursive-descent parser (a stack overflow kills the process).
+// productions open at once, plus the links of the chain being parsed
+// in each (the operators of a left-deep binary, comma or postfix
+// chain, the pointer stars and suffixes of a declarator), since the
+// tree such a chain builds is as deep as the chain is long. C requires
+// 63 nested parentheses and 127 nested blocks to be accepted; the
+// limit is far above any real program, and it keeps a hostile input
+// from exhausting the stack of this recursive-descent parser and of
+// the recursive walks over its tree (a stack overflow kills the
+// process).
 const MaxDepth = 10000
 
 // ErrTooDeep classifies the diagnostic for input nested deeper than
@@ -512,6 +517,7 @@ type declWrap struct {
 // declared name (possibly empty for abstract declarators) and type.
 func (p *Parser) parseDeclarator(base ast.TypeExpr) (string, ast.TypeExpr) {
 	name, wraps := p.parseDeclaratorInner()
+	p.depth -= len(wraps) // each wrap held one level (see parseDeclaratorInner)
 	typ := base
 	// wraps are recorded innermost-last; apply from the end.
 	for i := len(wraps) - 1; i >= 0; i-- {
@@ -539,13 +545,17 @@ func (p *Parser) parseDeclarator(base ast.TypeExpr) (string, ast.TypeExpr) {
 //
 // Pointers bind more loosely than suffixes, so "*f[3]" is an array of
 // pointers and "(*f)[3]" is a pointer to an array.
+//
+// Each wrap nests the declared type one level deeper, so each holds
+// one level of MaxDepth from its token until parseDeclarator releases
+// them all; a wrap is returned only if its level was granted.
 func (p *Parser) parseDeclaratorInner() (string, []declWrap) {
 	if !p.enter() {
 		return "", nil
 	}
 	defer p.leave()
 	var stars []declWrap
-	for p.at(token.MUL) {
+	for p.at(token.MUL) && p.enter() {
 		pos := p.advance().Pos
 		for p.accept(token.CONST) {
 		}
@@ -564,26 +574,21 @@ func (p *Parser) parseDeclaratorInner() (string, []declWrap) {
 	}
 
 	var suffixes []declWrap
-	for {
-		switch {
-		case p.at(token.LBRACK):
-			pos := p.advance().Pos
+	for (p.at(token.LBRACK) || p.at(token.LPAREN)) && p.enter() {
+		t := p.advance()
+		if t.Kind == token.LBRACK {
 			length := -1
 			if !p.at(token.RBRACK) {
 				e := p.parseAssignExpr()
 				length = p.constIntValue(e)
 			}
 			p.expect(token.RBRACK)
-			suffixes = append(suffixes, declWrap{kind: '[', length: length, pos: pos})
-			continue
-		case p.at(token.LPAREN):
-			pos := p.advance().Pos
+			suffixes = append(suffixes, declWrap{kind: '[', length: length, pos: t.Pos})
+		} else {
 			params, variadic := p.parseParamList()
 			p.expect(token.RPAREN)
-			suffixes = append(suffixes, declWrap{kind: '(', params: params, variadic: variadic, pos: pos})
-			continue
+			suffixes = append(suffixes, declWrap{kind: '(', params: params, variadic: variadic, pos: t.Pos})
 		}
-		break
 	}
 
 	// The slice is kept in C's "reading order" (the spiral rule): the
@@ -949,13 +954,19 @@ func (p *Parser) placeholder() ast.Expr {
 }
 
 // parseExpr parses a full expression including the comma operator.
+// Like every left-deep chain below, each operator holds one level of
+// MaxDepth until the chain ends, since the tree nests one level per
+// operator.
 func (p *Parser) parseExpr() ast.Expr {
 	e := p.parseAssignExpr()
-	for p.at(token.COMMA) {
+	held := 0
+	for p.at(token.COMMA) && p.enter() {
+		held++
 		pos := p.advance().Pos
 		y := p.parseAssignExpr()
 		e = &ast.Comma{X: e, Y: y, TokPos: pos, ID: p.num()}
 	}
+	p.depth -= held
 	return e
 }
 
@@ -1015,11 +1026,14 @@ func binaryPrec(k token.Kind) int {
 
 func (p *Parser) parseBinaryExpr(minPrec int) ast.Expr {
 	x := p.parseUnaryExpr()
+	held := 0
 	for {
 		prec := binaryPrec(p.cur().Kind)
-		if prec < minPrec || prec == 0 {
+		if prec < minPrec || prec == 0 || !p.enter() {
+			p.depth -= held
 			return x
 		}
+		held++
 		op := p.advance()
 		y := p.parseBinaryExpr(prec + 1)
 		x = &ast.Binary{Op: op.Kind, X: x, Y: y, TokPos: op.Pos, ID: p.num()}
@@ -1080,7 +1094,9 @@ func (p *Parser) parseAbstractType() ast.TypeExpr {
 
 func (p *Parser) parsePostfixExpr() ast.Expr {
 	x := p.parsePrimaryExpr()
-	for {
+	held := 0
+	for isPostfixOp(p.cur().Kind) && p.enter() {
+		held++
 		pos := p.cur().Pos
 		switch p.cur().Kind {
 		case token.LPAREN:
@@ -1110,10 +1126,20 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 		case token.INC, token.DEC:
 			op := p.advance()
 			x = &ast.Postfix{Op: op.Kind, X: x, TokPos: op.Pos, ID: p.num()}
-		default:
-			return x
 		}
 	}
+	p.depth -= held
+	return x
+}
+
+// isPostfixOp reports whether k starts a postfix operator: a call,
+// subscript, member access, or postfix increment or decrement.
+func isPostfixOp(k token.Kind) bool {
+	switch k {
+	case token.LPAREN, token.LBRACK, token.PERIOD, token.ARROW, token.INC, token.DEC:
+		return true
+	}
+	return false
 }
 
 func (p *Parser) parsePrimaryExpr() ast.Expr {
