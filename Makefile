@@ -85,14 +85,15 @@ golden:
 	UPDATE_GOLDEN=1 $(GO) test ./internal/experiments -run MetricsGolden
 
 # Statement-coverage floor for the observability layer, the report
-# renderers, the corpus generator, the demand-query engine, and the
-# solve dispatch — the packages behind every number the CLIs print,
-# every generated test program, every query answer, and the tier and
-# soundness verdict of every solve. Each package prints its headroom
+# renderers, the corpus generator, the demand-query engine, the solve
+# dispatch, and the CI/CS transfer functions — the packages behind
+# every number the CLIs print, every generated test program, every
+# query answer, every points-to pair, and the tier and soundness
+# verdict of every solve. Each package prints its headroom
 # over the floor so a shrinking margin is visible before it becomes a
 # failure. CI runs the same check.
 COVER_FLOOR ?= 70.0
-COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query ./internal/solve
+COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query ./internal/solve ./internal/core
 
 cover:
 	@set -e; \

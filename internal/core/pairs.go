@@ -217,21 +217,31 @@ func (s *QSet) Sets(p Pair) []*ASet {
 // All returns every qualified pair currently stored, in deterministic
 // order: pairs in first-appearance order, each pair's assumption sets
 // in antichain order.
-func (s *QSet) All() []QPair { return s.appendAll(nil) }
+func (s *QSet) All() []QPair {
+	keys, quals := s.appendFacts(nil, nil)
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]QPair, len(keys))
+	for i, k := range keys {
+		out[i] = QPair{P: Decode(s.set.u, k), A: quals[i]}
+	}
+	return out
+}
 
-// appendAll appends All's qualified pairs to dst.
-func (s *QSet) appendAll(dst []QPair) []QPair {
+// appendFacts appends All's qualified pairs, packed, to keys and the
+// assumption sets at the same indices to quals.
+func (s *QSet) appendFacts(keys []Key, quals []*ASet) ([]Key, []*ASet) {
 	for pos, k := range s.set.keys {
-		p := Decode(s.set.u, k)
 		if a := s.one[pos]; a != nil {
-			dst = append(dst, QPair{P: p, A: a})
+			keys, quals = append(keys, k), append(quals, a)
 			continue
 		}
 		for _, a := range s.many[int32(pos)] {
-			dst = append(dst, QPair{P: p, A: a})
+			keys, quals = append(keys, k), append(quals, a)
 		}
 	}
-	return dst
+	return keys, quals
 }
 
 // Len returns the number of stored qualified pairs.
