@@ -86,14 +86,15 @@ golden:
 
 # Statement-coverage floor for the observability layer, the report
 # renderers, the corpus generator, the demand-query engine, the solve
-# dispatch, and the CI/CS transfer functions — the packages behind
+# dispatch, the CI/CS transfer functions, and the front end's parser,
+# VDG builder and the slabs they allocate from — the packages behind
 # every number the CLIs print, every generated test program, every
-# query answer, every points-to pair, and the tier and soundness
-# verdict of every solve. Each package prints its headroom
-# over the floor so a shrinking margin is visible before it becomes a
-# failure. CI runs the same check.
+# query answer, every points-to pair, every graph the analyses read,
+# and the tier and soundness verdict of every solve. Each package
+# prints its headroom over the floor so a shrinking margin is visible
+# before it becomes a failure. CI runs the same check.
 COVER_FLOOR ?= 70.0
-COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query ./internal/solve ./internal/core
+COVER_PKGS ?= ./internal/obs ./internal/report ./internal/corpusgen ./internal/query ./internal/solve ./internal/core ./internal/slab ./internal/vdg ./internal/parser
 
 cover:
 	@set -e; \

@@ -388,6 +388,46 @@ int main(void) {
 			}
 		}
 	}
+
+	// Under diagnostics p = 0 points p at <null>, and the guard is an
+	// OpChecked filter: the read it guards drops <null>, while an
+	// unguarded read of the same pointer keeps it.
+	d, err := driver.LoadString("test.c", `
+int main(void) {
+	int *p;
+	int x;
+	p = 0;
+	x = *p;
+	if (p != 0) {
+		return *p;
+	}
+	return x;
+}
+`, vdg.Options{Diagnostics: true})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	dres := core.AnalyzeInsensitive(d.Graph)
+	readsNull := map[int]bool{} // by source line
+	for _, fg := range d.Graph.Funcs {
+		for _, n := range fg.Nodes {
+			if n.Kind != vdg.KLookup {
+				continue
+			}
+			readsNull[n.Pos.Line] = false
+			for _, r := range dres.LocReferents(n) {
+				if core.IsNullRef(r) {
+					readsNull[n.Pos.Line] = true
+				}
+			}
+		}
+	}
+	if null, ok := readsNull[6]; !ok || !null {
+		t.Errorf("unguarded read on line 6: reads <null> %v (found %v), want true", null, ok)
+	}
+	if null, ok := readsNull[8]; !ok || null {
+		t.Errorf("guarded read on line 8: reads <null> %v (found %v), want false", null, ok)
+	}
 }
 
 func TestGlobalInitializerChains(t *testing.T) {

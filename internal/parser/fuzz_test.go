@@ -24,6 +24,9 @@ func FuzzParse(f *testing.F) {
 		"int é;",               // non-ASCII identifier bytes
 		"/* unterminated",      // comment edge
 		"char *s = \"unclosed", // string edge
+		// A run of illegal bytes in a struct body: one parser
+		// diagnostic for the run, not one per byte.
+		"struct {$$$$$$$$$$$$$$\"",
 		// Nesting 520,000 deep: a stack overflow before MaxDepth.
 		"int main(void){int x; x = " + strings.Repeat("(", 520000) + "1" + strings.Repeat(")", 520000) + "; return x;}\n",
 	}

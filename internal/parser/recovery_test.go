@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"aliaslab/internal/ast"
@@ -93,5 +94,50 @@ void f(void) {
 	lines := errLines(errs)
 	if !lines[4] || !lines[5] {
 		t.Fatalf("want diagnostics on lines 4 and 5, got lines %v", lines)
+	}
+}
+
+// TestStructBodyBadTokensOneDiagnostic: a run of tokens that cannot
+// start a field gets one parser diagnostic, on top of the lexer's own
+// diagnostic for each illegal byte. One per token made `struct {`
+// plus n illegal bytes yield 2n+4 diagnostics, past FuzzParse's bound
+// of len(src)+8.
+func TestStructBodyBadTokensOneDiagnostic(t *testing.T) {
+	for _, src := range []string{
+		"struct {$$$$$$$$$$$$$$\"",
+		"struct {" + strings.Repeat("$", 1000),
+	} {
+		_, errs := ParseFile("t.c", src)
+		fieldErrs := 0
+		for _, e := range errs {
+			if strings.HasPrefix(e.Msg, "expected field type") {
+				fieldErrs++
+			}
+		}
+		if fieldErrs != 1 {
+			t.Errorf("%d bytes: %d \"expected field type\" diagnostics, want 1", len(src), fieldErrs)
+		}
+		if len(errs) > len(src)+8 {
+			t.Errorf("%d bytes: %d diagnostics, want at most %d", len(src), len(errs), len(src)+8)
+		}
+	}
+	// Separate bad runs still get one diagnostic each, and the fields
+	// between them parse.
+	file, errs := ParseFile("t.c", "struct S { int a; $$$ int b; $ int c; }; struct S s;")
+	fieldErrs := 0
+	for _, e := range errs {
+		if strings.HasPrefix(e.Msg, "expected field type") {
+			fieldErrs++
+		}
+	}
+	if fieldErrs != 2 {
+		t.Errorf("%d \"expected field type\" diagnostics for two bad runs, want 2", fieldErrs)
+	}
+	td, ok := file.Decls[0].(*ast.TagDecl)
+	if !ok {
+		t.Fatalf("first declaration is %T, want *ast.TagDecl", file.Decls[0])
+	}
+	if n := len(td.Type.(*ast.StructType).Fields); n != 3 {
+		t.Errorf("%d fields parsed, want 3 (a, b, c)", n)
 	}
 }

@@ -63,17 +63,18 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 			FuncOf:     make(map[*sema.Function]*FuncGraph),
 			FuncByBase: make(map[*paths.Base]*FuncGraph),
 			BaseOf:     make(map[*sema.Object]*paths.Base),
-			// A build creates 1.0-1.4 inputs per checked expression
-			// on the corpus.
+			// An evaluation connects 1.0-1.4 inputs per checked
+			// expression on the corpus.
 			inputs: make([]*Input, 0, prog.Exprs()*3/2),
 		},
 		prog:      prog,
 		opts:      opts,
 		funcBases: make(map[*sema.Function]*paths.Base),
 		strBases:  make(map[*ast.StringLit]*paths.Base),
-		refs:      make([]*Output, prog.ObjectIDs()),
+		refs:      make([]value, prog.ObjectIDs()),
 		vals:      make([][]*Output, prog.ObjectIDs()),
-		envs:      slab.Slab[*Output]{Size: 1024},
+		envs:      slab.Slab[value]{Size: 1024},
+		t:         newTable(prog.Exprs()),
 		ptrs:      make(ctypes.PointerCache),
 	}
 	// Create function graphs and bases up front so calls can refer to
@@ -98,14 +99,6 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 	for _, obj := range b.valObjs {
 		b.g.VarValues[obj] = b.vals[obj.ID]
 	}
-	// A recovered per-procedure panic leaves that function half-built;
-	// the unit is already doomed (errs is non-empty), so don't run the
-	// graph-wide passes over inconsistent nodes.
-	if !b.panicked {
-		SimplifyGammas(b.g)
-		RemoveDeadNodes(b.g)
-		ClassifyIndirect(b.g)
-	}
 	return b.g, b.errs
 }
 
@@ -116,14 +109,13 @@ var TestHookBuildFunc func(fnName string)
 
 // buildFuncIsolated builds one procedure behind a recover boundary: a
 // panic while translating one function becomes a BuildError on that
-// function, and the remaining procedures still build. The graph nodes
-// created before the panic are left in place — harmless, because a
-// unit with build errors is rejected by the driver before any
-// analysis runs.
+// function, and the remaining procedures still build. The panicking
+// function's graph is left empty or partial — harmless, because a unit
+// with build errors is rejected by the driver before any analysis
+// runs.
 func (b *builder) buildFuncIsolated(fn *sema.Function) {
 	defer func() {
 		if r := recover(); r != nil {
-			b.panicked = true
 			b.errorf(fn.Object.Pos, "internal error building %s: %v", fn.Name, r)
 		}
 	}()
@@ -145,22 +137,23 @@ type builder struct {
 	heapBase  *paths.Base // when SingleHeapBase
 	heapSeq   int
 
-	// refs caches, by sema.Object.ID, the KAddr output of each variable
+	// refs caches, by sema.Object.ID, the KAddr value of each variable
 	// and function the function being built refers to; buildFunc clears
 	// it.
-	refs []*Output
+	refs []value
 
 	// vals collects Graph.VarValues by sema.Object.ID, and valObjs the
 	// objects with values, until Build fills the map.
 	vals    [][]*Output
 	valObjs []*sema.Object
 
-	// envs is the chunked store of flow-state environments.
-	envs slab.Slab[*Output]
+	// envs is the chunked store of flow-state environments, and
+	// valLists that of the VarValues lists.
+	envs     slab.Slab[value]
+	valLists slab.Slab[*Output]
 
-	// panicked records that a per-procedure panic was recovered; the
-	// graph may then contain a half-built function.
-	panicked bool
+	// t is the value table of the function being built.
+	t table
 }
 
 func (b *builder) errorf(pos token.Pos, format string, args ...any) {
@@ -221,15 +214,15 @@ func (b *builder) heapBaseFor(callName string, pos token.Pos) *paths.Base {
 
 // flowState is the builder's abstract machine state at a program point:
 // the current SSA value of each dataflow variable, indexed by its
-// sema.Object.Slot (nil: no value yet), and the current store.
+// sema.Object.Slot (0: no value yet), and the current store.
 type flowState struct {
-	env       []*Output
-	store     *Output
+	env       []value
+	store     value
 	reachable bool
 }
 
 // clone copies s; the copy's environment is carved from envs.
-func (s *flowState) clone(envs *slab.Slab[*Output]) flowState {
+func (s *flowState) clone(envs *slab.Slab[value]) flowState {
 	env := envs.Carve(len(s.env))[:len(s.env)]
 	copy(env, s.env)
 	return flowState{env: env, store: s.store, reachable: s.reachable}
@@ -243,8 +236,8 @@ type loopCtx struct {
 }
 
 type retSnap struct {
-	value *Output // nil for void returns
-	store *Output
+	value value // 0 for void returns
+	store value
 }
 
 // fnBuilder builds one function body.
@@ -267,14 +260,20 @@ type fnBuilder struct {
 	vars  []*sema.Object
 	order []int
 
-	// nullRef and uninitRef cache the KAddr outputs of the diagnostics
+	// nullRef and uninitRef cache the KAddr values of the diagnostics
 	// marker locations (<null>, <uninit>).
-	nullRef, uninitRef *Output
+	nullRef, uninitRef value
+
+	// storeParam is the store formal and ret the return sink (0 when no
+	// return path is reachable).
+	storeParam value
+	ret        int32
 }
 
 func (b *builder) buildFunc(fn *sema.Function) {
 	fg := b.g.FuncOf[fn]
 	fb := &fnBuilder{b: b, g: b.g, fg: fg}
+	b.t.reset()
 	clear(b.refs)
 	fb.vars = make([]*sema.Object, fn.Slots)
 	for _, o := range fn.Params {
@@ -302,20 +301,16 @@ func (b *builder) buildFunc(fn *sema.Function) {
 	fb.cur = fb.emptyState(true)
 
 	// Store formal.
-	sp := b.g.NewNode(fg, KStoreParam, fn.Object.Pos)
-	fg.StoreParam = b.g.AddOutput(sp, nil, true)
-	fb.cur.store = fg.StoreParam
+	sp := fb.node(op{kind: KStoreParam, pos: fn.Object.Pos}, 0)
+	fb.storeParam = fb.output(sp, nil, true)
+	fb.cur.store = fb.storeParam
 
 	// Value formals. Store-resident parameters are copied into their
 	// storage at entry (C's by-value parameter semantics).
 	for _, p := range fn.Params {
-		pn := b.g.NewNode(fg, KParam, p.Pos)
-		pn.Obj = p
-		out := b.g.AddOutput(pn, p.Type, false)
-		if fg.ParamOuts == nil {
-			fg.ParamOuts = make([]*Output, 0, len(fn.Params))
-		}
-		fg.ParamOuts = append(fg.ParamOuts, out)
+		pn := fb.node(op{kind: KParam, pos: p.Pos, obj: p}, 0)
+		out := fb.output(pn, p.Type, false)
+		b.t.params = append(b.t.params, out)
 		if b.storeResident(p) {
 			addr := fb.addrOfObj(p, p.Pos)
 			fb.update(addr, out, p.Pos)
@@ -342,6 +337,7 @@ func (b *builder) buildFunc(fn *sema.Function) {
 		fb.rets = append(fb.rets, retSnap{store: fb.cur.store})
 	}
 	fb.finishReturns()
+	fb.emit()
 }
 
 // finishReturns merges all return snapshots into the KReturn sink.
@@ -350,46 +346,49 @@ func (fb *fnBuilder) finishReturns() {
 		return // no reachable return: callers never resume
 	}
 	pos := fb.fg.Fn.Object.Pos
-	var store *Output
+	var store value
 	if len(fb.rets) == 1 {
 		store = fb.rets[0].store
 	} else {
-		gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-		store = fb.g.AddOutput(gamma, nil, true)
+		gamma := fb.node(op{kind: KGamma, pos: pos}, len(fb.rets))
+		store = fb.output(gamma, nil, true)
 		for _, r := range fb.rets {
-			fb.g.Connect(gamma, r.store)
+			fb.connect(gamma, r.store)
 		}
 	}
-	ret := fb.g.NewNode(fb.fg, KReturn, pos)
-	fb.g.Connect(ret, store)
-
 	resultType := fb.fg.Fn.Type.Result()
+	arity := 1
 	if resultType.Kind != ctypes.Void {
-		var vals []*Output
+		arity = 2
+	}
+	ret := fb.node(op{kind: KReturn, pos: pos}, arity)
+	fb.connect(ret, store)
+
+	if resultType.Kind != ctypes.Void {
+		var vals []value
 		for _, r := range fb.rets {
-			if r.value != nil {
+			if r.value != 0 {
 				vals = append(vals, r.value)
 			}
 		}
-		var value *Output
+		var v value
 		switch len(vals) {
 		case 0:
 			// Non-void function with only valueless returns (checker
 			// reports it); produce an opaque value.
-			n := fb.g.NewNode(fb.fg, KUnknown, pos)
-			value = fb.g.AddOutput(n, resultType, false)
+			v = fb.unknown(resultType, pos)
 		case 1:
-			value = vals[0]
+			v = vals[0]
 		default:
-			gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-			value = fb.g.AddOutput(gamma, resultType, false)
-			for _, v := range vals {
-				fb.g.Connect(gamma, v)
+			gamma := fb.node(op{kind: KGamma, pos: pos}, len(vals))
+			v = fb.output(gamma, resultType, false)
+			for _, x := range vals {
+				fb.connect(gamma, x)
 			}
 		}
-		fb.g.Connect(ret, value)
+		fb.connect(ret, v)
 	}
-	fb.fg.Return = ret
+	fb.ret = ret
 }
 
 // emitGlobalInits writes initialized globals into the store at program
@@ -403,8 +402,7 @@ func (fb *fnBuilder) emitGlobalInits() {
 		}
 		addr := fb.addrOfObj(obj, obj.Pos)
 		if d.Init != nil {
-			v := fb.expr(d.Init)
-			if v != nil {
+			if v := fb.expr(d.Init); v != 0 {
 				fb.update(addr, v, d.Init.Pos())
 			}
 			continue
@@ -416,7 +414,7 @@ func (fb *fnBuilder) emitGlobalInits() {
 
 // initAggregate assigns a flattened brace-initializer into storage
 // addressed by addr of the given type, consuming elements from elems.
-func (fb *fnBuilder) initAggregate(addr *Output, typ *ctypes.Type, elems []ast.Expr, idx *int, pos token.Pos) {
+func (fb *fnBuilder) initAggregate(addr value, typ *ctypes.Type, elems []ast.Expr, idx *int, pos token.Pos) {
 	switch typ.Kind {
 	case ctypes.Array:
 		// All elements write through the collapsed [*] operator.
@@ -449,7 +447,7 @@ func (fb *fnBuilder) initAggregate(addr *Output, typ *ctypes.Type, elems []ast.E
 			e := elems[*idx]
 			v := fb.expr(e)
 			*idx++
-			if v != nil {
+			if v != 0 {
 				fb.update(addr, fb.maybeNull(v, e, typ, pos), pos)
 			}
 		}
@@ -467,7 +465,8 @@ func (fb *fnBuilder) emptyState(reachable bool) flowState {
 // merge combines alternative flow states at a join point, creating
 // gamma nodes where values differ.
 func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
-	var live []flowState
+	var buf [4]flowState // most joins have two or three arms
+	live := buf[:0]
 	for _, s := range states {
 		if s.reachable {
 			live = append(live, s)
@@ -493,24 +492,24 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 	if same {
 		out.store = live[0].store
 	} else {
-		gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-		out.store = fb.g.AddOutput(gamma, nil, true)
+		gamma := fb.node(op{kind: KGamma, pos: pos}, len(live))
+		out.store = fb.output(gamma, nil, true)
 		for _, s := range live {
-			fb.g.Connect(gamma, s.store)
+			fb.connect(gamma, s.store)
 		}
 	}
 
 	// Environment: keep variables present in every live state.
 	for _, slot := range fb.order {
 		v0 := live[0].env[slot]
-		if v0 == nil {
+		if v0 == 0 {
 			continue
 		}
 		inAll := true
 		allSame := true
 		for _, s := range live[1:] {
 			v := s.env[slot]
-			if v == nil {
+			if v == 0 {
 				inAll = false
 				break
 			}
@@ -525,10 +524,10 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 			out.env[slot] = v0
 			continue
 		}
-		gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-		gout := fb.g.AddOutput(gamma, fb.vars[slot].Type, false)
+		gamma := fb.node(op{kind: KGamma, pos: pos}, len(live))
+		gout := fb.output(gamma, fb.vars[slot].Type, false)
 		for _, s := range live {
-			fb.g.Connect(gamma, s.env[slot])
+			fb.connect(gamma, s.env[slot])
 		}
 		out.env[slot] = gout
 	}
@@ -539,25 +538,25 @@ func (fb *fnBuilder) merge(pos token.Pos, states ...flowState) flowState {
 // store and env variable, the latter by slot) whose back edges are
 // filled in by closeLoop.
 type loopHeader struct {
-	storeGamma *Node
-	envGammas  []*Node
+	storeGamma int32
+	envGammas  []int32 // by slot; 0 where the variable had no value
 }
 
 func (fb *fnBuilder) openLoop(pos token.Pos) *loopHeader {
-	h := &loopHeader{envGammas: make([]*Node, len(fb.vars))}
-	gamma := fb.g.NewNode(fb.fg, KGamma, pos)
-	out := fb.g.AddOutput(gamma, nil, true)
-	fb.g.Connect(gamma, fb.cur.store)
+	h := &loopHeader{envGammas: make([]int32, len(fb.vars))}
+	gamma := fb.node(op{kind: KGamma, pos: pos}, 2)
+	out := fb.output(gamma, nil, true)
+	fb.connect(gamma, fb.cur.store)
 	h.storeGamma = gamma
 	fb.cur.store = out
 	for _, slot := range fb.order {
 		v := fb.cur.env[slot]
-		if v == nil {
+		if v == 0 {
 			continue
 		}
-		gn := fb.g.NewNode(fb.fg, KGamma, pos)
-		gout := fb.g.AddOutput(gn, fb.vars[slot].Type, false)
-		fb.g.Connect(gn, v)
+		gn := fb.node(op{kind: KGamma, pos: pos}, 2)
+		gout := fb.output(gn, fb.vars[slot].Type, false)
+		fb.connect(gn, v)
 		h.envGammas[slot] = gn
 		fb.cur.env[slot] = gout
 	}
@@ -570,10 +569,10 @@ func (fb *fnBuilder) closeLoop(h *loopHeader, back flowState) {
 	if !back.reachable {
 		return // loop body never reaches the back edge
 	}
-	fb.g.Connect(h.storeGamma, back.store)
+	fb.connect(h.storeGamma, back.store)
 	for _, slot := range fb.order {
-		if gn, v := h.envGammas[slot], back.env[slot]; gn != nil && v != nil {
-			fb.g.Connect(gn, v)
+		if gn, v := h.envGammas[slot], back.env[slot]; gn != 0 && v != 0 {
+			fb.connect(gn, v)
 		}
 	}
 }
@@ -604,7 +603,7 @@ func (fb *fnBuilder) stmt(s ast.Stmt) {
 	case *ast.Switch:
 		fb.switchStmt(s)
 	case *ast.Return:
-		var v *Output
+		var v value
 		if s.Value != nil {
 			v = fb.expr(s.Value)
 			v = fb.maybeNull(v, s.Value, fb.fg.Fn.Type.Result(), s.TokPos)
@@ -653,7 +652,7 @@ func (fb *fnBuilder) declStmt(s *ast.DeclStmt) {
 	if fb.b.storeResident(obj) {
 		addr := fb.addrOfObj(obj, d.TokPos)
 		if d.Init != nil {
-			if v := fb.expr(d.Init); v != nil {
+			if v := fb.expr(d.Init); v != 0 {
 				nv := fb.maybeNull(v, d.Init, obj.Type, d.TokPos)
 				fb.update(addr, nv, d.TokPos)
 				fb.recordVar(obj, nv)
@@ -667,7 +666,7 @@ func (fb *fnBuilder) declStmt(s *ast.DeclStmt) {
 		return
 	}
 	if d.Init != nil {
-		if v := fb.expr(d.Init); v != nil {
+		if v := fb.expr(d.Init); v != 0 {
 			nv := fb.maybeNull(v, d.Init, obj.Type, d.TokPos)
 			fb.cur.env[obj.Slot] = nv
 			fb.recordVar(obj, nv)

@@ -12,7 +12,7 @@ import (
 // functions on the store, per the paper); user calls become KCall nodes
 // whose callees the analysis discovers from the function input's
 // points-to pairs.
-func (fb *fnBuilder) call(e *ast.Call) *Output {
+func (fb *fnBuilder) call(e *ast.Call) value {
 	if id, ok := e.Fun.(*ast.Ident); ok {
 		if obj := fb.b.prog.ObjOf(id); obj != nil && obj.Kind == sema.BuiltinObj {
 			return fb.builtinCall(obj.Name, e)
@@ -20,31 +20,28 @@ func (fb *fnBuilder) call(e *ast.Call) *Output {
 	}
 
 	fv := fb.expr(e.Fun)
-	args := make([]*Output, 0, len(e.Args))
+	args := make([]value, 0, len(e.Args))
 	for _, a := range e.Args {
 		v := fb.expr(a)
-		if v == nil {
+		if v == 0 {
 			v = fb.unknown(ctypes.IntType, a.Pos())
 		}
 		args = append(args, v)
 	}
 
-	n := fb.g.NewNode(fb.fg, KCall, e.TokPos)
-	fb.g.Connect(n, fv)
-	fb.g.Connect(n, fb.cur.store)
+	n := fb.node(op{kind: KCall, pos: e.TokPos}, 2+len(args))
+	fb.connect(n, fv)
+	fb.connect(n, fb.cur.store)
 	for _, a := range args {
-		fb.g.Connect(n, a)
+		fb.connect(n, a)
 	}
-	fb.fg.Calls = append(fb.fg.Calls, n)
-
-	storeOut := fb.g.AddOutput(n, nil, true)
-	fb.cur.store = storeOut
+	fb.cur.store = fb.output(n, nil, true)
 
 	rt := fb.typeOf(e)
 	if rt.Kind == ctypes.Void {
-		return nil
+		return 0
 	}
-	return fb.g.AddOutput(n, rt, false)
+	return fb.output(n, rt, false)
 }
 
 // CallArgs returns the actual-value inputs of a KCall node.
@@ -67,17 +64,17 @@ func CallResultOut(n *Node) *Output {
 }
 
 // builtinCall models one library call.
-func (fb *fnBuilder) builtinCall(name string, e *ast.Call) *Output {
+func (fb *fnBuilder) builtinCall(name string, e *ast.Call) value {
 	// Evaluate the arguments left to right for their effects.
-	args := make([]*Output, 0, len(e.Args))
+	args := make([]value, 0, len(e.Args))
 	for _, a := range e.Args {
 		args = append(args, fb.expr(a))
 	}
 	pos := e.TokPos
 	rt := fb.typeOf(e)
 
-	arg := func(i int) *Output {
-		if i < len(args) && args[i] != nil {
+	arg := func(i int) value {
+		if i < len(args) && args[i] != 0 {
 			return args[i]
 		}
 		return fb.unknown(ctypes.IntType, pos)
@@ -85,9 +82,9 @@ func (fb *fnBuilder) builtinCall(name string, e *ast.Call) *Output {
 
 	switch name {
 	case "malloc", "calloc", "fopen":
-		return fb.alloc(name, nil, rt, pos)
+		return fb.alloc(name, 0, rt, pos)
 	case "strdup":
-		return fb.alloc(name, nil, rt, pos)
+		return fb.alloc(name, 0, rt, pos)
 	case "realloc":
 		// The result is either the original block or a fresh one.
 		return fb.alloc(name, arg(0), rt, pos)
@@ -96,9 +93,7 @@ func (fb *fnBuilder) builtinCall(name string, e *ast.Call) *Output {
 		// Identity on the store (they move only character/scalar data in
 		// the subset); the result aliases the destination argument. The
 		// node is effectful: it stays even when the result is unused.
-		out := fb.primop(name, true, rt, pos, arg(0))
-		out.Node.Effectful = true
-		return out
+		return fb.effectful(fb.primop(name, true, rt, pos, arg(0)))
 
 	case "free", "fclose":
 		// Identity on the store; under diagnostics the deallocation
@@ -106,44 +101,43 @@ func (fb *fnBuilder) builtinCall(name string, e *ast.Call) *Output {
 		if fb.b.opts.Diagnostics {
 			fb.freeEvent(arg(0), pos)
 		}
-		return nil
+		return 0
 
 	case "exit", "abort", "srand":
-		return nil // void results, identity on the store
+		return 0 // void results, identity on the store
 
 	default:
 		// Everything else returns an opaque scalar (printf, strcmp,
 		// strlen, math, ctype, ...). The call itself is effectful.
 		if rt.Kind == ctypes.Void {
-			return nil
+			return 0
 		}
-		out := fb.unknown(rt, pos)
-		out.Node.Effectful = true
-		return out
+		return fb.effectful(fb.unknown(rt, pos))
 	}
 }
 
-// alloc creates a heap allocation node. passThrough, when non-nil, is a
+// alloc creates a heap allocation node. passThrough, when not 0, is a
 // pointer whose pairs also flow to the result (realloc). Under
 // diagnostics the node is kept even when its result is discarded, so
 // the leak checker can see allocations whose pointer is dropped.
-func (fb *fnBuilder) alloc(callName string, passThrough *Output, rt *ctypes.Type, pos token.Pos) *Output {
+func (fb *fnBuilder) alloc(callName string, passThrough value, rt *ctypes.Type, pos token.Pos) value {
 	base := fb.b.heapBaseFor(callName, pos)
-	n := fb.g.NewNode(fb.fg, KAlloc, pos)
-	n.Path = fb.g.Universe.Root(base)
-	n.Effectful = fb.b.opts.Diagnostics
-	if passThrough != nil {
-		fb.g.Connect(n, passThrough)
+	arity := 0
+	if passThrough != 0 {
+		arity = 1
 	}
-	return fb.g.AddOutput(n, rt, false)
+	n := fb.node(op{kind: KAlloc, pos: pos, path: fb.g.Universe.Root(base), effectful: fb.b.opts.Diagnostics}, arity)
+	if passThrough != 0 {
+		fb.connect(n, passThrough)
+	}
+	return fb.output(n, rt, false)
 }
 
 // freeEvent threads a KFree node through the store: input 0 the freed
 // pointer, input 1 the store, output 0 the post-free store.
-func (fb *fnBuilder) freeEvent(ptr *Output, pos token.Pos) {
-	n := fb.g.NewNode(fb.fg, KFree, pos)
-	n.Effectful = true
-	fb.g.Connect(n, ptr)
-	fb.g.Connect(n, fb.cur.store)
-	fb.cur.store = fb.g.AddOutput(n, nil, true)
+func (fb *fnBuilder) freeEvent(ptr value, pos token.Pos) {
+	n := fb.node(op{kind: KFree, pos: pos, effectful: true}, 2)
+	fb.connect(n, ptr)
+	fb.connect(n, fb.cur.store)
+	fb.cur.store = fb.output(n, nil, true)
 }

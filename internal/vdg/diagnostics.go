@@ -15,15 +15,13 @@ import (
 
 // markerRef returns the (cached) address constant of a marker root
 // (Universe.NullRoot or UninitRoot).
-func (fb *fnBuilder) markerRef(root *paths.Path, typ *ctypes.Type, pos token.Pos) *Output {
+func (fb *fnBuilder) markerRef(root *paths.Path, typ *ctypes.Type, pos token.Pos) value {
 	ref := &fb.uninitRef
 	if root.Base().Kind == paths.NullBase {
 		ref = &fb.nullRef
 	}
-	if *ref == nil {
-		n := fb.g.NewNode(fb.fg, KAddr, pos)
-		n.Path = root
-		*ref = fb.g.AddOutput(n, typ, false)
+	if *ref == 0 {
+		*ref = fb.output(fb.node(op{kind: KAddr, pos: pos, path: root}, 0), typ, false)
 	}
 	return *ref
 }
@@ -44,8 +42,8 @@ func isNullConst(e ast.Expr) bool {
 // are on, the destination type is a pointer, and the source expression
 // is a null pointer constant. Used at the implicit int→pointer
 // conversion points (assignment, initialization, return).
-func (fb *fnBuilder) maybeNull(v *Output, e ast.Expr, want *ctypes.Type, pos token.Pos) *Output {
-	if !fb.b.opts.Diagnostics || v == nil || want == nil || want.Kind != ctypes.Pointer {
+func (fb *fnBuilder) maybeNull(v value, e ast.Expr, want *ctypes.Type, pos token.Pos) value {
+	if !fb.b.opts.Diagnostics || v == 0 || want == nil || want.Kind != ctypes.Pointer {
 		return v
 	}
 	if !isNullConst(e) {
@@ -60,7 +58,7 @@ func (fb *fnBuilder) maybeNull(v *Output, e ast.Expr, want *ctypes.Type, pos tok
 // their paths are never strongly updatable, so a marker there could
 // not be killed by a later initialization and would only manufacture
 // false positives.
-func (fb *fnBuilder) seedMarkers(addr *Output, typ *ctypes.Type, root *paths.Path, pos token.Pos, depth int) {
+func (fb *fnBuilder) seedMarkers(addr value, typ *ctypes.Type, root *paths.Path, pos token.Pos, depth int) {
 	if depth > 8 {
 		return
 	}
@@ -101,7 +99,7 @@ func (fb *fnBuilder) seedGlobalZeroInits() {
 // store-resident local as <uninit>. A later definite assignment
 // strongly updates the marker away; along paths that skip the
 // assignment it survives and flags the read.
-func (fb *fnBuilder) seedLocalUninit(obj *sema.Object, addr *Output, pos token.Pos) {
+func (fb *fnBuilder) seedLocalUninit(obj *sema.Object, addr value, pos token.Pos) {
 	if !fb.b.opts.Diagnostics || !obj.Type.CanHoldPointer() {
 		return
 	}
@@ -111,12 +109,11 @@ func (fb *fnBuilder) seedLocalUninit(obj *sema.Object, addr *Output, pos token.P
 // uninitValue returns the value of an uninitialized dataflow (non
 // store-resident) variable: the <uninit> marker for pointers under
 // diagnostics, an opaque unknown otherwise.
-func (fb *fnBuilder) uninitValue(obj *sema.Object, pos token.Pos) *Output {
+func (fb *fnBuilder) uninitValue(obj *sema.Object, pos token.Pos) value {
 	if fb.b.opts.Diagnostics && obj.Type.Kind == ctypes.Pointer {
 		return fb.markerRef(fb.g.Universe.UninitRoot(), obj.Type, pos)
 	}
-	n := fb.g.NewNode(fb.fg, KUnknown, pos)
-	return fb.g.AddOutput(n, obj.Type, false)
+	return fb.unknown(obj.Type, pos)
 }
 
 // nullTest recognizes the common null-guard condition shapes over a
@@ -193,12 +190,8 @@ func (fb *fnBuilder) refineGuard(cond ast.Expr, condValue bool, pos token.Pos) {
 		return // only dataflow variables have a value in the env
 	}
 	v := fb.cur.env[obj.Slot]
-	if v == nil {
+	if v == 0 {
 		return
 	}
-	n := fb.g.NewNode(fb.fg, KPrimop, pos)
-	n.Op = OpChecked
-	n.Transparent = true
-	fb.g.Connect(n, v)
-	fb.cur.env[obj.Slot] = fb.g.AddOutput(n, obj.Type, false)
+	fb.cur.env[obj.Slot] = fb.primop(OpChecked, true, obj.Type, pos, v)
 }

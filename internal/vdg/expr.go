@@ -13,96 +13,95 @@ import (
 
 // addrOfObj returns the (cached) address constant of a store-resident
 // object.
-func (fb *fnBuilder) addrOfObj(obj *sema.Object, pos token.Pos) *Output {
-	if o := fb.b.refs[obj.ID]; o != nil {
-		return o
+func (fb *fnBuilder) addrOfObj(obj *sema.Object, pos token.Pos) value {
+	if v := fb.b.refs[obj.ID]; v != 0 {
+		return v
 	}
 	base := fb.b.baseOf(obj)
-	n := fb.g.NewNode(fb.fg, KAddr, pos)
-	n.Obj = obj
-	n.Path = fb.g.Universe.Root(base)
-	out := fb.g.AddOutput(n, fb.b.ptrs.To(obj.Type), false)
-	fb.b.refs[obj.ID] = out
-	return out
+	n := fb.node(op{kind: KAddr, pos: pos, obj: obj, path: fb.g.Universe.Root(base)}, 0)
+	v := fb.output(n, fb.b.ptrs.To(obj.Type), false)
+	fb.b.refs[obj.ID] = v
+	return v
 }
 
 // funcRef returns the (cached) address constant of a function.
-func (fb *fnBuilder) funcRef(fn *sema.Function, pos token.Pos) *Output {
-	if o := fb.b.refs[fn.Object.ID]; o != nil {
-		return o
+func (fb *fnBuilder) funcRef(fn *sema.Function, pos token.Pos) value {
+	if v := fb.b.refs[fn.Object.ID]; v != 0 {
+		return v
 	}
 	base := fb.b.funcBases[fn]
-	n := fb.g.NewNode(fb.fg, KAddr, pos)
-	n.Path = fb.g.Universe.Root(base)
-	out := fb.g.AddOutput(n, fb.b.ptrs.To(fn.Type), false)
-	fb.b.refs[fn.Object.ID] = out
-	return out
+	n := fb.node(op{kind: KAddr, pos: pos, path: fb.g.Universe.Root(base)}, 0)
+	v := fb.output(n, fb.b.ptrs.To(fn.Type), false)
+	fb.b.refs[fn.Object.ID] = v
+	return v
 }
 
 // lookup reads through loc in the current store.
-func (fb *fnBuilder) lookup(loc *Output, typ *ctypes.Type, pos token.Pos) *Output {
-	n := fb.g.NewNode(fb.fg, KLookup, pos)
-	fb.g.Connect(n, loc)
-	fb.g.Connect(n, fb.cur.store)
-	return fb.g.AddOutput(n, typ, false)
+func (fb *fnBuilder) lookup(loc value, typ *ctypes.Type, pos token.Pos) value {
+	n := fb.node(op{kind: KLookup, pos: pos}, 2)
+	fb.connect(n, loc)
+	fb.connect(n, fb.cur.store)
+	return fb.output(n, typ, false)
 }
 
-// update writes value through loc, threading the store.
-func (fb *fnBuilder) update(loc, value *Output, pos token.Pos) {
-	n := fb.g.NewNode(fb.fg, KUpdate, pos)
-	fb.g.Connect(n, loc)
-	fb.g.Connect(n, fb.cur.store)
-	fb.g.Connect(n, value)
-	fb.cur.store = fb.g.AddOutput(n, nil, true)
+// update writes v through loc, threading the store.
+func (fb *fnBuilder) update(loc, v value, pos token.Pos) {
+	n := fb.node(op{kind: KUpdate, pos: pos}, 3)
+	fb.connect(n, loc)
+	fb.connect(n, fb.cur.store)
+	fb.connect(n, v)
+	fb.cur.store = fb.output(n, nil, true)
 }
 
 // fieldAddr computes the address of a member from the aggregate's
 // address. Union members use the overlapping union operator.
-func (fb *fnBuilder) fieldAddr(addr *Output, structType *ctypes.Type, name string, pos token.Pos) *Output {
-	n := fb.g.NewNode(fb.fg, KFieldAddr, pos)
-	n.Field = name
-	n.Transparent = structType.Union // reused flag: marks union member access
-	fb.g.Connect(n, addr)
+func (fb *fnBuilder) fieldAddr(addr value, structType *ctypes.Type, name string, pos token.Pos) value {
+	// Transparent is a reused flag here: it marks union member access.
+	n := fb.node(op{kind: KFieldAddr, pos: pos, text: name, transparent: structType.Union}, 1)
+	fb.connect(n, addr)
 	ft := ctypes.IntType
 	if f, ok := structType.Field(name); ok {
 		ft = f.Type
 	}
-	return fb.g.AddOutput(n, fb.b.ptrs.To(ft), false)
+	return fb.output(n, fb.b.ptrs.To(ft), false)
 }
 
 // indexAddr computes the address of an element from the array/pointer
 // value. elem is the precise (undecayed) element type.
-func (fb *fnBuilder) indexAddr(base *Output, elem *ctypes.Type, pos token.Pos) *Output {
-	n := fb.g.NewNode(fb.fg, KIndexAddr, pos)
-	fb.g.Connect(n, base)
-	return fb.g.AddOutput(n, fb.b.ptrs.To(elem), false)
+func (fb *fnBuilder) indexAddr(base value, elem *ctypes.Type, pos token.Pos) value {
+	n := fb.node(op{kind: KIndexAddr, pos: pos}, 1)
+	fb.connect(n, base)
+	return fb.output(n, fb.b.ptrs.To(elem), false)
 }
 
 // konst creates an opaque constant value.
-func (fb *fnBuilder) konst(typ *ctypes.Type, pos token.Pos) *Output {
-	n := fb.g.NewNode(fb.fg, KConst, pos)
-	return fb.g.AddOutput(n, typ, false)
+func (fb *fnBuilder) konst(typ *ctypes.Type, pos token.Pos) value {
+	return fb.output(fb.node(op{kind: KConst, pos: pos}, 0), typ, false)
 }
 
 // unknown creates an opaque non-constant value (library results,
 // undefined variables).
-func (fb *fnBuilder) unknown(typ *ctypes.Type, pos token.Pos) *Output {
-	n := fb.g.NewNode(fb.fg, KUnknown, pos)
-	return fb.g.AddOutput(n, typ, false)
+func (fb *fnBuilder) unknown(typ *ctypes.Type, pos token.Pos) value {
+	return fb.output(fb.node(op{kind: KUnknown, pos: pos}, 0), typ, false)
 }
 
-// primop creates a primitive operation node. transparent ops propagate
+// primop creates a primitive operation. transparent ops propagate
 // points-to pairs from pointer-valued inputs (pointer arithmetic).
-func (fb *fnBuilder) primop(op string, transparent bool, typ *ctypes.Type, pos token.Pos, args ...*Output) *Output {
-	n := fb.g.NewNode(fb.fg, KPrimop, pos)
-	n.Op = op
-	n.Transparent = transparent
+// Absent (0) arguments are skipped.
+func (fb *fnBuilder) primop(operator string, transparent bool, typ *ctypes.Type, pos token.Pos, args ...value) value {
+	arity := 0
 	for _, a := range args {
-		if a != nil {
-			fb.g.Connect(n, a)
+		if a != 0 {
+			arity++
 		}
 	}
-	return fb.g.AddOutput(n, typ, false)
+	n := fb.node(op{kind: KPrimop, pos: pos, text: operator, transparent: transparent}, arity)
+	for _, a := range args {
+		if a != 0 {
+			fb.connect(n, a)
+		}
+	}
+	return fb.output(n, typ, false)
 }
 
 // typeOf returns the checked type of an expression (decayed).
@@ -133,7 +132,7 @@ func isLvalue(e ast.Expr) bool {
 }
 
 // addr builds the address of lvalue e as a pointer-valued output.
-func (fb *fnBuilder) addr(e ast.Expr) *Output {
+func (fb *fnBuilder) addr(e ast.Expr) value {
 	out, _ := fb.addrT(e)
 	return out
 }
@@ -141,7 +140,7 @@ func (fb *fnBuilder) addr(e ast.Expr) *Output {
 // addrT builds the address of lvalue e and also returns the precise
 // (undecayed) type of the addressed storage, which drives array decay
 // decisions that the checker's decayed expression types cannot.
-func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
+func (fb *fnBuilder) addrT(e ast.Expr) (value, *ctypes.Type) {
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := fb.b.prog.ObjOf(e)
@@ -174,7 +173,7 @@ func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 		return fb.indexAddr(base, elem, e.TokPos), elem
 	case *ast.Member:
 		var structType *ctypes.Type
-		var baseAddr *Output
+		var baseAddr value
 		if e.Arrow {
 			baseAddr = fb.expr(e.X)
 			pt := fb.typeOf(e.X)
@@ -201,8 +200,8 @@ func (fb *fnBuilder) addrT(e ast.Expr) (*Output, *ctypes.Type) {
 // ---------------------------------------------------------------------------
 // Rvalues
 
-// expr builds the rvalue of e; nil for void expressions.
-func (fb *fnBuilder) expr(e ast.Expr) *Output {
+// expr builds the rvalue of e; 0 for void expressions.
+func (fb *fnBuilder) expr(e ast.Expr) value {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return fb.konst(ctypes.IntType, e.TokPos)
@@ -240,32 +239,26 @@ func (fb *fnBuilder) expr(e ast.Expr) *Output {
 	return fb.unknown(ctypes.IntType, e.Pos())
 }
 
-func (fb *fnBuilder) stringRef(e *ast.StringLit) *Output {
+func (fb *fnBuilder) stringRef(e *ast.StringLit) value {
 	base, ok := fb.b.strBases[e]
 	if !ok {
 		base = fb.g.Universe.NewBase(paths.StrBase, "str@"+e.TokPos.In(fb.b.prog.Name), false, false)
 		fb.b.strBases[e] = base
 	}
-	n := fb.g.NewNode(fb.fg, KAddr, e.TokPos)
-	n.Path = fb.g.Universe.Root(base)
-	return fb.g.AddOutput(n, fb.b.ptrs.To(ctypes.CharType), false)
+	n := fb.node(op{kind: KAddr, pos: e.TokPos, path: fb.g.Universe.Root(base)}, 0)
+	return fb.output(n, fb.b.ptrs.To(ctypes.CharType), false)
 }
 
 // recordVar registers v as a value occurrence of obj for the demand
 // query layer (Graph.VarValues).
-func (fb *fnBuilder) recordVar(obj *sema.Object, v *Output) {
-	if obj == nil || v == nil {
+func (fb *fnBuilder) recordVar(obj *sema.Object, v value) {
+	if obj == nil || v == 0 {
 		return
 	}
-	b := fb.b
-	if b.vals[obj.ID] == nil {
-		b.valObjs = append(b.valObjs, obj)
-	}
-	// Most variables have a handful of occurrences.
-	b.vals[obj.ID] = append(fb.g.outEdges.Grow(b.vals[obj.ID], 4), v)
+	fb.b.t.recorded = append(fb.b.t.recorded, recording{obj, v})
 }
 
-func (fb *fnBuilder) identValue(e *ast.Ident) *Output {
+func (fb *fnBuilder) identValue(e *ast.Ident) value {
 	if _, isConst := fb.b.prog.ConstOf(e); isConst {
 		return fb.konst(ctypes.IntType, e.TokPos)
 	}
@@ -288,7 +281,7 @@ func (fb *fnBuilder) identValue(e *ast.Ident) *Output {
 		return fb.unknown(fb.typeOf(e), e.TokPos)
 	}
 	if !fb.b.storeResident(obj) {
-		if v := fb.cur.env[obj.Slot]; v != nil {
+		if v := fb.cur.env[obj.Slot]; v != 0 {
 			fb.recordVar(obj, v)
 			return v
 		}
@@ -310,17 +303,15 @@ func (fb *fnBuilder) identValue(e *ast.Ident) *Output {
 
 // loadLvalue reads an Index or Member lvalue, handling array decay and
 // member projection from non-addressable aggregates.
-func (fb *fnBuilder) loadLvalue(e ast.Expr) *Output {
+func (fb *fnBuilder) loadLvalue(e ast.Expr) value {
 	// Member access on a non-lvalue aggregate (function result):
 	// project out of the aggregate value directly.
 	if m, ok := e.(*ast.Member); ok && !m.Arrow && !isLvalue(m.X) {
 		v := fb.expr(m.X)
-		n := fb.g.NewNode(fb.fg, KExtract, m.TokPos)
-		n.Field = m.Name
 		st := fb.typeOf(m.X)
-		n.Transparent = st.Kind == ctypes.Struct && st.Union
-		fb.g.Connect(n, v)
-		return fb.g.AddOutput(n, fb.typeOf(e), false)
+		n := fb.node(op{kind: KExtract, pos: m.TokPos, text: m.Name, transparent: st.Kind == ctypes.Struct && st.Union}, 1)
+		fb.connect(n, v)
+		return fb.output(n, fb.typeOf(e), false)
 	}
 	a, pt := fb.addrT(e)
 	if pt.Kind == ctypes.Array {
@@ -331,7 +322,7 @@ func (fb *fnBuilder) loadLvalue(e ast.Expr) *Output {
 	return fb.lookup(a, pt, e.Pos())
 }
 
-func (fb *fnBuilder) unary(e *ast.Unary) *Output {
+func (fb *fnBuilder) unary(e *ast.Unary) value {
 	switch e.Op {
 	case token.AND:
 		// &function is a funcRef; &lvalue is its address.
@@ -365,7 +356,7 @@ func (fb *fnBuilder) unary(e *ast.Unary) *Output {
 // incDec implements ++/-- (prefix and postfix). The points-to pairs of
 // old and new values coincide (array-interior pointer arithmetic), so
 // the returned output differs only in which scalar value it denotes.
-func (fb *fnBuilder) incDec(lv ast.Expr, op token.Kind, prefix bool, pos token.Pos) *Output {
+func (fb *fnBuilder) incDec(lv ast.Expr, op token.Kind, prefix bool, pos token.Pos) value {
 	t := fb.typeOf(lv)
 	transparent := t.Kind == ctypes.Pointer
 	if id, ok := lv.(*ast.Ident); ok {
@@ -389,7 +380,7 @@ func (fb *fnBuilder) incDec(lv ast.Expr, op token.Kind, prefix bool, pos token.P
 	return old
 }
 
-func (fb *fnBuilder) binary(e *ast.Binary) *Output {
+func (fb *fnBuilder) binary(e *ast.Binary) value {
 	switch e.Op {
 	case token.LAND, token.LOR:
 		// The right operand evaluates conditionally; merge its effects
@@ -416,7 +407,7 @@ func (fb *fnBuilder) binary(e *ast.Binary) *Output {
 	return fb.primop(e.Op.String(), false, t, e.TokPos, x, y)
 }
 
-func (fb *fnBuilder) assign(e *ast.Assign) *Output {
+func (fb *fnBuilder) assign(e *ast.Assign) value {
 	if e.Op == token.ASSIGN {
 		v := fb.expr(e.RHS)
 		v = fb.maybeNull(v, e.RHS, fb.typeOf(e.LHS), e.TokPos)
@@ -445,8 +436,8 @@ func (fb *fnBuilder) assign(e *ast.Assign) *Output {
 }
 
 // store assigns v to the lvalue lhs.
-func (fb *fnBuilder) store(lhs ast.Expr, v *Output, pos token.Pos) {
-	if v == nil {
+func (fb *fnBuilder) store(lhs ast.Expr, v value, pos token.Pos) {
+	if v == 0 {
 		v = fb.unknown(fb.typeOf(lhs), pos)
 	}
 	if id, ok := lhs.(*ast.Ident); ok {
@@ -466,7 +457,7 @@ func (fb *fnBuilder) store(lhs ast.Expr, v *Output, pos token.Pos) {
 	fb.update(a, v, pos)
 }
 
-func (fb *fnBuilder) cond(e *ast.Cond) *Output {
+func (fb *fnBuilder) cond(e *ast.Cond) value {
 	fb.expr(e.Cond)
 	pre := fb.cur.clone(&fb.b.envs)
 
@@ -481,27 +472,27 @@ func (fb *fnBuilder) cond(e *ast.Cond) *Output {
 
 	fb.cur = fb.merge(e.TokPos, thenState, elseState)
 	t := fb.typeOf(e)
-	if t.Kind == ctypes.Void || (tv == nil && ev == nil) {
-		return nil
+	if t.Kind == ctypes.Void || (tv == 0 && ev == 0) {
+		return 0
 	}
-	if tv == nil || ev == nil || tv == ev {
-		if tv != nil {
+	if tv == 0 || ev == 0 || tv == ev {
+		if tv != 0 {
 			return tv
 		}
 		return ev
 	}
-	gamma := fb.g.NewNode(fb.fg, KGamma, e.TokPos)
-	out := fb.g.AddOutput(gamma, t, false)
-	fb.g.Connect(gamma, tv)
-	fb.g.Connect(gamma, ev)
+	gamma := fb.node(op{kind: KGamma, pos: e.TokPos}, 2)
+	out := fb.output(gamma, t, false)
+	fb.connect(gamma, tv)
+	fb.connect(gamma, ev)
 	return out
 }
 
-func (fb *fnBuilder) cast(e *ast.Cast) *Output {
+func (fb *fnBuilder) cast(e *ast.Cast) value {
 	v := fb.expr(e.X)
 	t := fb.typeOf(e)
 	if t.Kind == ctypes.Void {
-		return nil
+		return 0
 	}
 	from := fb.typeOf(e.X)
 	if t.IsPointerish() && from.IsPointerish() {

@@ -17,7 +17,6 @@ import (
 	"aliaslab/internal/ctypes"
 	"aliaslab/internal/paths"
 	"aliaslab/internal/sema"
-	"aliaslab/internal/slab"
 	"aliaslab/internal/token"
 )
 
@@ -134,8 +133,9 @@ type Input struct {
 	Index int
 	Src   *Output
 
-	// ID is unique within the Graph, in creation order; Graph.Input
-	// maps it back, so solvers can queue arrivals without pointers.
+	// ID is unique within the Graph, in evaluation order (see Node.ID);
+	// Graph.Input maps it back, so solvers can queue arrivals without
+	// pointers.
 	ID int
 }
 
@@ -152,7 +152,7 @@ type Output struct {
 	// Consumers are the inputs this output feeds.
 	Consumers []*Input
 
-	// ID is unique within the Graph, in creation order.
+	// ID is unique within the Graph, in evaluation order (see Node.ID).
 	ID int
 }
 
@@ -163,6 +163,10 @@ func (o *Output) String() string {
 // Node is one VDG operation. Kind sits with the flags at the end, so a
 // node is 136 bytes.
 type Node struct {
+	// ID is unique within the Graph. The builder numbers every value
+	// it evaluates, in evaluation order, and builds a node only for the
+	// ones something reads, so the numbers of unread values are unused:
+	// IDs increase along FuncGraph.Nodes but have gaps.
 	ID  int
 	Fn  *FuncGraph
 	Pos token.Pos
@@ -256,10 +260,9 @@ type Graph struct {
 	// value somewhere in the program: every rvalue occurrence (the SSA
 	// environment value, or the lookup that loads a store-resident
 	// variable) and every value assigned to it. The demand query layer
-	// anchors MayAlias/PointsTo expressions here. SimplifyGammas remaps
-	// the entries it rewires and RemoveDeadNodes drops entries on
-	// deleted nodes, so the recorded outputs are always live in the
-	// final graph.
+	// anchors MayAlias/PointsTo expressions here. A value a trivial
+	// gamma forwarded is recorded as the gamma's source, and a value
+	// nothing reads is not recorded, so every entry is a built output.
 	VarValues map[*sema.Object][]*Output
 
 	// Entry is the graph of main.
@@ -267,87 +270,8 @@ type Graph struct {
 
 	nextNodeID   int
 	nextOutputID int
-	inputs       []*Input // by Input.ID
-
-	// Construction slabs (DESIGN.md §16): nodes, outputs and inputs
-	// come from per-graph chunks, and each Nodes, Inputs, Consumers,
-	// Outputs and VarValues slice is a carve from nodeLists, inEdges or
-	// outEdges, moving to a larger carve when it fills.
-	nodeSlab  slab.Slab[Node]
-	outSlab   slab.Slab[Output]
-	inSlab    slab.Slab[Input]
-	inEdges   slab.Slab[*Input]
-	outEdges  slab.Slab[*Output]
-	nodeLists slab.Slab[*Node]
-}
-
-// inputCap is the capacity carved for a node's Inputs at its first
-// Connect: the kind's arity, or the common case for the variadic kinds
-// (two-way gammas, calls with up to two arguments). A longer list
-// moves to a carve of twice the capacity on the append that overflows
-// it.
-func inputCap(k NodeKind) int {
-	switch k {
-	case KUpdate:
-		return 3
-	case KCall:
-		return 4
-	case KLookup, KGamma, KPrimop, KReturn, KFree:
-		return 2
-	}
-	return 1
-}
-
-// NewNode allocates a node in fg.
-func (g *Graph) NewNode(fg *FuncGraph, kind NodeKind, pos token.Pos) *Node {
-	n := g.nodeSlab.Alloc()
-	*n = Node{Kind: kind, ID: g.nextNodeID, Fn: fg, Pos: pos}
-	g.nextNodeID++
-	fg.Nodes = append(g.nodeLists.Grow(fg.Nodes, 16), n)
-	return n
-}
-
-// AddOutput appends an output to n. typ nil + isStore=true makes a store
-// output.
-func (g *Graph) AddOutput(n *Node, typ *ctypes.Type, isStore bool) *Output {
-	o := g.outSlab.Alloc()
-	*o = Output{Node: n, Index: len(n.Outputs), Type: typ, IsStore: isStore, ID: g.nextOutputID}
-	g.nextOutputID++
-	// A call has a store and a result output; every other kind one.
-	k := 1
-	if n.Kind == KCall {
-		k = 2
-	}
-	n.Outputs = append(g.outEdges.Grow(n.Outputs, k), o)
-	return o
-}
-
-// Connect appends an input to n fed by src.
-func (g *Graph) Connect(n *Node, src *Output) *Input {
-	in := g.inSlab.Alloc()
-	*in = Input{Node: n, Index: len(n.Inputs), Src: src, ID: len(g.inputs)}
-	g.inputs = append(g.inputs, in)
-	n.Inputs = append(g.inEdges.Grow(n.Inputs, inputCap(n.Kind)), in)
-	// Most outputs feed one input.
-	src.Consumers = append(g.inEdges.Grow(src.Consumers, 1), in)
-	return in
-}
-
-// Rewire makes in read from newSrc instead of its current source.
-func Rewire(in *Input, newSrc *Output) {
-	old := in.Src
-	if old == newSrc {
-		return
-	}
-	for i, c := range old.Consumers {
-		if c == in {
-			old.Consumers = append(old.Consumers[:i], old.Consumers[i+1:]...)
-			break
-		}
-	}
-	in.Src = newSrc
-	g := in.Node.Fn.Graph
-	newSrc.Consumers = append(g.inEdges.Grow(newSrc.Consumers, 1), in)
+	nextInputID  int
+	inputs       []*Input // by Input.ID; nil for unbuilt inputs
 }
 
 // NodeCount returns the number of nodes in the whole program.
@@ -370,8 +294,8 @@ func (g *Graph) Outputs(f func(*Output)) {
 	}
 }
 
-// NodeIDs returns one past the largest Node.ID ever assigned, dead
-// nodes included: the length of a table indexed by node ID.
+// NodeIDs returns one past the largest Node.ID ever assigned, unread
+// values included: the length of a table indexed by node ID.
 func (g *Graph) NodeIDs() int { return g.nextNodeID }
 
 // OutputIDs returns one past the largest Output.ID ever assigned, the
