@@ -605,7 +605,7 @@ func BenchmarkCheckers(b *testing.B) {
 // shape check that must not move when the build gets faster.
 func BenchmarkFrontEnd(b *testing.B) {
 	progs := corpus.All()
-	toks := make([][]token.Token, len(progs))
+	toks := make([]token.Stream, len(progs))
 	files := make([]*ast.File, len(progs))
 	checked := make([]*sema.Program, len(progs))
 	for i, p := range progs {

@@ -51,7 +51,7 @@ func LoadString(name, src string, opts vdg.Options) (*Unit, error) {
 // stage's output size attached. A nil parent records nothing and costs
 // one nil check per stage — the untraced hot path is unchanged.
 func LoadStringSpan(name, src string, opts vdg.Options, parent *obs.Span) (*Unit, error) {
-	var toks []token.Token
+	var toks token.Stream
 	var lexErrs []*lexer.Error
 	sp := parent.Child("lex")
 	if err := limits.Guard("lex "+name, func() error {
@@ -63,7 +63,7 @@ func LoadStringSpan(name, src string, opts vdg.Options, parent *obs.Span) (*Unit
 		return nil, err
 	}
 	if sp != nil {
-		sp.SetAttr(obs.Int("tokens", len(toks)))
+		sp.SetAttr(obs.Int("tokens", len(toks.Toks)))
 		sp.End()
 	}
 

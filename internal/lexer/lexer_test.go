@@ -15,7 +15,7 @@ func kindsOf(t *testing.T, src string) []token.Kind {
 		t.Fatalf("lex errors: %v", errs)
 	}
 	var out []token.Kind
-	for _, tk := range toks[:len(toks)-1] {
+	for _, tk := range toks.Toks[:len(toks.Toks)-1] {
 		out = append(out, tk.Kind)
 	}
 	return out
@@ -49,21 +49,22 @@ func TestOperators(t *testing.T) {
 
 func TestKeywordsAndIdents(t *testing.T) {
 	lx := New("t.c", "while whilex _x x9 struct")
-	toks := lx.All()
+	s := lx.All()
+	toks := s.Toks
 	if toks[0].Kind != token.WHILE {
-		t.Errorf("while not a keyword: %v", toks[0])
+		t.Errorf("while not a keyword: %s", s.Format(toks[0]))
 	}
-	if toks[1].Kind != token.IDENT || toks[1].Lit != "whilex" {
-		t.Errorf("whilex mislexed: %v", toks[1])
+	if toks[1].Kind != token.IDENT || s.Lit(toks[1]) != "whilex" {
+		t.Errorf("whilex mislexed: %s", s.Format(toks[1]))
 	}
-	if toks[2].Kind != token.IDENT || toks[2].Lit != "_x" {
-		t.Errorf("_x mislexed: %v", toks[2])
+	if toks[2].Kind != token.IDENT || s.Lit(toks[2]) != "_x" {
+		t.Errorf("_x mislexed: %s", s.Format(toks[2]))
 	}
-	if toks[3].Kind != token.IDENT || toks[3].Lit != "x9" {
-		t.Errorf("x9 mislexed: %v", toks[3])
+	if toks[3].Kind != token.IDENT || s.Lit(toks[3]) != "x9" {
+		t.Errorf("x9 mislexed: %s", s.Format(toks[3]))
 	}
-	if toks[4].Kind != token.STRUCT {
-		t.Errorf("struct not a keyword: %v", toks[4])
+	if toks[4].Kind != token.STRUCT || toks[4].Lit != 0 {
+		t.Errorf("struct not a keyword: %s", s.Format(toks[4]))
 	}
 }
 
@@ -91,8 +92,8 @@ func TestNumbers(t *testing.T) {
 			t.Errorf("%q: errors %v", c.src, lx.Errors())
 			continue
 		}
-		if tok.Kind != c.kind || tok.Lit != c.lit {
-			t.Errorf("%q lexed as %v(%q), want %v(%q)", c.src, tok.Kind, tok.Lit, c.kind, c.lit)
+		if tok.Kind != c.kind || lx.Lit(tok) != c.lit {
+			t.Errorf("%q lexed as %v(%q), want %v(%q)", c.src, tok.Kind, lx.Lit(tok), c.kind, c.lit)
 		}
 	}
 }
@@ -113,18 +114,18 @@ func TestDotVersusFloat(t *testing.T) {
 
 func TestStringsAndChars(t *testing.T) {
 	lx := New("t.c", `"hello\n\t\"x\"" 'a' '\n' '\\' '\x41'`)
-	toks := lx.All()
+	s := lx.All()
 	if errs := lx.Errors(); len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
-	if toks[0].Kind != token.STRING || toks[0].Lit != "hello\n\t\"x\"" {
-		t.Errorf("string: %q", toks[0].Lit)
+	if s.Toks[0].Kind != token.STRING || s.Lit(s.Toks[0]) != "hello\n\t\"x\"" {
+		t.Errorf("string: %q", s.Lit(s.Toks[0]))
 	}
 	wantChars := []byte{'a', '\n', '\\', 'A'}
 	for i, want := range wantChars {
-		tk := toks[1+i]
-		if tk.Kind != token.CHAR || tk.Lit[0] != want {
-			t.Errorf("char %d: got %v %q, want %q", i, tk.Kind, tk.Lit, want)
+		tk := s.Toks[1+i]
+		if tk.Kind != token.CHAR || s.Lit(tk)[0] != want {
+			t.Errorf("char %d: got %v %q, want %q", i, tk.Kind, s.Lit(tk), want)
 		}
 	}
 }
@@ -165,7 +166,7 @@ func TestErrorRecovery(t *testing.T) {
 	}
 	// The scanner must still deliver the valid tokens around the junk.
 	var idents int
-	for _, tk := range toks {
+	for _, tk := range toks.Toks {
 		if tk.Kind == token.IDENT {
 			idents++
 		}

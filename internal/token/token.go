@@ -13,7 +13,7 @@ import (
 )
 
 // Kind identifies the lexical class of a token.
-type Kind int
+type Kind uint8
 
 // Token kinds. The order within operator groups matters only for
 // readability; parsing precedence is encoded in the parser.
@@ -374,17 +374,30 @@ func (p Pos) In(file string) string {
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is a single lexical token with its source text and position.
+// Token is a single lexical token and its position. It holds no
+// pointers, so the garbage collector never scans a token array: the
+// text of a literal token (IDENT, INT, FLOAT, CHAR, STRING) is entry
+// Lit of its Stream's Lits.
 type Token struct {
 	Kind Kind
-	Lit  string // literal text for IDENT/INT/FLOAT/CHAR/STRING
+	Lit  int32 // index of the text in Stream.Lits; 0 for other tokens
 	Pos  Pos
 }
 
-// String renders the token for diagnostics.
-func (t Token) String() string {
+// Stream is a lexed unit: its tokens, ending with EOF, and the texts
+// of its literal tokens. Lits[0] is "", the text of every other token.
+type Stream struct {
+	Toks []Token
+	Lits []string
+}
+
+// Lit returns the text of t, a token of s.
+func (s *Stream) Lit(t Token) string { return s.Lits[t.Lit] }
+
+// Format renders t, a token of s, for diagnostics.
+func (s *Stream) Format(t Token) string {
 	if t.Kind.IsLiteral() {
-		return fmt.Sprintf("%s(%q)", kindNames[t.Kind], t.Lit)
+		return fmt.Sprintf("%s(%q)", kindNames[t.Kind], s.Lit(t))
 	}
 	return t.Kind.String()
 }

@@ -72,9 +72,10 @@ func TestStringForms(t *testing.T) {
 	if ARROW.String() != "->" || ELLIPSIS.String() != "..." || WHILE.String() != "while" {
 		t.Error("operator/keyword spellings wrong")
 	}
-	tok := Token{Kind: IDENT, Lit: "x", Pos: Pos{Line: 3, Col: 7}}
-	if tok.String() != `IDENT("x")` {
-		t.Errorf("token renders as %q", tok.String())
+	s := &Stream{Lits: []string{"", "x"}}
+	tok := Token{Kind: IDENT, Lit: 1, Pos: Pos{Line: 3, Col: 7}}
+	if s.Format(tok) != `IDENT("x")` || s.Format(Token{Kind: ARROW}) != "->" {
+		t.Errorf("tokens render as %q and %q", s.Format(tok), s.Format(Token{Kind: ARROW}))
 	}
 	if tok.Pos.In("f.c") != "f.c:3:7" {
 		t.Errorf("pos renders as %q", tok.Pos.In("f.c"))
@@ -89,12 +90,13 @@ func TestStringForms(t *testing.T) {
 
 // TestSizes pins the layout of positions and tokens: a Pos is a line
 // and a column, no file name, and a lexed file holds a Token per 3-5
-// source bytes.
+// source bytes: a byte of kind and an index into the literal texts
+// beside the position, and no pointer.
 func TestSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Pos{}); got != 16 {
 		t.Errorf("Pos is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(Token{}); got != 40 {
-		t.Errorf("Token is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Token{}); got != 24 {
+		t.Errorf("Token is %d bytes, want 24", got)
 	}
 }
