@@ -3,6 +3,7 @@ package core
 import (
 	"aliaslab/internal/limits"
 	"aliaslab/internal/paths"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
@@ -100,6 +101,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 		sets:    make([]*PairSet, g.OutputIDs()),
 		slice:   slice,
 		eng:     solver.New[workItem](budget),
+		keySlab: slab.Slab[Key]{Size: 256},
 	}
 	a.st = a.eng.Stats()
 	a.seed(nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"aliaslab/internal/paths"
+	"aliaslab/internal/slab"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/vdg"
 )
@@ -56,6 +57,12 @@ type analysis struct {
 	slice map[*vdg.Output]bool
 	eng   *solver.Engine[workItem]
 
+	// setSlab and keySlab hold the CI pair sets and the keys of the
+	// sets still small enough to scan (see pairSetSmall), so such a set
+	// costs no allocation of its own.
+	setSlab slab.Slab[PairSet]
+	keySlab slab.Slab[Key]
+
 	// cs is the CS qualifier state, nil under CI.
 	cs *sensitive
 }
@@ -76,8 +83,11 @@ func (a *analysis) flowOut(out *vdg.Output, k Key, q *ASet) {
 	a.st.Meets++
 	s := a.sets[out.ID]
 	if s == nil {
-		s = NewPairSet(a.u)
+		s = a.setSlab.Alloc()
+		s.u, s.keys = a.u, a.keySlab.Carve(4)
 		a.sets[out.ID] = s
+	} else if s.index == nil && len(s.keys) == cap(s.keys) {
+		s.keys = a.keySlab.Grow(s.keys, 0)
 	}
 	if !s.AddKey(k) {
 		return
