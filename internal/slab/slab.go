@@ -1,7 +1,8 @@
 // Package slab hands out values and short slices cut from shared
 // chunks, so the thousands of small values a translation unit needs
-// (AST identifiers, checker objects, graph nodes, outputs, inputs and
-// edge lists) cost one allocation per chunk rather than one each.
+// (AST nodes and lists, checker objects, the VDG builder's flow states
+// and variable value lists, the CI solver's pair sets) cost one
+// allocation per chunk rather than one each.
 //
 // A chunk is never reallocated, so every pointer and slice handed out
 // stays valid; a chunk is freed only when nothing in it is referenced
@@ -10,7 +11,7 @@ package slab
 
 // chunkLen is the default number of values in one chunk. It is small
 // enough that the unused tail of a unit's last chunk stays under 10 KB
-// per slab (a chunk of graph nodes is under 9 KB), and large enough
+// per slab (a chunk of checker objects is under 6 KB), and large enough
 // that chunk allocations are a rounding error next to the
 // one-allocation-per-value layout they replace.
 const chunkLen = 64
