@@ -76,13 +76,14 @@ bench-compare:
 		$(GO) run ./cmd/benchdiff bench-base.txt bench-head.txt | tee bench-compare.txt; \
 	fi
 
-# Regenerate the checked-in golden files (checker corpus output, the
-# modref and traced-vet CLI snapshots, and the deterministic metrics
-# block over the corpus).
+# Regenerate every checked-in golden file: the checker corpus output,
+# the solver pin, the modref, traced-vet and per-backend CLI snapshots,
+# the figures, the population JSON and the deterministic metrics block.
 golden:
 	$(GO) test ./internal/checkers -run Golden -update
-	$(GO) test ./cmd/aliaslab -run 'ModRef|TraceGolden' -update
-	UPDATE_GOLDEN=1 $(GO) test ./internal/experiments -run MetricsGolden
+	$(GO) test ./internal/backend -run TestSolversPinned -update
+	$(GO) test ./cmd/aliaslab -run 'ModRef|TraceGolden|BackendGolden' -update
+	UPDATE_GOLDEN=1 $(GO) test ./internal/experiments -run 'MetricsGolden|TestGoldenFigures|TestPopulationGoldenJSON'
 
 # Statement-coverage floor for the observability layer, the report
 # renderers, the corpus generator, the demand-query engine, the solve

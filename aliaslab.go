@@ -68,6 +68,7 @@ func (o Options) internal() vdg.Options {
 // Program is a parsed, checked, VDG-built translation unit.
 type Program struct {
 	unit *driver.Unit
+	opts vdg.Options // the options unit was built with
 
 	// trace, when the program was built with ParseProgramTraced,
 	// receives the solve spans of analysis calls; nil otherwise.
@@ -86,7 +87,7 @@ func ParseProgram(name, src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{unit: u}, nil
+	return &Program{unit: u, opts: opts.internal()}, nil
 }
 
 // ParseFile builds a Program from a file on disk.
@@ -95,7 +96,7 @@ func ParseFile(path string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{unit: u}, nil
+	return &Program{unit: u, opts: opts.internal()}, nil
 }
 
 // Benchmark loads one of the embedded corpus programs by name
@@ -105,7 +106,7 @@ func Benchmark(name string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{unit: u}, nil
+	return &Program{unit: u, opts: opts.internal()}, nil
 }
 
 // BenchmarkNames returns the names of the embedded benchmark corpus in
@@ -157,38 +158,9 @@ type Result struct {
 	Engine EngineStats
 }
 
-// EngineStats reports one engine run's work counters.
-type EngineStats struct {
-	Steps        int
-	Meets        int
-	PairInserts  int
-	SubsumeHits  int
-	SubsumeDrops int
-	Enqueued     int
-	PeakDepth    int
-
-	// Constraint-backend counters; zero for the CI/CS analyses.
-	Constraints   int
-	EdgesAdded    int
-	SCCsCollapsed int
-	Unions        int
-}
-
-func engineStats(st solver.Stats) EngineStats {
-	return EngineStats{
-		Steps:         st.Steps,
-		Meets:         st.Meets,
-		PairInserts:   st.PairInserts,
-		SubsumeHits:   st.SubsumeHits,
-		SubsumeDrops:  st.SubsumeDrops,
-		Enqueued:      st.Enqueued,
-		PeakDepth:     st.PeakDepth,
-		Constraints:   st.Constraints,
-		EdgesAdded:    st.EdgesAdded,
-		SCCsCollapsed: st.SCCsCollapsed,
-		Unions:        st.Unions,
-	}
-}
+// EngineStats reports one engine run's work counters; the
+// constraint-backend counters are zero for the CI/CS analyses.
+type EngineStats = solver.Stats
 
 // Notes returns the degradation trace for budget-governed runs: one
 // line per tier transition, empty when the analysis ran to completion.
@@ -323,18 +295,15 @@ func (p *Program) analyze(g *vdg.Graph, kind backend.Kind, budget limits.Budget)
 // are the context-sensitive attempt's when CS answered and the
 // CI-shaped result's otherwise.
 func (p *Program) result(o *solve.Outcome) *Result {
-	res := &Result{
+	eng := o.CI.Engine
+	if o.CS != nil {
+		eng = o.CS.Engine
+	}
+	return &Result{
 		prog: p, ci: o.CI, sets: o.Sets, label: o.Label,
 		Degraded: o.Degraded(), notes: o.Notes,
-		TransferFns: o.CI.Metrics.FlowIns, MeetOps: o.CI.Metrics.FlowOuts,
-		Engine: engineStats(o.CI.Engine),
+		TransferFns: eng.Steps, MeetOps: eng.Meets, Engine: eng,
 	}
-	if o.CS != nil {
-		res.TransferFns = o.CS.Metrics.FlowIns
-		res.MeetOps = o.CS.Metrics.FlowOuts
-		res.Engine = engineStats(o.CS.Engine)
-	}
-	return res
 }
 
 // Label names the analysis that produced this result.
@@ -475,13 +444,13 @@ func Checkers() map[string]string {
 	return out
 }
 
-// Vet runs the pointer-bug checker suite: the program is rebuilt with
-// diagnostics instrumentation (marker locations for null/uninitialized
-// pointers, explicit deallocation events), analyzed context-
-// insensitively, and the selected checkers interpret the points-to
-// solution. With no arguments every checker runs. Diagnostics come
-// back in a deterministic order: by position, then checker, then
-// message.
+// Vet runs the pointer-bug checker suite: the VDG is built again from
+// the checked program with diagnostics instrumentation (marker
+// locations for null/uninitialized pointers, explicit deallocation
+// events), analyzed context-insensitively, and the selected checkers
+// interpret the points-to solution. With no arguments every checker
+// runs. Diagnostics come back in a deterministic order: by position,
+// then checker, then message.
 func (p *Program) Vet(checkerIDs ...string) ([]Diagnostic, error) {
 	diags, _, err := p.vet(limits.Budget{}, checkerIDs)
 	return diags, err
@@ -502,15 +471,15 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 	if err != nil {
 		return nil, false, err
 	}
-	opts := p.unit.Opts
+	opts := p.opts
 	opts.Diagnostics = true
-	u, err := driver.LoadString(p.unit.Name, p.unit.Source, opts)
+	g, err := driver.BuildGraphSpan(p.unit.Name, p.unit.Prog, opts, nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("aliaslab: rebuilding for vet: %w", err)
 	}
-	o := p.analyze(u.Graph, backend.CI, budget)
+	o := p.analyze(g, backend.CI, budget)
 	sp := p.span("checkers")
-	diags := checkers.Run(checkers.NewContext(u.Graph, o.CI), sel)
+	diags := checkers.Run(checkers.NewContext(g, o.CI), sel)
 	sp.SetAttr(obs.Int("diags", len(diags)))
 	sp.End()
 	out := make([]Diagnostic, 0, len(diags))

@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"aliaslab"
+	"aliaslab/internal/checkers"
+	"aliaslab/internal/core"
+	"aliaslab/internal/corpus"
+	"aliaslab/internal/vdg"
 )
 
 const demo = `
@@ -250,6 +254,41 @@ int main(void) {
 	for _, pt := range res.StoreAtExit() {
 		if strings.Contains(pt.Referent, "<null>") || strings.Contains(pt.Referent, "<uninit>") {
 			t.Fatalf("marker location leaked into plain analysis: %+v", pt)
+		}
+	}
+
+	// Vet builds its graph from the kept checked program; on every
+	// corpus program that must report what a fresh diagnostics load
+	// does.
+	for _, name := range aliaslab.BenchmarkNames() {
+		prog, err := aliaslab.Benchmark(name, aliaslab.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := prog.Vet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := corpus.Load(name, vdg.Options{Diagnostics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := checkers.Run(checkers.NewContext(u.Graph, core.AnalyzeInsensitive(u.Graph)), checkers.All)
+		if len(got) != len(want) {
+			t.Errorf("%s: Vet reports %d diagnostics, a fresh load %d", name, len(got), len(want))
+			continue
+		}
+		for i, w := range want {
+			g := got[i]
+			same := g.Pos == w.Pos.In(w.File) && g.Severity == w.Severity.String() &&
+				g.Checker == w.Checker && g.Message == w.Message && len(g.Related) == len(w.Related)
+			for j := 0; same && j < len(w.Related); j++ {
+				same = g.Related[j] == aliaslab.RelatedPos{Pos: w.Related[j].Pos.In(w.File), Message: w.Related[j].Message}
+			}
+			if !same {
+				t.Errorf("%s: diagnostic %d is %+v, a fresh load gives %v", name, i, g, w)
+				break
+			}
 		}
 	}
 }

@@ -165,10 +165,10 @@ func BenchmarkCIvsCS(b *testing.B) {
 		for _, u := range units {
 			ci := core.AnalyzeInsensitive(u.Graph)
 			cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci, MaxSteps: experiments.MaxCSSteps})
-			ciIns += ci.Metrics.FlowIns
-			csIns += cs.Metrics.FlowIns
-			ciOuts += ci.Metrics.FlowOuts
-			csOuts += cs.Metrics.FlowOuts
+			ciIns += ci.Engine.Steps
+			csIns += cs.Engine.Steps
+			ciOuts += ci.Engine.Meets
+			csOuts += cs.Engine.Meets
 		}
 	}
 	b.ReportMetric(float64(csIns)/float64(ciIns), "flowin-ratio")
@@ -507,8 +507,8 @@ func BenchmarkAblationNoOptimizations(b *testing.B) {
 			ci := core.AnalyzeInsensitive(u.Graph)
 			opt := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci, MaxSteps: experiments.MaxCSSteps})
 			unopt := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{MaxSteps: experiments.MaxCSSteps})
-			optOuts += opt.Metrics.FlowOuts
-			unoptOuts += unopt.Metrics.FlowOuts
+			optOuts += opt.Engine.Meets
+			unoptOuts += unopt.Engine.Meets
 		}
 	}
 	b.ReportMetric(float64(unoptOuts)/float64(optOuts), "meets-saved-ratio")

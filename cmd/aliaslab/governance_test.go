@@ -55,7 +55,7 @@ func measureWork(t *testing.T, src string) (ciIns, csIns int) {
 	}
 	ci := core.AnalyzeInsensitive(u.Graph)
 	cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci})
-	return ci.Metrics.FlowIns, cs.Metrics.FlowIns
+	return ci.Engine.Steps, cs.Engine.Steps
 }
 
 func TestCSDegradesInsteadOfFailing(t *testing.T) {

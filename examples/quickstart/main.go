@@ -41,7 +41,7 @@ func main() {
 
 	// 2. Run the paper's context-insensitive analysis (Figure 1).
 	res := core.AnalyzeInsensitive(unit.Graph)
-	fmt.Printf("analysis converged after %d transfer functions\n\n", res.Metrics.FlowIns)
+	fmt.Printf("analysis converged after %d transfer functions\n\n", res.Engine.Steps)
 
 	// 3. Inspect the store reaching main's return: every (location ->
 	// referent) pair the analysis believes may hold there.

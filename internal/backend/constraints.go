@@ -129,9 +129,8 @@ type Constraints struct {
 	// NumCells is the number of constraint variables (cell 0 is the
 	// store).
 	NumCells int
-	// CellOf maps every live VDG output, by Output.ID, to its cell; all
-	// store outputs map to StoreCell. Slots of outputs on deleted nodes
-	// are never read.
+	// CellOf maps every VDG output, by Output.ID, to its cell; all
+	// store outputs map to StoreCell.
 	CellOf []CellID
 
 	Seeds  []Seed
@@ -154,7 +153,7 @@ func (c *Constraints) Count() int {
 func Extract(g *vdg.Graph) *Constraints {
 	c := &Constraints{
 		Graph:    g,
-		CellOf:   make([]CellID, g.OutputIDs()),
+		CellOf:   make([]CellID, g.OutputCount()),
 		NumCells: 1, // cell 0: the store
 	}
 	g.Outputs(func(o *vdg.Output) {

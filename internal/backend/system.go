@@ -371,6 +371,5 @@ func (s *System) Result(stopped *limits.Violation) *core.Result {
 		}
 	})
 	res.Engine = *s.St
-	res.Metrics = core.Metrics{FlowIns: s.St.Steps, FlowOuts: s.St.Meets, Pairs: s.St.PairInserts}
 	return res
 }

@@ -52,14 +52,14 @@ func TestBudgetedCIMatchesUnbudgetedWhenUnderLimit(t *testing.T) {
 	u := load(t, structCycleSrc(8))
 	plain := core.AnalyzeInsensitive(u.Graph)
 	budgeted := core.AnalyzeInsensitiveBudgeted(u.Graph, limits.Budget{
-		MaxSteps: plain.Metrics.FlowIns + 1,
-		MaxPairs: plain.Metrics.Pairs + 1,
+		MaxSteps: plain.Engine.Steps + 1,
+		MaxPairs: plain.Engine.PairInserts + 1,
 	})
 	if budgeted.Stopped != nil {
 		t.Fatalf("budget with headroom tripped: %v", budgeted.Stopped)
 	}
-	if budgeted.Metrics != plain.Metrics {
-		t.Fatalf("metrics differ: %+v vs %+v", budgeted.Metrics, plain.Metrics)
+	if b, p := budgeted.Engine, plain.Engine; b.Steps != p.Steps || b.Meets != p.Meets || b.PairInserts != p.PairInserts {
+		t.Fatalf("metrics differ: %+v vs %+v", b, p)
 	}
 	requireSubset(t, "plain ⊆ budgeted", plain.Sets, budgeted.Sets)
 	requireSubset(t, "budgeted ⊆ plain", budgeted.Sets, plain.Sets)

@@ -8,22 +8,6 @@ import (
 	"aliaslab/internal/vdg"
 )
 
-// Metrics counts analysis work in the paper's terms: flow-in is one
-// transfer-function application (processing one (input, pair) arrival);
-// flow-out is one meet operation (attempting to add a pair to an
-// output's set). It is derived from the engine's solver.Stats at the
-// end of a run.
-type Metrics struct {
-	FlowIns  int
-	FlowOuts int
-	Pairs    int // pairs actually added across all outputs
-}
-
-// metricsFrom maps engine counters onto the paper's vocabulary.
-func metricsFrom(st *solver.Stats) Metrics {
-	return Metrics{FlowIns: st.Steps, FlowOuts: st.Meets, Pairs: st.PairInserts}
-}
-
 // Result is the output of the context-insensitive analysis: a points-to
 // pair set for every node output, plus the discovered call graph.
 type Result struct {
@@ -36,10 +20,10 @@ type Result struct {
 	// Callers is the inverse: the call nodes that may invoke a function.
 	Callers map[*vdg.FuncGraph][]*vdg.Node
 
-	Metrics Metrics
-
-	// Engine is the solver-engine counter record of the run (steps,
-	// meets, subsumption, worklist depth).
+	// Engine is the solver-engine counter record of the run, in the
+	// paper's terms: Steps counts flow-ins (transfer-function
+	// applications), Meets flow-outs (meet operations) and PairInserts
+	// the pairs actually added across all outputs.
 	Engine solver.Stats
 
 	// Stopped is non-nil when a resource budget halted the fixpoint
@@ -98,7 +82,7 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 		u:       g.Universe,
 		callees: res.Callees,
 		callers: res.Callers,
-		sets:    make([]*PairSet, g.OutputIDs()),
+		sets:    make([]*PairSet, g.OutputCount()),
 		slice:   slice,
 		eng:     solver.New[workItem](budget),
 		keySlab: slab.Slab[Key]{Size: 256},
@@ -109,7 +93,6 @@ func solveInsensitive(g *vdg.Graph, slice map[*vdg.Output]bool, budget limits.Bu
 	res.Sets = byOutput(g, a.sets)
 	res.Stopped = stopped
 	res.Engine = *a.st
-	res.Metrics = metricsFrom(a.st)
 	return res
 }
 

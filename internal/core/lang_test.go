@@ -475,8 +475,8 @@ int main(void) {
 	return (int) n;
 }
 `)
-	if res.Metrics.Pairs != 0 {
-		t.Fatalf("pure scalar program produced %d pairs", res.Metrics.Pairs)
+	if res.Engine.PairInserts != 0 {
+		t.Fatalf("pure scalar program produced %d pairs", res.Engine.PairInserts)
 	}
 }
 

@@ -60,8 +60,6 @@ type SensitiveResult struct {
 	Callees map[*vdg.Node][]*vdg.FuncGraph
 	Callers map[*vdg.FuncGraph][]*vdg.Node
 
-	Metrics Metrics
-
 	// Engine is the solver-engine counter record of the run.
 	Engine solver.Stats
 
@@ -191,8 +189,8 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 		at:             NewATable(),
 		maxAssumptions: opts.MaxAssumptions,
 		eng:            solver.New[qItem](opts.budget()),
-		qsets:          make([]*QSet, g.OutputIDs()),
-		retNeeds:       make([]map[Key]retList, g.OutputIDs()),
+		qsets:          make([]*QSet, g.OutputCount()),
+		retNeeds:       make([]map[Key]retList, g.OutputCount()),
 	}
 	a := &analysis{
 		g:       g,
@@ -211,7 +209,6 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 	res.Aborted = stopped != nil
 	res.Stopped = stopped
 	res.Engine = *a.st
-	res.Metrics = metricsFrom(a.st)
 	return res
 }
 
@@ -220,8 +217,8 @@ func AnalyzeSensitive(g *vdg.Graph, opts SensitiveOptions) *SensitiveResult {
 // there is at most one. The referent lists share one backing array.
 func (c *sensitive) ciFacts(g *vdg.Graph, ci *Result) {
 	u := g.Universe
-	c.singleLoc = make([]bool, g.NodeIDs())
-	c.ciLocRefs = make([][]*paths.Path, g.NodeIDs())
+	c.singleLoc = make([]bool, g.NodeCount())
+	c.ciLocRefs = make([][]*paths.Path, g.NodeCount())
 	var refs []*paths.Path
 	for _, fg := range g.Funcs {
 		for _, n := range fg.Nodes {

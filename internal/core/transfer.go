@@ -70,7 +70,7 @@ type analysis struct {
 // flowOut is the meet: it adds the fact (k, q) to the set on out and
 // queues it at every consumer when it is new. Under CS the meet is
 // qualifiedFlowOut; the CI meet follows. Outside a slice the pair is
-// dropped before the meet, so Metrics counts only the work a sliced
+// dropped before the meet, so the engine counts only the work a sliced
 // solve actually performed.
 func (a *analysis) flowOut(out *vdg.Output, k Key, q *ASet) {
 	if a.cs != nil {

@@ -34,7 +34,7 @@ func TestAllProgramsLoad(t *testing.T) {
 				t.Fatal("no main function")
 			}
 			res := core.AnalyzeInsensitive(u.Graph)
-			if res.Metrics.Pairs == 0 {
+			if res.Engine.PairInserts == 0 {
 				t.Fatal("analysis found no points-to pairs at all")
 			}
 		})

@@ -24,12 +24,6 @@ type Unit struct {
 	Prog  *sema.Program
 	Graph *vdg.Graph
 
-	// Source is the text the unit was built from and Opts the options it
-	// was built with, kept so clients can rebuild the unit under
-	// different instrumentation (e.g. vdg.Options.Diagnostics for vet).
-	Source string
-	Opts   vdg.Options
-
 	// SourceLines is the number of non-blank source lines (Figure 2's
 	// "lines" column).
 	SourceLines int
@@ -98,9 +92,29 @@ func LoadStringSpan(name, src string, opts vdg.Options, parent *obs.Span) (*Unit
 		return nil, diagError("typecheck", len(serrs), firstN(serrs, 10))
 	}
 
+	graph, err := BuildGraphSpan(name, prog, opts, parent)
+	if err != nil {
+		return nil, err
+	}
+	return &Unit{
+		Name:        name,
+		File:        file,
+		Prog:        prog,
+		Graph:       graph,
+		SourceLines: countLines(src),
+	}, nil
+}
+
+// BuildGraphSpan is the last front-end stage on its own: it builds the
+// VDG of an already checked program under opts, behind the same panic
+// guard and error aggregation as LoadStringSpan, in a "vdg" child span
+// of parent. The build only reads prog, so one checked program can be
+// built again under other options, e.g. with
+// vdg.Options.Diagnostics for the checkers.
+func BuildGraphSpan(name string, prog *sema.Program, opts vdg.Options, parent *obs.Span) (*vdg.Graph, error) {
 	var graph *vdg.Graph
 	var berrs []*vdg.BuildError
-	sp = parent.Child("vdg")
+	sp := parent.Child("vdg")
 	if err := limits.Guard("build "+name, func() error {
 		graph, berrs = vdg.Build(prog, opts)
 		return nil
@@ -114,15 +128,7 @@ func LoadStringSpan(name, src string, opts vdg.Options, parent *obs.Span) (*Unit
 	if len(berrs) > 0 {
 		return nil, diagError("build", len(berrs), firstN(berrs, 10))
 	}
-	return &Unit{
-		Name:        name,
-		File:        file,
-		Prog:        prog,
-		Graph:       graph,
-		Source:      src,
-		Opts:        opts,
-		SourceLines: countLines(src),
-	}, nil
+	return graph, nil
 }
 
 // LoadFile processes a file on disk.

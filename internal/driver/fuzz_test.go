@@ -81,9 +81,9 @@ return *p + *q; }`,
 		if res == nil {
 			t.Fatal("budgeted solve returned nil result")
 		}
-		if res.Stopped == nil && res.Metrics.FlowIns >= budget.MaxSteps {
+		if res.Stopped == nil && res.Engine.Steps >= budget.MaxSteps {
 			t.Fatalf("solver did %d flow-ins past the %d-step budget without reporting a stop",
-				res.Metrics.FlowIns, budget.MaxSteps)
+				res.Engine.Steps, budget.MaxSteps)
 		}
 		and := andersen.AnalyzeBudgeted(u.Graph, budget)
 		st := steensgaard.AnalyzeBudgeted(u.Graph, budget)

@@ -452,10 +452,10 @@ func Costs(w io.Writer, rs []*ProgramResult) {
 		}
 		rows = append(rows, []string{
 			r.Name,
-			report.Itoa(r.CI.Metrics.FlowIns), report.Itoa(r.CS.Metrics.FlowIns),
-			report.F2(ratio(r.CS.Metrics.FlowIns, r.CI.Metrics.FlowIns)),
-			report.Itoa(r.CI.Metrics.FlowOuts), report.Itoa(r.CS.Metrics.FlowOuts),
-			report.F2(ratio(r.CS.Metrics.FlowOuts, r.CI.Metrics.FlowOuts)),
+			report.Itoa(r.CI.Engine.Steps), report.Itoa(r.CS.Engine.Steps),
+			report.F2(ratio(r.CS.Engine.Steps, r.CI.Engine.Steps)),
+			report.Itoa(r.CI.Engine.Meets), report.Itoa(r.CS.Engine.Meets),
+			report.F2(ratio(r.CS.Engine.Meets, r.CI.Engine.Meets)),
 			r.CITime.Round(time.Microsecond).String(),
 			r.CSTime.Round(time.Microsecond).String(),
 			report.F2(float64(r.CSTime) / float64(maxDuration(r.CITime, time.Microsecond))),

@@ -161,9 +161,9 @@ func TestCostShape(t *testing.T) {
 	var ciIns, csIns int
 	worstMeets := 0.0
 	for _, r := range runAll(t) {
-		ciIns += r.CI.Metrics.FlowIns
-		csIns += r.CS.Metrics.FlowIns
-		ratio := float64(r.CS.Metrics.FlowOuts) / float64(r.CI.Metrics.FlowOuts)
+		ciIns += r.CI.Engine.Steps
+		csIns += r.CS.Engine.Steps
+		ratio := float64(r.CS.Engine.Meets) / float64(r.CI.Engine.Meets)
 		if ratio > worstMeets {
 			worstMeets = ratio
 		}
@@ -253,13 +253,13 @@ func TestAnalysesAreDeterministic(t *testing.T) {
 		}
 		ci1 := core.AnalyzeInsensitive(u1.Graph)
 		ci2 := core.AnalyzeInsensitive(u2.Graph)
-		if ci1.Metrics != ci2.Metrics {
-			t.Errorf("%s: CI metrics differ across runs: %+v vs %+v", name, ci1.Metrics, ci2.Metrics)
+		if a, b := ci1.Engine, ci2.Engine; a.Steps != b.Steps || a.Meets != b.Meets || a.PairInserts != b.PairInserts {
+			t.Errorf("%s: CI metrics differ across runs: %+v vs %+v", name, a, b)
 		}
 		cs1 := core.AnalyzeSensitive(u1.Graph, core.SensitiveOptions{CI: ci1, MaxSteps: experiments.MaxCSSteps})
 		cs2 := core.AnalyzeSensitive(u2.Graph, core.SensitiveOptions{CI: ci2, MaxSteps: experiments.MaxCSSteps})
-		if cs1.Metrics != cs2.Metrics {
-			t.Errorf("%s: CS metrics differ across runs: %+v vs %+v", name, cs1.Metrics, cs2.Metrics)
+		if a, b := cs1.Engine, cs2.Engine; a.Steps != b.Steps || a.Meets != b.Meets || a.PairInserts != b.PairInserts {
+			t.Errorf("%s: CS metrics differ across runs: %+v vs %+v", name, a, b)
 		}
 		c1 := stats.Census(u1.Graph, cs1.Strip())
 		c2 := stats.Census(u2.Graph, cs2.Strip())

@@ -57,41 +57,7 @@ type AnalysisJSON struct {
 	// measure the solver's schedule rather than its answer, so keeping
 	// them out by default keeps the default rendering a function of the
 	// computed sets alone.
-	Engine *EngineJSON `json:"engine,omitempty"`
-}
-
-// EngineJSON mirrors solver.Stats.
-type EngineJSON struct {
-	Steps        int `json:"steps"`
-	Meets        int `json:"meets"`
-	PairInserts  int `json:"pairInserts"`
-	SubsumeHits  int `json:"subsumeHits"`
-	SubsumeDrops int `json:"subsumeDrops"`
-	Enqueued     int `json:"enqueued"`
-	PeakDepth    int `json:"peakDepth"`
-
-	// Constraint-backend counters. They are zero on CI/CS runs, and
-	// omitempty keeps those runs' opt-in JSON bytes unchanged.
-	Constraints   int `json:"constraints,omitempty"`
-	EdgesAdded    int `json:"edgesAdded,omitempty"`
-	SCCsCollapsed int `json:"sccsCollapsed,omitempty"`
-	Unions        int `json:"unions,omitempty"`
-}
-
-func engineJSON(st solver.Stats) *EngineJSON {
-	return &EngineJSON{
-		Steps:         st.Steps,
-		Meets:         st.Meets,
-		PairInserts:   st.PairInserts,
-		SubsumeHits:   st.SubsumeHits,
-		SubsumeDrops:  st.SubsumeDrops,
-		Enqueued:      st.Enqueued,
-		PeakDepth:     st.PeakDepth,
-		Constraints:   st.Constraints,
-		EdgesAdded:    st.EdgesAdded,
-		SCCsCollapsed: st.SCCsCollapsed,
-		Unions:        st.Unions,
-	}
+	Engine *solver.Stats `json:"engine,omitempty"`
 }
 
 // JSONOptions selects optional blocks of the JSON rendering.
@@ -151,39 +117,39 @@ func UnitsJSONWith(rs []*ProgramResult, jo JSONOptions) []UnitJSON {
 			io := stats.CountIndirect(r.Unit.Graph, r.CISets)
 			u.CI = &AnalysisJSON{
 				Census:   censusJSON(stats.Census(r.Unit.Graph, r.CISets)),
-				FlowIns:  r.CI.Metrics.FlowIns,
-				FlowOuts: r.CI.Metrics.FlowOuts,
+				FlowIns:  r.CI.Engine.Steps,
+				FlowOuts: r.CI.Engine.Meets,
 				Reads:    opsJSON(io.Reads),
 				Writes:   opsJSON(io.Writes),
 			}
 			if jo.EngineStats {
-				u.CI.Engine = engineJSON(r.CI.Engine)
+				u.CI.Engine = &r.CI.Engine
 			}
 			if r.BE != nil {
 				io := stats.CountIndirect(r.Unit.Graph, r.BE.Sets)
 				u.BackendKind = r.BEKind.String()
 				u.Backend = &AnalysisJSON{
 					Census:   censusJSON(stats.Census(r.Unit.Graph, r.BE.Sets)),
-					FlowIns:  r.BE.Metrics.FlowIns,
-					FlowOuts: r.BE.Metrics.FlowOuts,
+					FlowIns:  r.BE.Engine.Steps,
+					FlowOuts: r.BE.Engine.Meets,
 					Reads:    opsJSON(io.Reads),
 					Writes:   opsJSON(io.Writes),
 				}
 				if jo.EngineStats {
-					u.Backend.Engine = engineJSON(r.BE.Engine)
+					u.Backend.Engine = &r.BE.Engine
 				}
 			}
 			if r.CS != nil && r.CSSets != nil {
 				io := stats.CountIndirect(r.Unit.Graph, r.CSSets)
 				u.CS = &AnalysisJSON{
 					Census:   censusJSON(stats.Census(r.Unit.Graph, r.CSSets)),
-					FlowIns:  r.CS.Metrics.FlowIns,
-					FlowOuts: r.CS.Metrics.FlowOuts,
+					FlowIns:  r.CS.Engine.Steps,
+					FlowOuts: r.CS.Engine.Meets,
 					Reads:    opsJSON(io.Reads),
 					Writes:   opsJSON(io.Writes),
 				}
 				if jo.EngineStats {
-					u.CS.Engine = engineJSON(r.CS.Engine)
+					u.CS.Engine = &r.CS.Engine
 				}
 				diffs := len(stats.IndirectDiff(r.Unit.Graph, r.CISets, r.CSSets))
 				u.IndirectDiffs = &diffs

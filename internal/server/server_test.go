@@ -369,10 +369,10 @@ func TestAnalyzeDegradedSound(t *testing.T) {
 	}
 	ci := core.AnalyzeInsensitive(u.Graph)
 	cs := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: ci})
-	if cs.Metrics.FlowIns <= ci.Metrics.FlowIns+1 {
-		t.Fatalf("fixture not adversarial: CI %d flow-ins, CS %d", ci.Metrics.FlowIns, cs.Metrics.FlowIns)
+	if cs.Engine.Steps <= ci.Engine.Steps+1 {
+		t.Fatalf("fixture not adversarial: CI %d flow-ins, CS %d", ci.Engine.Steps, cs.Engine.Steps)
 	}
-	maxSteps := (ci.Metrics.FlowIns + cs.Metrics.FlowIns) / 2
+	maxSteps := (ci.Engine.Steps + cs.Engine.Steps) / 2
 
 	resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"source": src, "backend": "cs"},
 		map[string]string{"X-Aliaslab-Max-Steps": strconv.Itoa(maxSteps)})

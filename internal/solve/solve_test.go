@@ -326,11 +326,11 @@ func TestGovernedCIFallbackIsSupersetOfExactCI(t *testing.T) {
 	// CI and the CS cost.
 	exactCI := core.AnalyzeInsensitive(u.Graph)
 	exactCS := core.AnalyzeSensitive(u.Graph, core.SensitiveOptions{CI: exactCI})
-	if exactCS.Metrics.FlowIns <= exactCI.Metrics.FlowIns+2 {
+	if exactCS.Engine.Steps <= exactCI.Engine.Steps+2 {
 		t.Fatalf("fixture not adversarial: CI %d flow-ins, CS %d",
-			exactCI.Metrics.FlowIns, exactCS.Metrics.FlowIns)
+			exactCI.Engine.Steps, exactCS.Engine.Steps)
 	}
-	budget := limits.Budget{MaxSteps: (exactCI.Metrics.FlowIns + exactCS.Metrics.FlowIns) / 2}
+	budget := limits.Budget{MaxSteps: (exactCI.Engine.Steps + exactCS.Engine.Steps) / 2}
 
 	got := solve.Solve(backend.CS, u.Graph, budget, nil)
 	if got.Tier != solve.CIFallback {

@@ -12,50 +12,52 @@ import "aliaslab/internal/limits"
 
 // Stats counts one engine run's work. The queue is FIFO and every
 // client's transfer functions are deterministic, so a run that reaches
-// its fixpoint counts the same work every time.
+// its fixpoint counts the same work every time. The JSON tags are the
+// names `experiments -json -stats` prints; the constraint-backend
+// counters are omitted when zero, so CI and CS runs print none.
 type Stats struct {
 	// Steps counts worklist items processed (the paper's flow-in
 	// applications).
-	Steps int
+	Steps int `json:"steps"`
 	// Meets counts flow-out attempts (meet operations), successful or
 	// not. The client increments it from its flow-out path.
-	Meets int
+	Meets int `json:"meets"`
 	// PairInserts counts pairs that survived deduplication or
 	// subsumption and were actually added to an output's set.
-	PairInserts int
+	PairInserts int `json:"pairInserts"`
 	// SubsumeHits counts qualified-pair arrivals discarded because an
 	// existing weaker assumption set already covered them (0 for the
 	// context-insensitive analysis).
-	SubsumeHits int
+	SubsumeHits int `json:"subsumeHits"`
 	// SubsumeDrops counts existing stronger assumption sets displaced
 	// by a weaker arrival (0 for the context-insensitive analysis).
-	SubsumeDrops int
+	SubsumeDrops int `json:"subsumeDrops"`
 	// Enqueued counts items pushed onto the worklist.
-	Enqueued int
+	Enqueued int `json:"enqueued"`
 	// PeakDepth is the maximum number of queued-but-unprocessed items.
-	PeakDepth int
+	PeakDepth int `json:"peakDepth"`
 	// DepthSum accumulates the outstanding worklist depth after each
 	// pop; DepthSum/Steps is the mean queue depth of the run, the
 	// summary statistic behind the observability layer's worklist-depth
 	// profile.
-	DepthSum int
+	DepthSum int `json:"-"`
 
 	// The remaining counters belong to the constraint-based backends
 	// (internal/backend); they stay zero on CI/CS runs.
 
 	// Constraints counts the subset constraints extracted from the VDG
 	// before solving (addr, copy, transform, load, store, call).
-	Constraints int
+	Constraints int `json:"constraints,omitempty"`
 	// EdgesAdded counts inclusion edges added to the constraint graph,
 	// static copies and dynamically discovered call-flow edges alike
 	// (Andersen only).
-	EdgesAdded int
+	EdgesAdded int `json:"edgesAdded,omitempty"`
 	// SCCsCollapsed counts multi-node copy-edge cycles merged by the
 	// online cycle-detection passes (Andersen only).
-	SCCsCollapsed int
+	SCCsCollapsed int `json:"sccsCollapsed,omitempty"`
 	// Unions counts union-find merges of constraint variables performed
 	// by the unification backend (Steensgaard only).
-	Unions int
+	Unions int `json:"unions,omitempty"`
 }
 
 // MeanDepth is the average outstanding worklist depth over the run.

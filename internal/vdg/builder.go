@@ -63,9 +63,6 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 			FuncOf:     make(map[*sema.Function]*FuncGraph),
 			FuncByBase: make(map[*paths.Base]*FuncGraph),
 			BaseOf:     make(map[*sema.Object]*paths.Base),
-			// An evaluation connects 1.0-1.4 inputs per checked
-			// expression on the corpus.
-			inputs: make([]*Input, 0, prog.Exprs()*3/2),
 		},
 		prog:      prog,
 		opts:      opts,
@@ -90,6 +87,16 @@ func Build(prog *sema.Program, opts Options) (*Graph, []*BuildError) {
 	for _, fn := range prog.Funcs {
 		if fn.Body != nil {
 			b.buildFuncIsolated(fn)
+		}
+	}
+	// The input table is filled once every function is built, at its
+	// exact size.
+	b.g.inputs = make([]*Input, b.g.nInputs)
+	for _, fg := range b.g.Funcs {
+		for _, n := range fg.Nodes {
+			for _, in := range n.Inputs {
+				b.g.inputs[in.ID] = in
+			}
 		}
 	}
 	if mainFn := prog.FuncMap["main"]; mainFn != nil {

@@ -118,17 +118,70 @@ func buildProg(t *testing.T, name string, prog *sema.Program, opts vdg.Options) 
 	return g
 }
 
-// TestGraphWellFormed runs the edge invariants over the layout units,
-// under every layout option.
+// TestGraphWellFormed runs the edge invariants and the numbering check
+// over the layout units, under every layout option.
 func TestGraphWellFormed(t *testing.T) {
 	for _, u := range layoutUnits() {
 		prog := u.check(t)
 		for _, o := range layoutOptions {
-			if err := wellFormed(buildProg(t, u.name, prog, o.opts)); err != nil {
+			g := buildProg(t, u.name, prog, o.opts)
+			if err := wellFormed(g); err != nil {
+				t.Errorf("%s/%s: %v", u.name, o.name, err)
+			}
+			if err := denseIDs(g); err != nil {
 				t.Errorf("%s/%s: %v", u.name, o.name, err)
 			}
 		}
 	}
+}
+
+// denseIDs checks the graph's numbering. The builder numbers only what
+// it builds, so every table indexed by an ID is exactly as long as its
+// count: node, output and input IDs each cover [0, count) exactly once, node IDs increase along the
+// function graphs' node lists, Graph.Input maps each input ID back to
+// its input, and NodeCount and OutputCount are the walked totals. It
+// returns the first violation found, or nil.
+func denseIDs(g *vdg.Graph) error {
+	var nodes, outputs []int
+	var inputs []*vdg.Input
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			if len(nodes) > 0 && n.ID <= nodes[len(nodes)-1] {
+				return fmt.Errorf("%s#%d follows node #%d", n.Kind, n.ID, nodes[len(nodes)-1])
+			}
+			nodes = append(nodes, n.ID)
+			for _, o := range n.Outputs {
+				outputs = append(outputs, o.ID)
+			}
+			inputs = append(inputs, n.Inputs...)
+		}
+	}
+	if g.NodeCount() != len(nodes) || g.OutputCount() != len(outputs) {
+		return fmt.Errorf("NodeCount %d, OutputCount %d; the graph has %d nodes, %d outputs",
+			g.NodeCount(), g.OutputCount(), len(nodes), len(outputs))
+	}
+	inputIDs := make([]int, len(inputs))
+	for i, in := range inputs {
+		inputIDs[i] = in.ID
+	}
+	for _, ids := range []struct {
+		kind string
+		ids  []int
+	}{{"node", nodes}, {"output", outputs}, {"input", inputIDs}} {
+		seen := make([]bool, len(ids.ids))
+		for _, id := range ids.ids {
+			if id < 0 || id >= len(seen) || seen[id] {
+				return fmt.Errorf("%s ID %d repeats or falls outside [0, %d)", ids.kind, id, len(seen))
+			}
+			seen[id] = true
+		}
+	}
+	for id := range inputs {
+		if got := g.Input(id).ID; got != id {
+			return fmt.Errorf("Graph.Input(%d) has ID %d", id, got)
+		}
+	}
+	return nil
 }
 
 // pure reports whether a node has no effect beyond its outputs: such a
@@ -232,26 +285,34 @@ func edgeOrder(g *vdg.Graph) []int {
 	return out
 }
 
-// TestBuildIsDeterministic builds every layout unit twice under each
-// layout option, parsing and checking it afresh for each build, and
-// requires the same node, output and input IDs and the same consumer
-// order. Loop headers once wired their back edges ranging over a map,
-// which numbered the inputs differently from build to build; the
-// builder's value table must keep its evaluation order, and the parser
-// and checker must hand it the same expression and object numbering.
+// TestBuildIsDeterministic builds every layout unit three times under
+// each layout option and requires the same node, output and input IDs
+// and the same consumer order: the second build parses and checks the
+// unit afresh, the third builds again from the first build's checked
+// program, which a build must not write to. Loop headers once wired
+// their back edges ranging over a map, which numbered the inputs
+// differently from build to build; the builder's value table must keep
+// its evaluation order, and the parser and checker must hand it the
+// same expression and object numbering.
 func TestBuildIsDeterministic(t *testing.T) {
 	for _, u := range layoutUnits() {
 		for _, o := range layoutOptions {
-			a := edgeOrder(buildProg(t, u.name, u.check(t), o.opts))
-			b := edgeOrder(buildProg(t, u.name, u.check(t), o.opts))
-			if len(a) != len(b) {
-				t.Errorf("%s/%s: %d vs %d edge entries", u.name, o.name, len(a), len(b))
-				continue
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Errorf("%s/%s: builds differ at edge entry %d (%d vs %d)", u.name, o.name, i, a[i], b[i])
-					break
+			prog := u.check(t)
+			a := edgeOrder(buildProg(t, u.name, prog, o.opts))
+			for _, again := range []struct {
+				name string
+				prog *sema.Program
+			}{{"reparsed", u.check(t)}, {"rebuilt", prog}} {
+				b := edgeOrder(buildProg(t, u.name, again.prog, o.opts))
+				if len(a) != len(b) {
+					t.Errorf("%s/%s %s: %d vs %d edge entries", u.name, o.name, again.name, len(a), len(b))
+					continue
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Errorf("%s/%s %s: builds differ at edge entry %d (%d vs %d)", u.name, o.name, again.name, i, a[i], b[i])
+						break
+					}
 				}
 			}
 		}

@@ -133,9 +133,9 @@ type Input struct {
 	Index int
 	Src   *Output
 
-	// ID is unique within the Graph, in evaluation order (see Node.ID);
-	// Graph.Input maps it back, so solvers can queue arrivals without
-	// pointers.
+	// ID numbers the graph's inputs densely, node by node in build
+	// order and slot by slot within a node; Graph.Input maps it back,
+	// so solvers can queue arrivals without pointers.
 	ID int
 }
 
@@ -152,7 +152,8 @@ type Output struct {
 	// Consumers are the inputs this output feeds.
 	Consumers []*Input
 
-	// ID is unique within the Graph, in evaluation order (see Node.ID).
+	// ID numbers the graph's outputs densely, 0 to OutputCount()-1,
+	// in the order the builder evaluated them.
 	ID int
 }
 
@@ -163,10 +164,8 @@ func (o *Output) String() string {
 // Node is one VDG operation. Kind sits with the flags at the end, so a
 // node is 136 bytes.
 type Node struct {
-	// ID is unique within the Graph. The builder numbers every value
-	// it evaluates, in evaluation order, and builds a node only for the
-	// ones something reads, so the numbers of unread values are unused:
-	// IDs increase along FuncGraph.Nodes but have gaps.
+	// ID numbers the graph's nodes densely, 0 to NodeCount()-1, in
+	// build order: IDs increase along Graph.Funcs and FuncGraph.Nodes.
 	ID  int
 	Fn  *FuncGraph
 	Pos token.Pos
@@ -268,20 +267,20 @@ type Graph struct {
 	// Entry is the graph of main.
 	Entry *FuncGraph
 
-	nextNodeID   int
-	nextOutputID int
-	nextInputID  int
-	inputs       []*Input // by Input.ID; nil for unbuilt inputs
+	// The numbers of nodes, outputs and inputs built so far: the next
+	// ID of each kind.
+	nNodes, nOutputs, nInputs int
+
+	inputs []*Input // by Input.ID
 }
 
-// NodeCount returns the number of nodes in the whole program.
-func (g *Graph) NodeCount() int {
-	n := 0
-	for _, fg := range g.Funcs {
-		n += len(fg.Nodes)
-	}
-	return n
-}
+// NodeCount returns the number of nodes in the whole program, the
+// length of a table indexed by node ID.
+func (g *Graph) NodeCount() int { return g.nNodes }
+
+// OutputCount returns the number of outputs in the whole program, the
+// length of a table indexed by output ID.
+func (g *Graph) OutputCount() int { return g.nOutputs }
 
 // Outputs calls f for every output in deterministic (creation) order.
 func (g *Graph) Outputs(f func(*Output)) {
@@ -294,20 +293,5 @@ func (g *Graph) Outputs(f func(*Output)) {
 	}
 }
 
-// NodeIDs returns one past the largest Node.ID ever assigned, unread
-// values included: the length of a table indexed by node ID.
-func (g *Graph) NodeIDs() int { return g.nextNodeID }
-
-// OutputIDs returns one past the largest Output.ID ever assigned, the
-// length of a table indexed by output ID.
-func (g *Graph) OutputIDs() int { return g.nextOutputID }
-
 // Input returns the input with the given ID.
 func (g *Graph) Input(id int) *Input { return g.inputs[id] }
-
-// OutputCount returns the number of outputs in the whole program.
-func (g *Graph) OutputCount() int {
-	n := 0
-	g.Outputs(func(*Output) { n++ })
-	return n
-}

@@ -15,11 +15,6 @@ import (
 // value-numbering compiler the paper took its VDG from never
 // materialized values nothing used (PAPER.md §2).
 //
-// A record gets its node, output and input IDs when it is evaluated, in
-// evaluation order, whether or not it is ever built; the IDs of the
-// built nodes are therefore the same as if every record were built, and
-// the numbers of the records nothing reads are simply never used.
-//
 // When the function is evaluated, emit resolves it in three steps:
 //
 //  1. A gamma whose inputs, apart from its own output through a loop
@@ -30,7 +25,10 @@ import (
 //  2. A record with no effect beyond its values (rec.pure) is dropped
 //     when every reader of its values is dropped.
 //  3. The records that stay become the function's nodes, in evaluation
-//     order, with their edges in the order they were connected.
+//     order, with their edges in the order they were connected. Each
+//     built node, output and input takes the graph's next ID of its
+//     kind: nodes in evaluation order, outputs in value-table order,
+//     inputs node by node in slot order.
 //
 // The records, values and edges hold no pointers, so the table costs
 // the garbage collector nothing to scan; the few pointers an operation
@@ -56,7 +54,6 @@ type op struct {
 // edges and which outs are its values.
 type rec struct {
 	pos     token.Pos
-	id      int32 // Node.ID
 	in      int32 // first input slot in edges
 	nIn     int32 // inputs connected so far
 	cap     int32 // input slots reserved
@@ -94,7 +91,6 @@ func (r *rec) pure() bool {
 // out is one evaluated value; its readers form a list threaded through
 // edge.next. Its type is in the table's types, at the same index.
 type out struct {
-	id          int32 // Output.ID
 	rec         int32
 	first, last int32 // reader edges, 0 when none
 	n           int32 // readers
@@ -109,7 +105,6 @@ type edge struct {
 	rec  int32
 	src  value
 	next int32 // the next reader of src, 0 at the end
-	id   int32 // Input.ID
 }
 
 // recording is one Graph.VarValues entry made while evaluating.
@@ -163,11 +158,10 @@ func (t *table) reset() {
 
 // node evaluates o with room for arity inputs and returns its record.
 func (fb *fnBuilder) node(o op, arity int) int32 {
-	t, g := &fb.b.t, fb.g
+	t := &fb.b.t
 	n := len(t.edges)
-	r := rec{pos: o.pos, id: int32(g.nextNodeID), in: int32(n), cap: int32(arity),
+	r := rec{pos: o.pos, in: int32(n), cap: int32(arity),
 		kind: o.kind, transparent: o.transparent, effectful: o.effectful}
-	g.nextNodeID++
 	if o.path != nil || o.obj != nil || o.text != "" {
 		r.payload = int32(len(t.payloads))
 		t.payloads = append(t.payloads, payload{o.path, o.obj, o.text})
@@ -188,30 +182,28 @@ func (fb *fnBuilder) node(o op, arity int) int32 {
 // output adds a value to record r. typ nil and store true make a store
 // value.
 func (fb *fnBuilder) output(r int32, typ *ctypes.Type, store bool) value {
-	t, g := &fb.b.t, fb.g
+	t := &fb.b.t
 	v := value(len(t.outs))
 	rr := &t.recs[r]
 	if rr.nOut == 0 {
 		rr.out = v
 	}
-	t.outs = append(t.outs, out{id: int32(g.nextOutputID), rec: r, index: rr.nOut, store: store})
+	t.outs = append(t.outs, out{rec: r, index: rr.nOut, store: store})
 	t.types = append(t.types, typ)
 	rr.nOut++
-	g.nextOutputID++
 	return v
 }
 
 // connect adds an input to record r that reads src.
 func (fb *fnBuilder) connect(r int32, src value) {
-	t, g := &fb.b.t, fb.g
+	t := &fb.b.t
 	rr := &t.recs[r]
 	if rr.nIn == rr.cap {
 		panic("vdg: more inputs than reserved on a " + rr.kind.String())
 	}
 	e := rr.in + rr.nIn
 	rr.nIn++
-	t.edges[e] = edge{rec: r, src: src, id: int32(g.nextInputID)}
-	g.nextInputID++
+	t.edges[e] = edge{rec: r, src: src}
 	t.appendReaders(src, e, e, 1)
 }
 
@@ -344,9 +336,27 @@ func (fb *fnBuilder) emit() {
 	// take as many slots as the inputs.
 	inList := make([]*Input, 2*nIns)
 
-	// Nodes and their outputs, in evaluation order.
+	// Each built node, output and input takes the graph's next ID of its
+	// kind.
+	nodeID, outID, inID := g.nNodes, g.nOutputs, g.nInputs
+	g.nNodes, g.nOutputs, g.nInputs = nodeID+kept, outID+nOuts, inID+nIns
+
+	// Outputs, in value-table order.
+	ko := 0
+	for v := value(1); v < value(len(t.outs)); v++ {
+		ov := &t.outs[v]
+		if t.recs[ov.rec].dropped {
+			continue
+		}
+		o := &outputs[ko]
+		ov.built = int32(ko)
+		o.ID, o.Index, o.Type, o.IsStore = outID+ko, int(ov.index), t.types[v], ov.store
+		ko++
+	}
+
+	// Nodes, in evaluation order.
 	fg.Nodes = nodeList[:kept:kept]
-	k, ko := 0, 0
+	k := 0
 	for r := 1; r < len(t.recs); r++ {
 		rr := &t.recs[r]
 		if rr.dropped {
@@ -355,8 +365,8 @@ func (fb *fnBuilder) emit() {
 		n := &nodes[k]
 		fg.Nodes[k] = n
 		rr.node = int32(k)
+		n.ID, n.Fn, n.Pos, n.Kind = nodeID+k, fg, rr.pos, rr.kind
 		k++
-		n.ID, n.Fn, n.Pos, n.Kind = int(rr.id), fg, rr.pos, rr.kind
 		n.Transparent, n.Effectful = rr.transparent, rr.effectful
 		if rr.payload != 0 {
 			p := &t.payloads[rr.payload]
@@ -374,21 +384,14 @@ func (fb *fnBuilder) emit() {
 			m := int(rr.nOut)
 			n.Outputs, outList = outList[:m:m], outList[m:]
 			for i := range n.Outputs {
-				v := rr.out + value(i)
-				ov := &t.outs[v]
-				o := &outputs[ko]
-				ov.built = int32(ko)
-				ko++
-				o.Node, o.Index, o.Type, o.IsStore, o.ID = n, i, t.types[v], ov.store, int(ov.id)
+				o := &outputs[t.outs[rr.out+value(i)].built]
+				o.Node = n
 				n.Outputs[i] = o
 			}
 		}
 	}
 
-	// Inputs, in slot order, each in the graph's table by ID.
-	if n := g.nextInputID; n > len(g.inputs) {
-		g.inputs = slices.Grow(g.inputs, n-len(g.inputs))[:n]
-	}
+	// Inputs, node by node in slot order.
 	ki := 0
 	for r := 1; r < len(t.recs); r++ {
 		rr := &t.recs[r]
@@ -400,10 +403,9 @@ func (fb *fnBuilder) emit() {
 		for i := range n.Inputs {
 			e := &t.edges[rr.in+int32(i)]
 			in := &inputs[ki]
+			in.Node, in.Index, in.Src, in.ID = n, i, &outputs[t.outs[e.src].built], inID+ki
 			ki++
-			in.Node, in.Index, in.Src, in.ID = n, i, &outputs[t.outs[e.src].built], int(e.id)
 			n.Inputs[i] = in
-			g.inputs[e.id] = in
 		}
 	}
 

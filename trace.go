@@ -64,7 +64,7 @@ func ParseProgramTraced(name, src string, opts Options, t *Trace) (*Program, err
 	if err != nil {
 		return nil, err
 	}
-	return &Program{unit: u, trace: t}, nil
+	return &Program{unit: u, opts: opts.internal(), trace: t}, nil
 }
 
 // span opens a root solve span for one analysis call on p, tagged with
