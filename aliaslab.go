@@ -6,8 +6,9 @@
 //
 // This package is the public facade. It exposes the pipeline
 // (parse → typecheck → VDG → analyze) and result views that do not leak
-// internal representations; the cmd/ tools, examples/, and the
-// experiment harness sit on the same internals.
+// internal representations. The programs under examples/ are its
+// clients; the cmd/ tools and the experiment harness sit on the
+// internals underneath it.
 //
 // Basic use:
 //
@@ -21,20 +22,19 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"aliaslab/internal/backend"
 	"aliaslab/internal/checkers"
 	"aliaslab/internal/core"
-	"aliaslab/internal/corpus"
 	"aliaslab/internal/driver"
 	"aliaslab/internal/limits"
 	"aliaslab/internal/modref"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
 	"aliaslab/internal/solve"
-	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
 )
@@ -79,39 +79,23 @@ type Program struct {
 	// queries share slices.
 	queryOnce sync.Once
 	queryEng  *query.Engine
+
+	// vetOnce guards the diagnostics-instrumented graph every Vet call
+	// reads, and vetSolveOnce its unbudgeted CI solve, which Vet calls
+	// without a budget share. The two are apart so that a budgeted
+	// VetLimited never starts the unbudgeted solve, which need not end
+	// in practical time (DESIGN §7).
+	vetOnce      sync.Once
+	vetGraph     *vdg.Graph
+	vetErr       error
+	vetSolveOnce sync.Once
+	vetSolve     *solve.Outcome
 }
 
 // ParseProgram builds a Program from source text.
 func ParseProgram(name, src string, opts Options) (*Program, error) {
-	u, err := driver.LoadString(name, src, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Program{unit: u, opts: opts.internal()}, nil
+	return ParseProgramTraced(name, src, opts, nil)
 }
-
-// ParseFile builds a Program from a file on disk.
-func ParseFile(path string, opts Options) (*Program, error) {
-	u, err := driver.LoadFile(path, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Program{unit: u, opts: opts.internal()}, nil
-}
-
-// Benchmark loads one of the embedded corpus programs by name
-// (see BenchmarkNames).
-func Benchmark(name string, opts Options) (*Program, error) {
-	u, err := corpus.Load(name, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Program{unit: u, opts: opts.internal()}, nil
-}
-
-// BenchmarkNames returns the names of the embedded benchmark corpus in
-// the paper's Figure 2 order.
-func BenchmarkNames() []string { return corpus.Names() }
 
 // Sizes reports the program's Figure 2 statistics.
 func (p *Program) Sizes() (lines, vdgNodes, aliasRelatedOutputs int) {
@@ -152,15 +136,7 @@ type Result struct {
 	// (applications of flow-in and flow-out).
 	TransferFns int
 	MeetOps     int
-
-	// Engine carries the solver engine's work counters for the analysis
-	// that produced the final sets.
-	Engine EngineStats
 }
-
-// EngineStats reports one engine run's work counters; the
-// constraint-backend counters are zero for the CI/CS analyses.
-type EngineStats = solver.Stats
 
 // Notes returns the degradation trace for budget-governed runs: one
 // line per tier transition, empty when the analysis ran to completion.
@@ -194,31 +170,34 @@ func (p *Program) Analyze() (*Result, error) {
 	return p.result(p.analyze(p.unit.Graph, backend.CI, limits.Budget{})), nil
 }
 
-// Backends lists the selectable points-to backends in precision order,
-// most precise first: "cs", "ci", "andersen", "steensgaard". Every
-// adjacent pair is a sound pointwise inclusion (cs ⊆ ci ⊆ andersen ⊆
-// steensgaard, asserted by the oracle), so picking a backend trades
-// precision for cost, never soundness.
-func Backends() []string {
-	ks := backend.Kinds()
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = k.String()
-	}
-	return out
-}
+// Backends lists the names AnalyzeWithBackend accepts, in precision
+// order, most precise first: "cs", "ci", "andersen", "baseline",
+// "steensgaard". Each answer is a sound pointwise over-approximation of
+// the one before it (cs ⊆ ci ⊆ andersen = baseline ⊆ steensgaard,
+// asserted by the oracle), so picking a backend trades precision for
+// cost, never soundness.
+func Backends() []string { return []string{"cs", "ci", "andersen", "baseline", "steensgaard"} }
 
-// AnalyzeWithBackend runs the named points-to backend: "ci" (or "") for
-// the paper's context-insensitive analysis, "cs" for the maximally
+// AnalyzeWithBackend runs the named analysis: "ci" (or "") for the
+// paper's context-insensitive analysis, "cs" for the maximally
 // context-sensitive one (unbounded; use AnalyzeContextSensitive to cap
-// its steps), "andersen" for the inclusion-constraint solver, and
-// "steensgaard" for the unification solver. The flow-insensitive
-// backends produce full CI-shaped results, so ModRef and CallGraph work
-// on them.
+// its steps), "andersen" for the inclusion-constraint solver,
+// "steensgaard" for the unification solver, and "baseline" for the
+// Weihl-style program-wide, flow-insensitive baseline the pre-1990
+// literature used (one store for the whole program, no kills). The
+// constraint backends produce full CI-shaped results, so ModRef works
+// on them. The baseline's per-output sets are exactly Andersen's, so
+// the Andersen solver computes them and the counters are Andersen's;
+// the result carries no call graph, so ModRef reports an error.
 func (p *Program) AnalyzeWithBackend(name string) (*Result, error) {
+	if name == "baseline" {
+		res := p.result(p.analyze(p.unit.Graph, backend.Andersen, limits.Budget{}))
+		res.ci, res.label = nil, "program-wide (Weihl baseline)"
+		return res, nil
+	}
 	kind, err := backend.ParseKind(name)
 	if err != nil {
-		return nil, fmt.Errorf("aliaslab: %w", err)
+		return nil, fmt.Errorf("aliaslab: unknown backend %q (want one of %s)", name, strings.Join(Backends(), ", "))
 	}
 	if kind == backend.CS {
 		return p.AnalyzeContextSensitive(0)
@@ -271,18 +250,6 @@ func (p *Program) AnalyzeContextSensitiveLimited(ctx context.Context, lim Limits
 	return p.result(o), nil
 }
 
-// AnalyzeBaseline runs the Weihl-style program-wide, flow-insensitive
-// baseline the pre-1990 literature used: one store for the whole
-// program, no kills. Its per-output sets are exactly Andersen's, so
-// the Andersen solver computes them, and the counters are Andersen's.
-// The result keeps the baseline's shape otherwise: it carries no call
-// graph, so ModRef and CallGraph report an error.
-func (p *Program) AnalyzeBaseline() (*Result, error) {
-	res := p.result(p.analyze(p.unit.Graph, backend.Andersen, limits.Budget{}))
-	res.ci, res.label = nil, "program-wide baseline"
-	return res, nil
-}
-
 // analyze runs one analysis of g under a "solve" span that holds the
 // attempts' spans.
 func (p *Program) analyze(g *vdg.Graph, kind backend.Kind, budget limits.Budget) *solve.Outcome {
@@ -302,7 +269,7 @@ func (p *Program) result(o *solve.Outcome) *Result {
 	return &Result{
 		prog: p, ci: o.CI, sets: o.Sets, label: o.Label,
 		Degraded: o.Degraded(), notes: o.Notes,
-		TransferFns: eng.Steps, MeetOps: eng.Meets, Engine: eng,
+		TransferFns: eng.Steps, MeetOps: eng.Meets,
 	}
 }
 
@@ -367,9 +334,9 @@ func (r *Result) IndirectOps() []IndirectOp {
 // ModRef reports, per function, the locations it (transitively) may
 // modify and reference, each list sorted by location name. Available
 // on results that ran the context-insensitive pre-pass (Analyze and
-// AnalyzeContextSensitive) and on the constraint backends. The name
-// sort makes the lists a pure function of the analysis answer,
-// independent of the solver's path-interning order.
+// AnalyzeContextSensitive) and on the constraint backends, not on the
+// baseline. The name sort makes the lists a pure function of the
+// analysis answer, independent of the solver's path-interning order.
 func (r *Result) ModRef() (mod, ref map[string][]string, err error) {
 	if r.ci == nil {
 		return nil, nil, fmt.Errorf("aliaslab: ModRef requires a context-insensitive result")
@@ -393,27 +360,6 @@ func (r *Result) ModRef() (mod, ref map[string][]string, err error) {
 	return mod, ref, nil
 }
 
-// CallGraph reports discovered call edges as caller -> callee names.
-// Available on results that ran the context-insensitive pre-pass
-// (Analyze and AnalyzeContextSensitive).
-func (r *Result) CallGraph() (map[string][]string, error) {
-	if r.ci == nil {
-		return nil, fmt.Errorf("aliaslab: CallGraph requires a context-insensitive result")
-	}
-	out := make(map[string][]string)
-	for _, fg := range r.prog.unit.Graph.Funcs {
-		for _, call := range fg.Calls {
-			for _, callee := range r.ci.Callees[call] {
-				out[fg.Fn.Name] = append(out[fg.Fn.Name], callee.Fn.Name)
-			}
-		}
-	}
-	for k := range out {
-		sort.Strings(out[k])
-	}
-	return out, nil
-}
-
 // Diagnostic is one finding of the pointer-bug checker suite.
 type Diagnostic struct {
 	Pos      string // file:line:col
@@ -430,27 +376,14 @@ type RelatedPos struct {
 	Message string
 }
 
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s: %s [%s]", d.Pos, d.Severity, d.Message, d.Checker)
-}
-
-// Checkers returns the IDs of the available pointer-bug checkers, with
-// a one-line description each, in canonical order.
-func Checkers() map[string]string {
-	out := make(map[string]string, len(checkers.All))
-	for _, c := range checkers.All {
-		out[c.ID] = c.Doc
-	}
-	return out
-}
-
 // Vet runs the pointer-bug checker suite: the VDG is built again from
 // the checked program with diagnostics instrumentation (marker
 // locations for null/uninitialized pointers, explicit deallocation
 // events), analyzed context-insensitively, and the selected checkers
-// interpret the points-to solution. With no arguments every checker
-// runs. Diagnostics come back in a deterministic order: by position,
-// then checker, then message.
+// interpret the points-to solution. The instrumented graph and its
+// solve are built once per Program and shared by every later Vet call.
+// With no arguments every checker runs. Diagnostics come back in a
+// deterministic order: by position, then checker, then message.
 func (p *Program) Vet(checkerIDs ...string) ([]Diagnostic, error) {
 	diags, _, err := p.vet(limits.Budget{}, checkerIDs)
 	return diags, err
@@ -459,8 +392,13 @@ func (p *Program) Vet(checkerIDs ...string) ([]Diagnostic, error) {
 // VetLimited is Vet under a resource budget. The boolean reports
 // degradation: when the underlying points-to analysis hit the budget,
 // the diagnostics come from a partial (unsound) solution and are
-// best-effort only — findings may be missing.
+// best-effort only — findings may be missing. A zero Limits with a
+// context that cannot be cancelled is no budget, and shares Vet's
+// solve; any other budget solves the shared graph again under it.
 func (p *Program) VetLimited(ctx context.Context, lim Limits, checkerIDs ...string) ([]Diagnostic, bool, error) {
+	if lim == (Limits{}) && (ctx == nil || ctx.Done() == nil) {
+		return p.vet(limits.Budget{}, checkerIDs)
+	}
 	budget, cancel := lim.budget(ctx)
 	defer cancel()
 	return p.vet(budget, checkerIDs)
@@ -471,13 +409,24 @@ func (p *Program) vet(budget limits.Budget, checkerIDs []string) ([]Diagnostic, 
 	if err != nil {
 		return nil, false, err
 	}
-	opts := p.opts
-	opts.Diagnostics = true
-	g, err := driver.BuildGraphSpan(p.unit.Name, p.unit.Prog, opts, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("aliaslab: rebuilding for vet: %w", err)
+	p.vetOnce.Do(func() {
+		opts := p.opts
+		opts.Diagnostics = true
+		sp := p.span("vet")
+		p.vetGraph, p.vetErr = driver.BuildGraphSpan(p.unit.Name, p.unit.Prog, opts, sp)
+		sp.End()
+	})
+	if p.vetErr != nil {
+		return nil, false, fmt.Errorf("aliaslab: rebuilding for vet: %w", p.vetErr)
 	}
-	o := p.analyze(g, backend.CI, budget)
+	g := p.vetGraph
+	var o *solve.Outcome
+	if budget.Unlimited() {
+		p.vetSolveOnce.Do(func() { p.vetSolve = p.analyze(g, backend.CI, budget) })
+		o = p.vetSolve
+	} else {
+		o = p.analyze(g, backend.CI, budget)
+	}
 	sp := p.span("checkers")
 	diags := checkers.Run(checkers.NewContext(g, o.CI), sel)
 	sp.SetAttr(obs.Int("diags", len(diags)))

@@ -1,6 +1,7 @@
 package aliaslab_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestFacadeBaselineIsCoarsest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ci, _ := prog.Analyze()
-	bl, err := prog.AnalyzeBaseline()
+	bl, err := prog.AnalyzeWithBackend("baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,30 +132,28 @@ func TestFacadeBaselineIsCoarsest(t *testing.T) {
 	}
 }
 
-func TestFacadeModRefAndCallGraph(t *testing.T) {
+func TestFacadeModRef(t *testing.T) {
 	prog, err := aliaslab.ParseProgram("demo.c", demo, aliaslab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, _ := prog.Analyze()
-	mod, _, err := res.ModRef()
+	mod, ref, err := res.ModRef()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(mod["choose"], ",")
-	if got != "p,q" {
+	if got := strings.Join(mod["choose"], ","); got != "p,q" {
 		t.Errorf("choose mods %q, want p,q", got)
 	}
-	cg, err := res.CallGraph()
-	if err != nil {
-		t.Fatal(err)
+	if got := strings.Join(mod["main"], ","); got != "p,q" {
+		t.Errorf("main mods %q, want p,q (transitively, through choose)", got)
 	}
-	if len(cg["main"]) != 2 {
-		t.Errorf("main calls %v", cg["main"])
+	if got := strings.Join(ref["main"], ","); got != "a,b,p" {
+		t.Errorf("main refs %q, want a,b,p (the *p read)", got)
 	}
 
-	// Context-sensitive results keep the CI pre-pass, so the clients
-	// remain available.
+	// Context-sensitive results keep the CI pre-pass, so the client
+	// remains available.
 	cs, err := prog.AnalyzeContextSensitive(1_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -164,36 +163,37 @@ func TestFacadeModRefAndCallGraph(t *testing.T) {
 	}
 
 	// The baseline never runs the CI pre-pass.
-	bl, err := prog.AnalyzeBaseline()
+	bl, err := prog.AnalyzeWithBackend("baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := bl.ModRef(); err == nil {
 		t.Error("ModRef on the baseline result must error")
 	}
-	if _, err := bl.CallGraph(); err == nil {
-		t.Error("CallGraph on the baseline result must error")
-	}
 }
 
+// TestFacadeBenchmarks: every program of the paper's benchmark corpus
+// goes through the facade.
 func TestFacadeBenchmarks(t *testing.T) {
-	names := aliaslab.BenchmarkNames()
-	if len(names) != 13 {
-		t.Fatalf("corpus has %d programs", len(names))
+	progs := corpus.All()
+	if len(progs) != 13 {
+		t.Fatalf("corpus has %d programs", len(progs))
 	}
-	prog, err := aliaslab.Benchmark("part", aliaslab.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalPairs() == 0 {
-		t.Fatal("no pairs on part")
-	}
-	if _, err := aliaslab.Benchmark("nonexistent", aliaslab.Options{}); err == nil {
-		t.Fatal("unknown benchmark must error")
+	for _, p := range progs {
+		prog, err := aliaslab.ParseProgram(p.Name+".c", p.Source, aliaslab.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines, nodes, _ := prog.Sizes(); lines == 0 || nodes == 0 {
+			t.Errorf("%s: %d lines, %d VDG nodes", p.Name, lines, nodes)
+		}
+		res, err := prog.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalPairs() == 0 {
+			t.Errorf("%s: no pairs", p.Name)
+		}
 	}
 }
 
@@ -260,8 +260,9 @@ int main(void) {
 	// Vet builds its graph from the kept checked program; on every
 	// corpus program that must report what a fresh diagnostics load
 	// does.
-	for _, name := range aliaslab.BenchmarkNames() {
-		prog, err := aliaslab.Benchmark(name, aliaslab.Options{})
+	for _, p := range corpus.All() {
+		name := p.Name
+		prog, err := aliaslab.ParseProgram(name+".c", p.Source, aliaslab.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +294,106 @@ int main(void) {
 	}
 }
 
+// TestFacadeCheckers: each checker ID the README documents selects
+// through Vet, alone and all together.
 func TestFacadeCheckers(t *testing.T) {
-	ids := aliaslab.Checkers()
-	for _, want := range []string{"uaf", "dangling", "nullderef", "uninit", "leak"} {
-		if _, ok := ids[want]; !ok {
-			t.Errorf("checker %q missing from Checkers()", want)
+	prog, err := aliaslab.ParseProgram("demo.c", demo, aliaslab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"uaf", "dangling", "nullderef", "uninit", "leak"}
+	for _, id := range ids {
+		if _, err := prog.Vet(id); err != nil {
+			t.Errorf("checker %q: %v", id, err)
 		}
+	}
+	if _, err := prog.Vet(ids...); err != nil {
+		t.Errorf("all five checkers: %v", err)
+	}
+}
+
+// TestFacadeBackends: every name Backends lists runs through
+// AnalyzeWithBackend, and each answer over-approximates the one before
+// it at every indirect operation.
+func TestFacadeBackends(t *testing.T) {
+	prog, err := aliaslab.ParseProgram("demo.c", demo, aliaslab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []aliaslab.IndirectOp
+	for _, name := range aliaslab.Backends() {
+		res, err := prog.AnalyzeWithBackend(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ops := res.IndirectOps()
+		if len(ops) == 0 {
+			t.Fatalf("%s: no indirect operations", name)
+		}
+		for i := 0; prev != nil && i < len(ops); i++ {
+			for _, r := range prev[i].Referents {
+				if !slices.Contains(ops[i].Referents, r) {
+					t.Errorf("%s drops referent %s of the more precise backend at %s", name, r, ops[i].Pos)
+				}
+			}
+		}
+		prev = ops
+	}
+
+	ci, _ := prog.Analyze()
+	def, err := prog.AnalyzeWithBackend("")
+	if err != nil || def.Label() != ci.Label() || def.TotalPairs() != ci.TotalPairs() {
+		t.Errorf(`"" must be the ci analysis: %v`, err)
+	}
+	if _, err := prog.AnalyzeWithBackend("anderson"); err == nil || !strings.Contains(err.Error(), "baseline") {
+		t.Errorf("unknown backend must error and list the valid names: %v", err)
+	}
+}
+
+// TestFacadeQueries: the demand queries agree with each other and with
+// the whole-program CI answer.
+func TestFacadeQueries(t *testing.T) {
+	prog, err := aliaslab.ParseProgram("query.c", `
+int a, b, c;
+int *p, *q, *r;
+int main(void) {
+	p = &a;
+	q = &a;
+	r = &c;
+	if (*p) { q = &b; }
+	return *p + *q + *r;
+}
+`, aliaslab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, err := prog.MayAlias("p", "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alias.Verdict != "yes" || alias.Witness != "a" {
+		t.Errorf("mayalias(p, q) = %+v; both may point to a", alias)
+	}
+	if no, err := prog.MayAlias("q", "r"); err != nil || no.Verdict != "no" {
+		t.Errorf("mayalias(q, r) = %+v, %v; want no", no, err)
+	}
+	pt, err := prog.PointsTo("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Verdict != "ok" || strings.Join(pt.PointsTo, ",") != "a,b" {
+		t.Errorf("pointsto(q) = %+v, want a,b", pt)
+	}
+	answers, err := prog.Query("mayalias(p, q); pointsto(q)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 2 ||
+		answers[0].Verdict != alias.Verdict || answers[0].Witness != alias.Witness ||
+		strings.Join(answers[1].PointsTo, ",") != strings.Join(pt.PointsTo, ",") {
+		t.Errorf("Query answers %+v differ from MayAlias/PointsTo", answers)
+	}
+	if _, err := prog.Query("mayalias(p"); err == nil {
+		t.Error("a malformed query must error")
 	}
 }

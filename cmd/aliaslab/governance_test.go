@@ -67,7 +67,7 @@ func TestCSDegradesInsteadOfFailing(t *testing.T) {
 	budget := (ciIns + csIns) / 2
 	path := writeTemp(t, src)
 
-	out, stderr, code := runCLI(t, "-analysis", "cs", "-max-steps", fmt.Sprint(budget), "-print", "pointsto", path)
+	out, stderr, code := runCLI(t, "-backend", "cs", "-max-steps", fmt.Sprint(budget), "-print", "pointsto", path)
 	if code != 0 {
 		t.Fatalf("degraded-but-sound run must exit 0, got %d, stderr: %s", code, stderr)
 	}
@@ -84,7 +84,7 @@ func TestPartialCIExitsNonzeroAndWarns(t *testing.T) {
 	ciIns, _ := measureWork(t, src)
 	path := writeTemp(t, src)
 
-	out, stderr, code := runCLI(t, "-analysis", "ci", "-max-steps", fmt.Sprint(ciIns/2), "-print", "pointsto", path)
+	out, stderr, code := runCLI(t, "-backend", "ci", "-max-steps", fmt.Sprint(ciIns/2), "-print", "pointsto", path)
 	if code != 1 {
 		t.Fatalf("unsound partial CI must exit 1, got %d", code)
 	}
@@ -101,7 +101,7 @@ func TestPartialCIExitsNonzeroAndWarns(t *testing.T) {
 // caps as every other analysis; a tripped one warns and exits 1
 // instead of running unbounded.
 func TestBaselineHonoursBudget(t *testing.T) {
-	_, stderr, code := runCLI(t, "-analysis", "baseline", "-max-steps", "10", "-print", "sizes", "-corpus", "bc")
+	_, stderr, code := runCLI(t, "-backend", "baseline", "-max-steps", "10", "-print", "sizes", "-corpus", "bc")
 	if code != 1 {
 		t.Fatalf("tripped baseline must exit 1, got %d, stderr: %s", code, stderr)
 	}
@@ -117,7 +117,7 @@ func TestBaselineHonoursBudget(t *testing.T) {
 
 func TestMaxPairsFlagTripsBudget(t *testing.T) {
 	path := writeTemp(t, swapRecCLISrc(12))
-	_, stderr, code := runCLI(t, "-analysis", "ci", "-max-pairs", "3", "-print", "pointsto", path)
+	_, stderr, code := runCLI(t, "-backend", "ci", "-max-pairs", "3", "-print", "pointsto", path)
 	if code != 1 || !strings.Contains(stderr, "pair budget") {
 		t.Fatalf("pair cap not enforced: code=%d stderr:\n%s", code, stderr)
 	}
@@ -125,7 +125,7 @@ func TestMaxPairsFlagTripsBudget(t *testing.T) {
 
 func TestDefaultFlagsDoNotDegrade(t *testing.T) {
 	path := writeTemp(t, swapRecCLISrc(6))
-	out, stderr, code := runCLI(t, "-analysis", "cs", "-print", "pointsto", path)
+	out, stderr, code := runCLI(t, "-backend", "cs", "-print", "pointsto", path)
 	if code != 0 || strings.Contains(out, "degraded") || stderr != "" {
 		t.Fatalf("defaults degraded: code=%d\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
 	}
@@ -162,16 +162,6 @@ func TestVetHealthyJSONShapeUnchanged(t *testing.T) {
 	var arr []json.RawMessage
 	if err := json.Unmarshal([]byte(out), &arr); err != nil || len(arr) != 1 {
 		t.Fatalf("healthy vet output must stay a plain array: err=%v\n%s", err, out)
-	}
-}
-
-func TestMaxStepsAliasKeepsWorking(t *testing.T) {
-	src := swapRecCLISrc(12)
-	ciIns, _ := measureWork(t, src)
-	path := writeTemp(t, src)
-	_, stderr, code := runCLI(t, "-analysis", "ci", "-maxsteps", fmt.Sprint(ciIns/2), "-print", "pointsto", path)
-	if code != 1 || !strings.Contains(stderr, "step budget") {
-		t.Fatalf("-maxsteps alias inert: code=%d stderr:\n%s", code, stderr)
 	}
 }
 

@@ -9,9 +9,12 @@
 //	aliaslab -vet file.c             # run the pointer-bug checkers
 //	aliaslab -query 'mayalias(p,q)' file.c   # demand-driven queries
 //
-// Flags select the analysis (-analysis ci|cs|baseline, or -backend
-// ci|cs|andersen|steensgaard to pick a point on the four-way
-// precision/cost frontier), what to print (-print
+// The same analyses are a library in package aliaslab; the programs
+// under examples/ use it and nothing else.
+//
+// Flags select the analysis (-backend
+// ci|cs|andersen|steensgaard|baseline: a point on the precision/cost
+// frontier, or the program-wide baseline), what to print (-print
 // pointsto|indirect|modref|callgraph|sizes|json), ablations, and the
 // checker mode (-vet, filtered with -checkers and rendered per
 // -format). -query answers ';'-separated mayalias/pointsto queries by
@@ -70,7 +73,7 @@ func main() {
 // config is the per-unit part of the CLI configuration: everything
 // analyzeUnit needs once a unit is loaded.
 type config struct {
-	analysis string
+	backend  string
 	print    string
 	fn       string
 	vet      bool
@@ -90,8 +93,7 @@ type config struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aliaslab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	analysis := fs.String("analysis", "ci", "analysis to run: ci, cs, or baseline")
-	backendFlag := fs.String("backend", "", "points-to backend: ci (default), cs, andersen, or steensgaard")
+	backendFlag := fs.String("backend", "ci", "points-to analysis: ci, cs, andersen, steensgaard, or baseline")
 	print_ := fs.String("print", "indirect", "what to print: pointsto, indirect, modref, callgraph, sizes, json, dot")
 	fn := fs.String("fn", "main", "function to render with -print dot")
 	corpusName := fs.String("corpus", "", "analyze an embedded corpus program instead of a file")
@@ -99,9 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noSSA := fs.Bool("nossa", false, "ablation: keep non-addressed scalars in the store")
 	singleHeap := fs.Bool("singleheap", false, "ablation: one heap base location for all allocation sites")
 	recursiveSingle := fs.Bool("recursivesingle", false, "ablation: single-instance locations for address-taken locals of recursive procedures")
-	var maxSteps int
-	fs.IntVar(&maxSteps, "max-steps", 50_000_000, "per-attempt cap on transfer-function applications (0 = unlimited)")
-	fs.IntVar(&maxSteps, "maxsteps", 50_000_000, "alias for -max-steps")
+	maxSteps := fs.Int("max-steps", 50_000_000, "per-attempt cap on transfer-function applications (0 = unlimited)")
 	maxPairs := fs.Int("max-pairs", 0, "cap on materialized points-to pairs per attempt (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole analysis, e.g. 30s (0 = none)")
 	statsFlag := fs.Bool("stats", false, "print solver engine counters to stderr after each analysis")
@@ -117,34 +117,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// -backend is the frontier-wide selector; it resolves onto the same
-	// analysis switch -analysis drives. The two flags may not disagree.
-	if *backendFlag != "" {
+	// -backend names a solver backend or the baseline; an empty value
+	// is the ci default.
+	if *backendFlag != "baseline" {
 		kind, err := backend.ParseKind(*backendFlag)
 		if err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
+			fmt.Fprintf(stderr, "aliaslab: unknown backend %q (want ci, cs, andersen, steensgaard, or baseline)\n", *backendFlag)
 			fmt.Fprintln(stderr, "usage: aliaslab [flags] file.c ...  (or -corpus <name>)")
 			return 2
 		}
-		analysisSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "analysis" {
-				analysisSet = true
-			}
-		})
-		if analysisSet && *analysis != kind.String() {
-			fmt.Fprintf(stderr, "aliaslab: -analysis %s conflicts with -backend %s; pass only one\n", *analysis, kind)
-			return 2
-		}
-		*analysis = kind.String()
+		*backendFlag = kind.String()
 	}
 
 	// Demand queries solve the ci analysis on a slice; mixing them with
 	// another backend or the checkers would promise a result the query
 	// engine does not compute.
 	if *queryFlag != "" {
-		if *analysis != "ci" {
-			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", *analysis)
+		if *backendFlag != "ci" {
+			fmt.Fprintf(stderr, "aliaslab: -query answers on the ci analysis, not %s\n", *backendFlag)
 			return 2
 		}
 		if *vet {
@@ -196,10 +186,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	budget := limits.Budget{Ctx: ctx, MaxSteps: maxSteps, MaxPairs: *maxPairs}
+	budget := limits.Budget{Ctx: ctx, MaxSteps: *maxSteps, MaxPairs: *maxPairs}
 
 	cfg := config{
-		analysis: *analysis,
+		backend:  *backendFlag,
 		print:    *print_,
 		fn:       *fn,
 		vet:      *vet,
@@ -343,7 +333,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	var sets map[*vdg.Output]*core.PairSet
 	var label string
 	unsound := false
-	if cfg.analysis == "baseline" {
+	if cfg.backend == "baseline" {
 		// The CI solve feeds -print modref|callgraph. The Weihl baseline
 		// (one program-wide store, no kills) computes exactly Andersen's
 		// per-output sets (DESIGN §12), so Andersen serves it under the
@@ -361,11 +351,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			}
 		}
 	} else {
-		kind, err := backend.ParseKind(cfg.analysis)
-		if err != nil || cfg.analysis == "" {
-			fmt.Fprintln(stderr, "aliaslab: unknown analysis", cfg.analysis)
-			return 2
-		}
+		kind, _ := backend.ParseKind(cfg.backend) // run rejected unknown names
 		o = solve.Solve(kind, u.Graph, cfg.budget, cfg.span)
 		printAttempts(stderr, cfg, o)
 		for _, n := range o.Notes {
@@ -438,7 +424,7 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	// The checkers interpret any CI-shaped points-to solution, so the
 	// flow-insensitive backends plug straight in (coarser referent sets
 	// mean more may-findings, never fewer).
-	kind, err := solve.VetKind(cfg.analysis)
+	kind, err := solve.VetKind(cfg.backend)
 	if err != nil {
 		fmt.Fprintln(stderr, "aliaslab: -"+err.Error())
 		return 2

@@ -211,12 +211,25 @@ func TestModularFlagRemoved(t *testing.T) {
 	}
 }
 
-// TestBackendGolden pins the text and JSON output of every backend on
-// one corpus program: the four-way precision frontier is directly
-// visible as the goldens' referent sets widen from cs to steensgaard.
+// TestOneFlagPerChoice: -backend is the one analysis selector and
+// -max-steps the one step cap, so the old -analysis selector and the
+// -maxsteps alias are unknown flags (a usage error).
+func TestOneFlagPerChoice(t *testing.T) {
+	for _, args := range [][]string{{"-analysis", "cs"}, {"-maxsteps", "10"}} {
+		_, errOut, code := runCLI(t, append([]string{"-corpus", "part"}, args...)...)
+		if code != 2 || !strings.Contains(errOut, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: exit %d, stderr %q; want a usage error", args[0], code, errOut)
+		}
+	}
+}
+
+// TestBackendGolden pins the text and JSON output of every -backend
+// value on one corpus program: the four-way precision frontier is
+// directly visible as the goldens' referent sets widen from cs to
+// steensgaard, and the baseline's sets are Andersen's.
 // Regenerate with: go test ./cmd/aliaslab -run BackendGolden -update
 func TestBackendGolden(t *testing.T) {
-	for _, kind := range []string{"cs", "ci", "andersen", "steensgaard"} {
+	for _, kind := range []string{"cs", "ci", "andersen", "steensgaard", "baseline"} {
 		for _, mode := range []string{"indirect", "json"} {
 			t.Run(kind+"/"+mode, func(t *testing.T) {
 				out, stderr, code := runCLI(t, "-corpus", "part", "-backend", kind, "-print", mode)
@@ -244,18 +257,13 @@ func TestBackendGolden(t *testing.T) {
 }
 
 // TestBackendErrors: the backend flag fails loudly — unknown names get
-// the usage message, conflicting selectors are rejected, and options
-// that do not exist or cannot apply to a backend are an error rather
-// than silently ignored.
+// the usage message, and options that do not exist or cannot apply to
+// a backend are an error rather than silently ignored.
 func TestBackendErrors(t *testing.T) {
 	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "anderson"); code != 2 ||
 		!strings.Contains(stderr, `unknown backend "anderson"`) ||
 		!strings.Contains(stderr, "usage: aliaslab") {
 		t.Errorf("unknown backend: exit %d, stderr %q", code, stderr)
-	}
-	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "cs", "-analysis", "ci"); code != 2 ||
-		!strings.Contains(stderr, "conflicts") {
-		t.Errorf("backend/analysis conflict: exit %d, stderr %q", code, stderr)
 	}
 	// The worklist-order flag is gone: the solver has one FIFO queue.
 	if _, stderr, code := runCLI(t, "-corpus", "part", "-backend", "steensgaard", "-worklist", "lifo"); code != 2 ||

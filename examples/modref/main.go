@@ -8,11 +8,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
-	"aliaslab/internal/core"
-	"aliaslab/internal/driver"
-	"aliaslab/internal/modref"
-	"aliaslab/internal/vdg"
+	"aliaslab"
 )
 
 const program = `
@@ -62,29 +60,24 @@ int main(void) {
 `
 
 func main() {
-	unit, err := driver.LoadString("bank.c", program, vdg.Options{})
+	prog, err := aliaslab.ParseProgram("bank.c", program, aliaslab.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := core.AnalyzeInsensitive(unit.Graph)
-	info := modref.Compute(res)
+	res, err := prog.Analyze()
+	if err != nil {
+		log.Fatal(err)
+	}
+	mod, ref, err := res.ModRef()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("per-function side effects (transitive, from points-to):")
-	for _, fg := range unit.Graph.Funcs {
-		if fg.Fn.Body == nil {
-			continue
-		}
-		fmt.Printf("\n%s:\n", fg.Fn.Name)
-		fmt.Print("  may write:")
-		for _, p := range info.Mod[fg].Sorted() {
-			fmt.Printf(" %s", p)
-		}
-		fmt.Println()
-		fmt.Print("  may read: ")
-		for _, p := range info.Ref[fg].Sorted() {
-			fmt.Printf(" %s", p)
-		}
-		fmt.Println()
+	for _, fn := range []string{"open_account", "deposit", "audit", "main"} {
+		fmt.Printf("\n%s:\n", fn)
+		fmt.Printf("  may write: %s\n", strings.Join(mod[fn], " "))
+		fmt.Printf("  may read:  %s\n", strings.Join(ref[fn], " "))
 	}
 
 	// The optimization question a compiler asks: can the two deposit

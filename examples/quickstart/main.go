@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"aliaslab/internal/core"
-	"aliaslab/internal/driver"
-	"aliaslab/internal/vdg"
+	"aliaslab"
 )
 
 const program = `
@@ -32,41 +30,34 @@ int main(void) {
 
 func main() {
 	// 1. Run the front end: lex, parse, typecheck, build the VDG.
-	unit, err := driver.LoadString("quickstart.c", program, vdg.Options{})
+	prog, err := aliaslab.ParseProgram("quickstart.c", program, aliaslab.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("built a VDG with %d nodes for %d functions\n\n",
-		unit.Graph.NodeCount(), len(unit.Graph.Funcs))
+	lines, nodes, _ := prog.Sizes()
+	fmt.Printf("built a VDG with %d nodes for %d source lines\n\n", nodes, lines)
 
 	// 2. Run the paper's context-insensitive analysis (Figure 1).
-	res := core.AnalyzeInsensitive(unit.Graph)
-	fmt.Printf("analysis converged after %d transfer functions\n\n", res.Engine.Steps)
+	res, err := prog.Analyze()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("analysis converged after %d transfer functions\n\n", res.TransferFns)
 
 	// 3. Inspect the store reaching main's return: every (location ->
 	// referent) pair the analysis believes may hold there.
 	fmt.Println("points-to pairs in the final store:")
-	ret := unit.Graph.Entry.ReturnStore()
-	for _, pair := range res.Pairs(ret).Sorted() {
-		fmt.Printf("  %-10s -> %s\n", pair.Path, pair.Ref)
+	for _, pt := range res.StoreAtExit() {
+		fmt.Printf("  %-10s -> %s\n", pt.Path, pt.Referent)
 	}
 
 	// 4. Ask what the indirect operations dereference.
 	fmt.Println("\nindirect memory operations:")
-	for _, fg := range unit.Graph.Funcs {
-		for _, n := range fg.Nodes {
-			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
-				continue
-			}
-			kind := "read "
-			if n.Kind == vdg.KUpdate {
-				kind = "write"
-			}
-			fmt.Printf("  %s at %-16s may touch:", kind, n.Pos.In(unit.Name))
-			for _, r := range res.LocReferents(n) {
-				fmt.Printf(" %s", r)
-			}
-			fmt.Println()
+	for _, op := range res.IndirectOps() {
+		fmt.Printf("  %-5s at %-16s may touch:", op.Kind, op.Pos)
+		for _, r := range op.Referents {
+			fmt.Printf(" %s", r)
 		}
+		fmt.Println()
 	}
 }

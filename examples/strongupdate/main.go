@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"aliaslab/internal/core"
-	"aliaslab/internal/driver"
-	"aliaslab/internal/vdg"
+	"aliaslab"
 )
 
 const program = `
@@ -37,18 +35,20 @@ int main(void) {
 }
 `
 
-func describe(label string, opts vdg.Options) {
-	unit, err := driver.LoadString("strong.c", program, opts)
+func describe(label string, opts aliaslab.Options) {
+	prog, err := aliaslab.ParseProgram("strong.c", program, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := core.AnalyzeInsensitive(unit.Graph)
-	ret := unit.Graph.Entry.ReturnStore()
+	res, err := prog.Analyze()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("== %s\n", label)
-	for _, pair := range res.Pairs(ret).Sorted() {
-		if base := pair.Path.Base(); base != nil && (base.Name == "p" || base.Name == "q") {
-			fmt.Printf("   %s -> %s\n", pair.Path, pair.Ref)
+	for _, pt := range res.StoreAtExit() {
+		if pt.Path == "p" || pt.Path == "q" {
+			fmt.Printf("   %s -> %s\n", pt.Path, pt.Referent)
 		}
 	}
 	fmt.Println()
@@ -61,13 +61,14 @@ func main() {
 
 	// Default build: p is a single-location global, so 'p = &b' kills
 	// the earlier a-pair and only p -> b remains.
-	describe("default (strong updates apply)", vdg.Options{})
+	describe("default (strong updates apply)", aliaslab.Options{})
 
-	// Ablation: -nossa keeps every scalar in the store. The result for
-	// p and q is unchanged (they are globals either way), but the store
-	// now also tracks cond and the locals — the representation the
-	// paper's SSA-like transformation removes.
-	describe("nossa ablation (scalars stay in the store)", vdg.Options{NoSSA: true})
+	// Ablation: KeepScalarsInStore (the CLI's -nossa) keeps every
+	// scalar in the store. The result for p and q is unchanged (they
+	// are globals either way), but the store now also tracks cond and
+	// the locals — the representation the paper's SSA-like
+	// transformation removes.
+	describe("nossa ablation (scalars stay in the store)", aliaslab.Options{KeepScalarsInStore: true})
 
 	fmt.Println("Note how q keeps both referents in every variant: with two")
 	fmt.Println("possible targets the write '*q = 1' must be a weak update.")

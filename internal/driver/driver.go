@@ -131,12 +131,8 @@ func BuildGraphSpan(name string, prog *sema.Program, opts vdg.Options, parent *o
 	return graph, nil
 }
 
-// LoadFile processes a file on disk.
-func LoadFile(path string, opts vdg.Options) (*Unit, error) {
-	return LoadFileSpan(path, opts, nil)
-}
-
-// LoadFileSpan is LoadFile with phase tracing (see LoadStringSpan).
+// LoadFileSpan processes a file on disk, with phase tracing under
+// parent when it is non-nil (see LoadStringSpan).
 func LoadFileSpan(path string, opts vdg.Options, parent *obs.Span) (*Unit, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -73,14 +73,14 @@ func TestLoadFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("int main(void) { return 0; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	u, err := driver.LoadFile(path, vdg.Options{})
+	u, err := driver.LoadFileSpan(path, vdg.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Graph.Entry == nil {
 		t.Fatal("no entry")
 	}
-	if _, err := driver.LoadFile(filepath.Join(dir, "missing.c"), vdg.Options{}); err == nil {
+	if _, err := driver.LoadFileSpan(filepath.Join(dir, "missing.c"), vdg.Options{}, nil); err == nil {
 		t.Fatal("missing file must error")
 	}
 }

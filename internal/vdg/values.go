@@ -96,7 +96,6 @@ type out struct {
 	n           int32 // readers
 	fwd         value // set when a gamma forwards its readers here
 	built       int32 // index of the built output in emit's array
-	index       uint8
 	store       bool
 }
 
@@ -188,7 +187,7 @@ func (fb *fnBuilder) output(r int32, typ *ctypes.Type, store bool) value {
 	if rr.nOut == 0 {
 		rr.out = v
 	}
-	t.outs = append(t.outs, out{rec: r, index: rr.nOut, store: store})
+	t.outs = append(t.outs, out{rec: r, store: store})
 	t.types = append(t.types, typ)
 	rr.nOut++
 	return v
@@ -341,22 +340,11 @@ func (fb *fnBuilder) emit() {
 	nodeID, outID, inID := g.nNodes, g.nOutputs, g.nInputs
 	g.nNodes, g.nOutputs, g.nInputs = nodeID+kept, outID+nOuts, inID+nIns
 
-	// Outputs, in value-table order.
-	ko := 0
-	for v := value(1); v < value(len(t.outs)); v++ {
-		ov := &t.outs[v]
-		if t.recs[ov.rec].dropped {
-			continue
-		}
-		o := &outputs[ko]
-		ov.built = int32(ko)
-		o.ID, o.Index, o.Type, o.IsStore = outID+ko, int(ov.index), t.types[v], ov.store
-		ko++
-	}
-
-	// Nodes, in evaluation order.
+	// Nodes, in evaluation order, each with its outputs. The builder adds
+	// a record's values right after the record, so this is also
+	// value-table order.
 	fg.Nodes = nodeList[:kept:kept]
-	k := 0
+	k, ko := 0, 0
 	for r := 1; r < len(t.recs); r++ {
 		rr := &t.recs[r]
 		if rr.dropped {
@@ -384,8 +372,12 @@ func (fb *fnBuilder) emit() {
 			m := int(rr.nOut)
 			n.Outputs, outList = outList[:m:m], outList[m:]
 			for i := range n.Outputs {
-				o := &outputs[t.outs[rr.out+value(i)].built]
-				o.Node = n
+				v := rr.out + value(i)
+				ov := &t.outs[v]
+				o := &outputs[ko]
+				ov.built = int32(ko)
+				o.ID, o.Node, o.Index, o.Type, o.IsStore = outID+ko, n, i, t.types[v], ov.store
+				ko++
 				n.Outputs[i] = o
 			}
 		}
