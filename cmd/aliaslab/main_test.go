@@ -223,14 +223,14 @@ func TestOneFlagPerChoice(t *testing.T) {
 	}
 }
 
-// TestBackendGolden pins the text and JSON output of every -backend
-// value on one corpus program: the four-way precision frontier is
-// directly visible as the goldens' referent sets widen from cs to
-// steensgaard, and the baseline's sets are Andersen's.
+// TestBackendGolden pins the store, indirect-operation and JSON output
+// of every -backend value on one corpus program: the four-way
+// precision frontier is directly visible as the goldens' referent sets
+// widen from cs to steensgaard, and the baseline's sets are Andersen's.
 // Regenerate with: go test ./cmd/aliaslab -run BackendGolden -update
 func TestBackendGolden(t *testing.T) {
 	for _, kind := range []string{"cs", "ci", "andersen", "steensgaard", "baseline"} {
-		for _, mode := range []string{"indirect", "json"} {
+		for _, mode := range []string{"pointsto", "indirect", "json"} {
 			t.Run(kind+"/"+mode, func(t *testing.T) {
 				out, stderr, code := runCLI(t, "-corpus", "part", "-backend", kind, "-print", mode)
 				if code != 0 {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -135,12 +137,24 @@ func TestAnalyzeSourceNormalization(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllBackends: a full /v1/analyze body is the CLI's
+// -print json rendering of the same unit, byte for byte, so it is
+// checked against the CLI's goldens.
 func TestAnalyzeAllBackends(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, b := range []string{"ci", "cs", "andersen", "steensgaard"} {
 		resp, body := post(t, ts.URL+"/v1/analyze", map[string]string{"corpus": "part", "backend": b}, nil)
 		if resp.StatusCode != 200 {
 			t.Errorf("%s: status %d: %s", b, resp.StatusCode, body)
+			continue
+		}
+		golden := filepath.Join("..", "..", "cmd", "aliaslab", "testdata", "backend_"+b+"_json_part.golden")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: body differs from %s:\n--- got\n%s--- want\n%s", b, golden, body, want)
 		}
 	}
 }
