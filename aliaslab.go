@@ -34,6 +34,7 @@ import (
 	"aliaslab/internal/modref"
 	"aliaslab/internal/obs"
 	"aliaslab/internal/query"
+	"aliaslab/internal/report"
 	"aliaslab/internal/solve"
 	"aliaslab/internal/stats"
 	"aliaslab/internal/vdg"
@@ -103,20 +104,16 @@ func (p *Program) Sizes() (lines, vdgNodes, aliasRelatedOutputs int) {
 	return s.Lines, s.Nodes, s.AliasOutputs
 }
 
-// PointsTo is one points-to pair rendered as interned-path strings.
-type PointsTo struct {
-	Path     string // the pointer-holding location (or ε for values)
-	Referent string // the location pointed to
-}
+// PointsTo is one points-to pair rendered as interned-path strings:
+// Path is the pointer-holding location (or ε for values), Referent the
+// location pointed to. Its JSON encoding is the CLI's -print json
+// storeAtExit entry.
+type PointsTo = report.PointsTo
 
 // IndirectOp describes one indirect memory operation and the locations
-// it may touch under an analysis.
-type IndirectOp struct {
-	Kind      string // "read" or "write"
-	Pos       string // source position
-	Function  string
-	Referents []string
-}
+// it may touch under an analysis: Kind is "read" or "write", Pos the
+// source position, and Referents the sorted location names.
+type IndirectOp = stats.IndirectOp
 
 // Result is an analysis outcome.
 type Result struct {
@@ -285,50 +282,13 @@ func (r *Result) TotalPairs() int {
 // StoreAtExit returns the points-to pairs holding in the store when
 // main returns, sorted by path then referent.
 func (r *Result) StoreAtExit() []PointsTo {
-	g := r.prog.unit.Graph
-	if g.Entry == nil || g.Entry.ReturnStore() == nil {
-		return nil
-	}
-	s := r.sets[g.Entry.ReturnStore()]
-	if s == nil {
-		return nil
-	}
-	var out []PointsTo
-	for _, pr := range s.Sorted() {
-		out = append(out, PointsTo{Path: pr.Path.String(), Referent: pr.Ref.String()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		return out[i].Referent < out[j].Referent
-	})
-	return out
+	return report.StoreAtExit(r.prog.unit.Graph, r.sets)
 }
 
 // IndirectOps lists every indirect memory operation with the locations
 // it may reference under this result (the paper's Figure 4 subjects).
 func (r *Result) IndirectOps() []IndirectOp {
-	var out []IndirectOp
-	for _, fg := range r.prog.unit.Graph.Funcs {
-		for _, n := range fg.Nodes {
-			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
-				continue
-			}
-			op := IndirectOp{Kind: "read", Pos: n.Pos.In(r.prog.unit.Name), Function: fg.Fn.Name}
-			if n.Kind == vdg.KUpdate {
-				op.Kind = "write"
-			}
-			if s := r.sets[n.Loc()]; s != nil {
-				for _, ref := range s.Referents() {
-					op.Referents = append(op.Referents, ref.String())
-				}
-			}
-			sort.Strings(op.Referents)
-			out = append(out, op)
-		}
-	}
-	return out
+	return stats.ListIndirect(r.prog.unit.Graph, r.prog.unit.Name, r.sets)
 }
 
 // ModRef reports, per function, the locations it (transitively) may

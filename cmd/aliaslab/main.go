@@ -42,12 +42,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"aliaslab/internal/backend"
@@ -154,22 +152,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Observability: all of it hangs off a nil tracer when unused, so
-	// the default run stays on the untraced hot path and its output is
-	// byte-identical with and without this block compiled in.
-	tracing := *traceOn || *traceOut != ""
-	var tr *obs.Tracer
-	if tracing || *cpuprofile != "" {
-		tr = obs.New(obs.Config{MemStats: tracing, Labels: true})
+	obsRun, err := obs.Start(obs.RunFlags{Trace: *traceOn, TraceOut: *traceOut,
+		CPUProfile: *cpuprofile, MemProfile: *memprofile})
+	if err != nil {
+		fmt.Fprintln(stderr, "aliaslab:", err)
+		return 1
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 1
-		}
-		defer stop()
-	}
+	tr := obsRun.Tracer
 
 	opts := vdg.Options{
 		NoSSA:                 *noSSA,
@@ -231,27 +220,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runMulti(fs.Args(), opts, cfg, *jobs, tr, stdout, stderr)
 	}()
 
-	if tracing {
-		obs.WriteTree(stderr, tr)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = obs.WriteChromeTrace(f, tr)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 1
-		}
-	}
-	if *memprofile != "" {
-		if err := obs.WriteHeapProfile(*memprofile); err != nil {
-			fmt.Fprintln(stderr, "aliaslab:", err)
-			return 1
-		}
+	if err := obsRun.Finish(stderr); err != nil {
+		fmt.Fprintln(stderr, "aliaslab:", err)
+		return 1
 	}
 	return code
 }
@@ -377,7 +348,7 @@ func analyzeUnit(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	case "indirect":
 		printIndirect(stdout, u, sets, label)
 	case "json":
-		if err := printJSON(stdout, u, sets, label); err != nil {
+		if err := report.EncodeJSON(stdout, report.NewAnalysis(u.Name, u.Graph, sets, label)); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
 			return 1
 		}
@@ -448,7 +419,12 @@ func runVet(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 	case "json":
 		// The JSON shape only changes when degraded, so existing
 		// consumers of the plain array are unaffected by healthy runs.
-		if err := report.WriteDiagsJSONDegraded(stdout, diags, degradedReason); err != nil {
+		var env *report.Envelope
+		if degradedReason != "" {
+			e := report.DegradedEnvelope(degradedReason, "")
+			env = &e
+		}
+		if err := report.WriteDiagsEnvelope(stdout, diags, env); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
 			return 1
 		}
@@ -504,9 +480,7 @@ func runQuery(u *driver.Unit, cfg config, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, renderAnswer(a))
 		}
 	case "json":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(answers); err != nil {
+		if err := report.EncodeJSON(stdout, answers); err != nil {
 			fmt.Fprintln(stderr, "aliaslab:", err)
 			return 1
 		}
@@ -573,18 +547,13 @@ func printPointsTo(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairS
 		fmt.Fprintln(w, "  (no main return store)")
 		return
 	}
-	s := sets[u.Graph.Entry.ReturnStore()]
-	if s == nil || s.Len() == 0 {
+	store := report.StoreAtExit(u.Graph, sets)
+	if len(store) == 0 {
 		fmt.Fprintln(w, "  (empty)")
 		return
 	}
-	var lines []string
-	for _, p := range s.Sorted() {
-		lines = append(lines, fmt.Sprintf("  %s -> %s", p.Path, p.Ref))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
+	for _, p := range store {
+		fmt.Fprintf(w, "  %s -> %s\n", p.Path, p.Referent)
 	}
 	census := stats.Census(u.Graph, sets)
 	fmt.Fprintf(w, "total pairs over all outputs: %d (pointer %d, function %d, aggregate %d, store %d)\n",
@@ -594,84 +563,13 @@ func printPointsTo(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairS
 // printIndirect lists every indirect memory operation with its referents.
 func printIndirect(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairSet, label string) {
 	fmt.Fprintf(w, "%s referents of indirect memory operations:\n", label)
-	for _, fg := range u.Graph.Funcs {
-		for _, n := range fg.Nodes {
-			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
-				continue
-			}
-			kind := "read"
-			if n.Kind == vdg.KUpdate {
-				kind = "write"
-			}
-			var refs []string
-			if s := sets[n.Loc()]; s != nil {
-				for _, r := range s.Referents() {
-					refs = append(refs, r.String())
-				}
-			}
-			sort.Strings(refs)
-			fmt.Fprintf(w, "  %-5s %-18s in %-12s -> %v\n", kind, n.Pos.In(u.Name), fg.Fn.Name, refs)
-		}
+	for _, op := range stats.ListIndirect(u.Graph, u.Name, sets) {
+		fmt.Fprintf(w, "  %-5s %-18s in %-12s -> %v\n", op.Kind, op.Pos, op.Function, op.Referents)
 	}
 	ops := stats.CountIndirect(u.Graph, sets)
 	fmt.Fprintf(w, "reads: %d ops avg %.2f max %d; writes: %d ops avg %.2f max %d\n",
 		ops.Reads.Total, ops.Reads.Avg(), ops.Reads.Max,
 		ops.Writes.Total, ops.Writes.Avg(), ops.Writes.Max)
-}
-
-// printJSON renders one unit's solution as deterministic JSON: the
-// label, the pair census, the Figure 4 indirect-operation summary, and
-// the sorted store at main's return. One shape for every backend, so
-// frontier points diff structurally.
-func printJSON(w io.Writer, u *driver.Unit, sets map[*vdg.Output]*core.PairSet, label string) error {
-	census := stats.Census(u.Graph, sets)
-	ops := stats.CountIndirect(u.Graph, sets)
-	type opsJSON struct {
-		Ops int     `json:"ops"`
-		Avg float64 `json:"avgReferents"`
-		Max int     `json:"maxReferents"`
-	}
-	type pairJSON struct {
-		Path string `json:"path"`
-		Ref  string `json:"referent"`
-	}
-	out := struct {
-		Unit   string `json:"unit"`
-		Label  string `json:"label"`
-		Census struct {
-			Total     int `json:"total"`
-			Pointer   int `json:"pointer"`
-			Function  int `json:"function"`
-			Aggregate int `json:"aggregate"`
-			Store     int `json:"store"`
-		} `json:"pairs"`
-		Reads       opsJSON    `json:"reads"`
-		Writes      opsJSON    `json:"writes"`
-		StoreAtExit []pairJSON `json:"storeAtExit"`
-	}{Unit: u.Name, Label: label}
-	out.Census.Total = census.Total
-	out.Census.Pointer = census.Pointer
-	out.Census.Function = census.Function
-	out.Census.Aggregate = census.Aggregate
-	out.Census.Store = census.Store
-	out.Reads = opsJSON{Ops: ops.Reads.Total, Avg: ops.Reads.Avg(), Max: ops.Reads.Max}
-	out.Writes = opsJSON{Ops: ops.Writes.Total, Avg: ops.Writes.Avg(), Max: ops.Writes.Max}
-	if u.Graph.Entry != nil && u.Graph.Entry.ReturnStore() != nil {
-		if s := sets[u.Graph.Entry.ReturnStore()]; s != nil {
-			for _, p := range s.Sorted() {
-				out.StoreAtExit = append(out.StoreAtExit, pairJSON{Path: p.Path.String(), Ref: p.Ref.String()})
-			}
-			sort.Slice(out.StoreAtExit, func(i, j int) bool {
-				if out.StoreAtExit[i].Path != out.StoreAtExit[j].Path {
-					return out.StoreAtExit[i].Path < out.StoreAtExit[j].Path
-				}
-				return out.StoreAtExit[i].Ref < out.StoreAtExit[j].Ref
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // printModRef renders the transitive mod/ref sets per function, each
@@ -709,11 +607,4 @@ func printCallGraph(w io.Writer, u *driver.Unit, ci *core.Result) {
 	cg := stats.CallGraph(ci)
 	fmt.Fprintf(w, "%d called procedures, %.1f avg callers, %d single-caller (%s)\n",
 		cg.Procedures, cg.AvgCallers, cg.SingleCaller, report.Pct(100*float64(cg.SingleCaller)/float64(max(cg.Procedures, 1)))+"%")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -458,7 +458,7 @@ func Costs(w io.Writer, rs []*ProgramResult) {
 			report.F2(ratio(r.CS.Engine.Meets, r.CI.Engine.Meets)),
 			r.CITime.Round(time.Microsecond).String(),
 			r.CSTime.Round(time.Microsecond).String(),
-			report.F2(float64(r.CSTime) / float64(maxDuration(r.CITime, time.Microsecond))),
+			report.F2(float64(r.CSTime) / float64(max(r.CITime, time.Microsecond))),
 		})
 	}
 	report.Table(w, "Analysis cost: context-insensitive vs context-sensitive (paper §3.2/§4.2)", headers, rows)
@@ -500,13 +500,6 @@ func ratio(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteAll renders every figure and the cost table.

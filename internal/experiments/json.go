@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"io"
 
 	"aliaslab/internal/obs"
+	"aliaslab/internal/report"
 	"aliaslab/internal/solver"
 	"aliaslab/internal/stats"
 )
@@ -171,8 +171,6 @@ func WriteJSON(w io.Writer, rs []*ProgramResult) error {
 // (zero) options render exactly the bytes of WriteJSON; the engine
 // block is additive and only present when requested.
 func WriteJSONWith(w io.Writer, rs []*ProgramResult, jo JSONOptions) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	doc := struct {
 		Programs []UnitJSON       `json:"programs"`
 		Metrics  []obs.MetricJSON `json:"metrics,omitempty"`
@@ -180,5 +178,5 @@ func WriteJSONWith(w io.Writer, rs []*ProgramResult, jo JSONOptions) error {
 	if jo.Metrics != nil {
 		doc.Metrics = obs.MetricsJSON(jo.Metrics.DeterministicSnapshot())
 	}
-	return enc.Encode(doc)
+	return report.EncodeJSON(w, doc)
 }

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -371,7 +370,5 @@ func WritePopulationJSON(w io.Writer, res *PopulationResult) error {
 			Axis: b.Axis, Value: b.Value, Units: b.Units, MeanCI: round2(b.MeanCI), Full: b.Full,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return report.EncodeJSON(w, doc)
 }

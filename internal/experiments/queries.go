@@ -131,7 +131,7 @@ func QueryCosts(w io.Writer, rs []*ProgramResult) {
 			report.Itoa(q.Steps),
 			r.CITime.Round(time.Microsecond).String(),
 			q.PerQuery().Round(time.Microsecond).String(),
-			report.F2(float64(r.CITime) / float64(maxDuration(q.PerQuery(), time.Microsecond))),
+			report.F2(float64(r.CITime) / float64(max(q.PerQuery(), time.Microsecond))),
 			report.Itoa(q.MemoHits),
 		})
 	}

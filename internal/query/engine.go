@@ -130,15 +130,6 @@ func (e *Engine) PointsTo(expr string) (Answer, error) {
 	return e.Query(q)
 }
 
-// QueryString parses and answers one query string.
-func (e *Engine) QueryString(s string) (Answer, error) {
-	q, err := Parse(s)
-	if err != nil {
-		return Answer{}, err
-	}
-	return e.Query(q)
-}
-
 // Resolve returns the anchor outputs of one expression (exported for
 // the differential oracle and the metamorphic tests).
 func (e *Engine) Resolve(x Expr) ([]*vdg.Output, error) { return e.res.anchors(x) }

@@ -108,7 +108,7 @@ func TestUnknownVariableIsError(t *testing.T) {
 	if _, err := e.PointsTo("nosuch"); err == nil {
 		t.Fatal("pointsto(nosuch) should fail")
 	}
-	if _, err := e.QueryString("frobnicate(p)"); err == nil {
+	if _, err := query.Parse("frobnicate(p)"); err == nil {
 		t.Fatal("unknown kind should fail")
 	}
 }

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -40,39 +39,21 @@ type relatedJSON struct {
 	Message string `json:"message"`
 }
 
-// WriteDiagsJSON renders diagnostics as an indented JSON array (an
-// empty slice renders as []).
-func WriteDiagsJSON(w io.Writer, diags []checkers.Diag) error {
-	return WriteDiagsEnvelope(w, diags, nil)
-}
-
-// WriteDiagsJSONDegraded renders a degraded vet run: the output becomes
+// WriteDiagsEnvelope renders diagnostics as JSON — the one schema shared
+// by the CLI's -vet JSON and the analysis server's vet responses. A nil
+// envelope renders the plain healthy-run array (an empty slice renders
+// as []); a degraded run passes its envelope, and the output becomes
 // an object {"degraded": true, "reason": ..., "diagnostics": [...]} so
-// consumers cannot mistake a truncated analysis for a clean one. The
-// plain-array shape of WriteDiagsJSON is unchanged for healthy runs.
-func WriteDiagsJSONDegraded(w io.Writer, diags []checkers.Diag, reason string) error {
-	if reason == "" {
-		return WriteDiagsEnvelope(w, diags, nil)
-	}
-	env := DegradedEnvelope(reason, "")
-	return WriteDiagsEnvelope(w, diags, &env)
-}
-
-// WriteDiagsEnvelope renders diagnostics wrapped in a degradation
-// Envelope — the one schema shared by the CLI's -vet JSON and the
-// analysis server's degraded vet responses. A nil envelope renders the
-// plain healthy-run array.
+// consumers cannot mistake a truncated analysis for a clean one.
 func WriteDiagsEnvelope(w io.Writer, diags []checkers.Diag, env *Envelope) error {
 	out := buildDiagsJSON(diags)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if env != nil {
-		return enc.Encode(struct {
+		return EncodeJSON(w, struct {
 			Envelope
 			Diagnostics []diagJSON `json:"diagnostics"`
 		}{*env, out})
 	}
-	return enc.Encode(out)
+	return EncodeJSON(w, out)
 }
 
 func buildDiagsJSON(diags []checkers.Diag) []diagJSON {

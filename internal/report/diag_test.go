@@ -79,7 +79,7 @@ func TestWriteDiagsTextAndJSON(t *testing.T) {
 			}
 
 			var js bytes.Buffer
-			if err := report.WriteDiagsJSON(&js, tc.diags); err != nil {
+			if err := report.WriteDiagsEnvelope(&js, tc.diags, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, want := range tc.wantJSON {
@@ -105,7 +105,8 @@ func TestWriteDiagsJSONDegraded(t *testing.T) {
 		{File: "t.c", Pos: pos(3, 1), Severity: checkers.Warning, Checker: "leak", Message: "best effort"},
 	}
 	var buf bytes.Buffer
-	if err := report.WriteDiagsJSONDegraded(&buf, diags, "limits: step budget exhausted (10)"); err != nil {
+	degraded := report.DegradedEnvelope("limits: step budget exhausted (10)", "")
+	if err := report.WriteDiagsEnvelope(&buf, diags, &degraded); err != nil {
 		t.Fatal(err)
 	}
 	var env struct {
@@ -120,9 +121,9 @@ func TestWriteDiagsJSONDegraded(t *testing.T) {
 		t.Errorf("degraded envelope wrong: %+v", env)
 	}
 
-	// An empty reason must keep the plain-array shape for healthy runs.
+	// No envelope keeps the plain-array shape for healthy runs.
 	buf.Reset()
-	if err := report.WriteDiagsJSONDegraded(&buf, diags, ""); err != nil {
+	if err := report.WriteDiagsEnvelope(&buf, diags, nil); err != nil {
 		t.Fatal(err)
 	}
 	var arr []map[string]any

@@ -29,7 +29,7 @@ func sampleDiags() []checkers.Diag {
 // diagnostics} object with no tier/sound/notes fields leaking in.
 func TestDiagsJSONShapesArePinned(t *testing.T) {
 	var healthy bytes.Buffer
-	if err := WriteDiagsJSON(&healthy, nil); err != nil {
+	if err := WriteDiagsEnvelope(&healthy, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := healthy.String(); got != "[]\n" {
@@ -37,7 +37,8 @@ func TestDiagsJSONShapesArePinned(t *testing.T) {
 	}
 
 	var degraded bytes.Buffer
-	if err := WriteDiagsJSONDegraded(&degraded, sampleDiags(), "limits: pair budget exhausted (1)"); err != nil {
+	env := DegradedEnvelope("limits: pair budget exhausted (1)", "")
+	if err := WriteDiagsEnvelope(&degraded, sampleDiags(), &env); err != nil {
 		t.Fatal(err)
 	}
 	want := `{
@@ -65,16 +66,6 @@ func TestDiagsJSONShapesArePinned(t *testing.T) {
 `
 	if degraded.String() != want {
 		t.Fatalf("degraded vet shape drifted:\n%s\nwant:\n%s", degraded.String(), want)
-	}
-
-	// An empty reason renders the healthy array, not a half-filled
-	// envelope.
-	var emptyReason bytes.Buffer
-	if err := WriteDiagsJSONDegraded(&emptyReason, nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if got := emptyReason.String(); got != "[]\n" {
-		t.Fatalf("empty-reason run: %q, want plain array", got)
 	}
 }
 

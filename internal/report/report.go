@@ -1,5 +1,7 @@
 // Package report renders the experiment results as fixed-width text
-// tables shaped like the paper's figures.
+// tables shaped like the paper's figures, and the answers the CLI, the
+// daemon and the library facade share: the analysis JSON document, the
+// store at main's return, and the diagnostics in text and JSON.
 package report
 
 import (

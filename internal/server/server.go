@@ -36,7 +36,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -45,6 +44,7 @@ import (
 
 	"aliaslab/internal/corpus"
 	"aliaslab/internal/obs"
+	"aliaslab/internal/report"
 	"aliaslab/internal/sched"
 )
 
@@ -209,9 +209,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.Gauge("server.admission.rejected", obs.Volatile).Set(int64(s.sem.Rejected()))
 	s.reg.Gauge("server.inflight", obs.Volatile).Set(int64(s.sem.InFlight()))
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.MetricsJSON(s.reg.Snapshot()))
+	report.EncodeJSON(w, obs.MetricsJSON(s.reg.Snapshot()))
 }
 
 // handleCorpus lists the embedded benchmark programs.
@@ -225,7 +223,5 @@ func (s *Server) handleCorpus(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, entry{Name: p.Name, Description: p.Description})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	report.EncodeJSON(w, out)
 }

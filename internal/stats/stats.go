@@ -1,11 +1,14 @@
 // Package stats computes the statistics reported in the paper's figures:
 // program sizes and alias-related outputs (Figure 2), points-to pair
-// censuses by output type (Figures 3 and 6), indirect read/write referent
-// histograms (Figure 4), spurious-pair computation (Figure 6), and the
-// path × referent type breakdown (Figure 7).
+// censuses by output type (Figures 3 and 6), the list of indirect
+// memory operations and their read/write referent histograms (Figure
+// 4), spurious-pair computation (Figure 6), and the path × referent
+// type breakdown (Figure 7).
 package stats
 
 import (
+	"sort"
+
 	"aliaslab/internal/core"
 	"aliaslab/internal/ctypes"
 	"aliaslab/internal/paths"
@@ -175,24 +178,62 @@ type IndirectOps struct {
 	Writes OpHistogram
 }
 
+// IndirectOp is one indirect memory operation, rendered: an indirect
+// lookup is a read and an indirect update a write.
+type IndirectOp struct {
+	Kind      string // "read" or "write"
+	Pos       string // source position
+	Function  string
+	Referents []string // sorted
+}
+
+// forIndirect calls f on every indirect memory operation of g, in
+// function and node order. The builder marks only lookups and updates
+// Indirect, so the flag alone picks the paper's Figure 4 subjects.
+func forIndirect(g *vdg.Graph, f func(fg *vdg.FuncGraph, n *vdg.Node)) {
+	for _, fg := range g.Funcs {
+		for _, n := range fg.Nodes {
+			if n.Indirect {
+				f(fg, n)
+			}
+		}
+	}
+}
+
+// ListIndirect lists every indirect memory operation of g with the
+// locations its location input may reference under the given solution.
+// Positions are rendered in file.
+func ListIndirect(g *vdg.Graph, file string, sets map[*vdg.Output]*core.PairSet) []IndirectOp {
+	var out []IndirectOp
+	forIndirect(g, func(fg *vdg.FuncGraph, n *vdg.Node) {
+		op := IndirectOp{Kind: "read", Pos: n.Pos.In(file), Function: fg.Fn.Name}
+		if n.Kind == vdg.KUpdate {
+			op.Kind = "write"
+		}
+		if s := sets[n.Loc()]; s != nil {
+			for _, r := range s.Referents() {
+				op.Referents = append(op.Referents, r.String())
+			}
+		}
+		sort.Strings(op.Referents)
+		out = append(out, op)
+	})
+	return out
+}
+
 // CountIndirect computes the Figure 4 statistics: for every indirect
 // lookup (read) and update (write), the number of distinct locations its
 // location input may reference under the given solution.
 func CountIndirect(g *vdg.Graph, sets map[*vdg.Output]*core.PairSet) IndirectOps {
 	var io IndirectOps
-	for _, fg := range g.Funcs {
-		for _, n := range fg.Nodes {
-			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
-				continue
-			}
-			refs := referentCount(sets[n.Loc()])
-			if n.Kind == vdg.KLookup {
-				io.Reads.add(refs)
-			} else {
-				io.Writes.add(refs)
-			}
+	forIndirect(g, func(_ *vdg.FuncGraph, n *vdg.Node) {
+		refs := referentCount(sets[n.Loc()])
+		if n.Kind == vdg.KLookup {
+			io.Reads.add(refs)
+		} else {
+			io.Writes.add(refs)
 		}
-	}
+	})
 	return io
 }
 
@@ -201,16 +242,11 @@ func CountIndirect(g *vdg.Graph, sets map[*vdg.Output]*core.PairSet) IndirectOps
 // for CI vs CS on every benchmark).
 func IndirectDiff(g *vdg.Graph, a, b map[*vdg.Output]*core.PairSet) []*vdg.Node {
 	var diff []*vdg.Node
-	for _, fg := range g.Funcs {
-		for _, n := range fg.Nodes {
-			if (n.Kind != vdg.KLookup && n.Kind != vdg.KUpdate) || !n.Indirect {
-				continue
-			}
-			if !sameReferents(a[n.Loc()], b[n.Loc()]) {
-				diff = append(diff, n)
-			}
+	forIndirect(g, func(_ *vdg.FuncGraph, n *vdg.Node) {
+		if !sameReferents(a[n.Loc()], b[n.Loc()]) {
+			diff = append(diff, n)
 		}
-	}
+	})
 	return diff
 }
 

@@ -187,8 +187,8 @@ type Node struct {
 	Transparent bool
 
 	// KLookup / KUpdate: set when the location input is not a constant
-	// address chain (i.e. the operation dereferences a pointer). Used by
-	// the Figure 4 statistics.
+	// address chain (i.e. the operation dereferences a pointer); never
+	// set on other kinds. Used by the Figure 4 statistics.
 	Indirect bool
 
 	// Effectful marks nodes that model library calls with I/O or other
@@ -267,11 +267,11 @@ type Graph struct {
 	// Entry is the graph of main.
 	Entry *FuncGraph
 
-	// The numbers of nodes, outputs and inputs built so far: the next
-	// ID of each kind.
-	nNodes, nOutputs, nInputs int
+	// The numbers of nodes and outputs built so far: the next ID of
+	// each kind.
+	nNodes, nOutputs int
 
-	inputs []*Input // by Input.ID
+	inputs []*Input // by Input.ID; its length is the next input ID
 }
 
 // NodeCount returns the number of nodes in the whole program, the

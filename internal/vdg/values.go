@@ -337,8 +337,8 @@ func (fb *fnBuilder) emit() {
 
 	// Each built node, output and input takes the graph's next ID of its
 	// kind.
-	nodeID, outID, inID := g.nNodes, g.nOutputs, g.nInputs
-	g.nNodes, g.nOutputs, g.nInputs = nodeID+kept, outID+nOuts, inID+nIns
+	nodeID, outID, inID := g.nNodes, g.nOutputs, len(g.inputs)
+	g.nNodes, g.nOutputs = nodeID+kept, outID+nOuts
 
 	// Nodes, in evaluation order, each with its outputs. The builder adds
 	// a record's values right after the record, so this is also
@@ -383,7 +383,9 @@ func (fb *fnBuilder) emit() {
 		}
 	}
 
-	// Inputs, node by node in slot order.
+	// Inputs, node by node in slot order; the graph's input table is
+	// indexed by ID, so each joins it as it is numbered.
+	g.inputs = slices.Grow(g.inputs, nIns)
 	ki := 0
 	for r := 1; r < len(t.recs); r++ {
 		rr := &t.recs[r]
@@ -398,6 +400,7 @@ func (fb *fnBuilder) emit() {
 			in.Node, in.Index, in.Src, in.ID = n, i, &outputs[t.outs[e.src].built], inID+ki
 			ki++
 			n.Inputs[i] = in
+			g.inputs = append(g.inputs, in)
 		}
 	}
 
